@@ -40,6 +40,7 @@ from .oracle import (
 from .synth import RejectionStall, SamplerState, make_state, sample, trial_seed
 from .weights import (
     SingularConstraints,
+    UnresolvedSchedule,
     WeightSchedule,
     default_l_values,
     resolve_schedule,
@@ -70,6 +71,7 @@ __all__ = [
     "SingularConstraints",
     "SpanningTree",
     "TooFewPoints",
+    "UnresolvedSchedule",
     "UnsupportedP",
     "WeightSchedule",
     "bayes_bounds",

@@ -8,8 +8,9 @@ counter-based streams, so results are identical whether trials run
 serially or in the thread pool (HPDIV_THREADS caps the pool; 0 or unset
 means auto).
 
-A failing method aborts only its own (method, n) cell: the error is
-reported as a CellErrorWarning and the remaining cells still run.
+A method that raises an HPDivError aborts only its own (method, n) cell:
+the error is reported as a CellErrorWarning and the remaining cells still
+run. Any other exception is a bug and propagates out of run_plan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +28,25 @@ import numpy as np
 from .core import (
     HPDivError,
     KTooLarge,
+    MixtureParam,
     PointCloud,
     expected_m,
-    validate_pair,
+    parse_number,
+    pool_pair,
 )
-from .estimators import affine_map, dichotomous_counts
+from .estimators import affine_map, dichotomous_counts, weighted_total
 from .io import load_points
 from .mst import build_emst, dichotomous_edge_count
 from .neighbors import build_index
 from .oracle import DimTooHigh, DistributionSpec, true_divergence, truncated_normal, uniform_box
 from .synth import make_state, sample, trial_seed
-from .weights import WeightSchedule, default_l_values, resolve_schedule, solve_weights
+from .weights import WeightSchedule, default_l_values, resolve_schedule
 
 SCENARIO_GAUSS_SHIFT = "gauss-shift"
 SCENARIO_GAUSS_SCALE = "gauss-scale"
 SCENARIO_GAUSS_VS_UNIFORM = "gauss-vs-uniform"
 SCENARIO_CSV = "csv"
-_SCENARIOS = (
+SCENARIOS = (
     SCENARIO_GAUSS_SHIFT,
     SCENARIO_GAUSS_SCALE,
     SCENARIO_GAUSS_VS_UNIFORM,
@@ -77,6 +81,13 @@ class MethodSpec:
         return self.kind
 
 
+def _check_labels(specs) -> None:
+    """Each method owns one output row per n, keyed by its label."""
+    labels = [s.label for s in specs]
+    if len(set(labels)) != len(labels):
+        raise HPDivError(f"duplicate method labels in {', '.join(labels)}")
+
+
 def parse_methods(text: str) -> list[MethodSpec]:
     """Parse a CLI-style method list like "knn:5,knn:10,wnn,mst"."""
     specs = []
@@ -85,21 +96,23 @@ def parse_methods(text: str) -> list[MethodSpec]:
         if not token:
             continue
         name, _, arg = token.partition(":")
+        what = f"method {token!r}"
         if name == "knn":
             if not arg:
                 raise HPDivError(f"knn needs a rank, e.g. knn:5 (got {token!r})")
-            specs.append(MethodSpec(kind="knn", k=int(arg)))
+            specs.append(MethodSpec(kind="knn", k=parse_number(int, arg, what)))
         elif name == "wnn":
-            ls = tuple(float(v) for v in arg.split("|")) if arg else None
+            ls = tuple(parse_number(float, v, what) for v in arg.split("|")) if arg else None
             specs.append(MethodSpec(kind="wnn", l_values=ls))
         elif name == "mst":
             specs.append(MethodSpec(kind="mst"))
         elif name == "const":
-            specs.append(MethodSpec(kind="const", value=float(arg)))
+            specs.append(MethodSpec(kind="const", value=parse_number(float, arg, what)))
         else:
             raise HPDivError(f"unknown method {token!r}")
     if not specs:
         raise HPDivError("no methods given")
+    _check_labels(specs)
     return specs
 
 
@@ -120,7 +133,7 @@ class ExperimentPlan:
     y_path: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
+        if self.scenario not in SCENARIOS:
             raise HPDivError(f"unknown scenario {self.scenario!r}")
         if self.trials < 2:
             raise HPDivError("trials must be >= 2")
@@ -129,6 +142,8 @@ class ExperimentPlan:
             raise HPDivError("n_grid must be nonempty and strictly increasing")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
+        _check_labels(self.methods)
+        MixtureParam(self.p)  # raises InvalidP
         if self.scenario == SCENARIO_CSV and not (self.x_path and self.y_path):
             raise HPDivError("csv scenario needs x_path and y_path")
 
@@ -187,7 +202,7 @@ def resolve_truth(plan: ExperimentPlan) -> float | None:
 
 def _worker_count() -> int:
     raw = os.environ.get("HPDIV_THREADS", "").strip()
-    cap = int(raw) if raw else 0
+    cap = parse_number(int, raw, "HPDIV_THREADS") if raw else 0
     if cap == 1:
         return 1
     auto = min(os.cpu_count() or 1, 8)
@@ -196,16 +211,11 @@ def _worker_count() -> int:
 
 def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
     if plan.scenario == SCENARIO_CSV:
-        cx, cy = clouds
-        rx = np.random.Generator(
-            np.random.Philox(key=trial_seed(plan.base_seed, t, 0))
-        )
-        ry = np.random.Generator(
-            np.random.Philox(key=trial_seed(plan.base_seed, t, 1))
-        )
-        xi = rx.integers(0, len(cx), size=n)
-        yi = ry.integers(0, len(cy), size=n)
-        return PointCloud(cx.points[xi]), PointCloud(cy.points[yi])
+        pair = []
+        for role, cloud in enumerate(clouds):
+            rng = np.random.Generator(np.random.Philox(key=trial_seed(plan.base_seed, t, role)))
+            pair.append(PointCloud(cloud.points[rng.integers(0, len(cloud), size=n)]))
+        return tuple(pair)
     fx, fy = specs
     m = expected_m(n, plan.p)
     x = sample(make_state(fx, trial_seed(plan.base_seed, t, 0)), n)
@@ -214,11 +224,9 @@ def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
 
 
 def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
-    """All method values for one (n, trial); exceptions recorded per method."""
+    """All method values for one (n, trial); HPDivErrors recorded per method."""
     x, y = _draw_pair(plan, specs, clouds, n, t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ratio warnings handled at plan level
-        z = validate_pair(x, y, plan.p)
+    z = pool_pair(x, y)  # p is checked by the plan
     out: dict[str, object] = {}
 
     ks: set[int] = set()
@@ -233,7 +241,6 @@ def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
         idx = build_index(z)
         counts = dichotomous_counts(z, idx, sorted(ks))
 
-    tree = None
     for spec in plan.methods:
         try:
             if spec.kind == "const":
@@ -246,26 +253,18 @@ def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
                 sched = schedules[n]
                 if isinstance(sched, Exception):
                     raise sched
-                total = float(
-                    sum(
-                        w * counts[int(k)]
-                        for w, k in zip(sched.w, sched.k_values)
-                    )
-                )
-                out[spec.label] = affine_map(total, z.n_x, z.n_y)
+                out[spec.label] = affine_map(weighted_total(sched, counts), z.n_x, z.n_y)
             elif spec.kind == "mst":
-                if tree is None:
-                    tree = build_emst(z)
-                out[spec.label] = affine_map(
-                    dichotomous_edge_count(tree, z), z.n_x, z.n_y
-                )
-        except Exception as exc:  # recorded, cell aborts later
+                r = dichotomous_edge_count(build_emst(z), z)
+                out[spec.label] = affine_map(r, z.n_x, z.n_y)
+        except HPDivError as exc:  # recorded, cell aborts later
             out[spec.label] = exc
     return out
 
 
 def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | Exception]:
-    """One schedule per n for each wnn method (weights are n-independent)."""
+    """One schedule per n for the wnn method (labels are unique, so a plan
+    holds at most one)."""
     out: dict[int, WeightSchedule | Exception] = {}
     wnn = [m for m in plan.methods if m.kind == "wnn"]
     if not wnn:
@@ -286,6 +285,7 @@ def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | Excep
 
 def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     """Execute the full plan and aggregate per-(method, n) summaries."""
+    workers = _worker_count()
     specs = scenario_specs(plan)
     clouds = None
     if plan.scenario == SCENARIO_CSV:
@@ -293,22 +293,13 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     truth = resolve_truth(plan)
     schedules = _resolve_schedules(plan)
     summaries: list[TrialSummary] = []
-    workers = _worker_count()
     for n in plan.n_grid:
-        results: list[dict[str, object] | None] = [None] * plan.trials
+        trial = partial(_run_trial, plan, specs, clouds, schedules, n)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(
-                        _run_trial, plan, specs, clouds, schedules, n, t
-                    ): t
-                    for t in range(plan.trials)
-                }
-                for fut, t in futures.items():
-                    results[t] = fut.result()
+                results = list(pool.map(trial, range(plan.trials)))
         else:
-            for t in range(plan.trials):
-                results[t] = _run_trial(plan, specs, clouds, schedules, n, t)
+            results = [trial(t) for t in range(plan.trials)]
 
         for spec in plan.methods:
             label = spec.label

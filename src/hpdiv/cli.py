@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import io as hpio
-from .core import HPDivError, PointCloud
+from .core import HPDivError, PointCloud, parse_number
 from .estimators import knn_estimate, wnn_estimate
 from .mst import mst_estimate
 from .oracle import bayes_bounds, truncated_normal, uniform_box
@@ -45,8 +45,13 @@ def _fail(exc: Exception) -> int:
     return code
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _csv_numbers(text: str, flag: str, conv=float) -> list:
+    return [parse_number(conv, v, flag) for v in text.split(",") if v.strip()]
+
+
+def _l_values(text: str | None, d: int) -> np.ndarray:
+    """--l-values as an array, or the default grid for dimension d."""
+    return np.asarray(_csv_numbers(text, "--l-values")) if text else default_l_values(d)
 
 
 def _load_pair(args) -> tuple[PointCloud, PointCloud]:
@@ -76,12 +81,7 @@ def cmd_estimate(args) -> int:
             raise HPDivError("--k is required for method knn")
         res = knn_estimate(x, y, args.k, args.p, clamp=args.clamp)
     elif args.method == "wnn":
-        ls = (
-            np.asarray(_csv_floats(args.l_values))
-            if args.l_values
-            else default_l_values(x.dim)
-        )
-        sched = resolve_schedule(ls, x.dim, len(x), m=len(y))
+        sched = resolve_schedule(_l_values(args.l_values, x.dim), x.dim, len(x), m=len(y))
         res = wnn_estimate(x, y, sched, args.p, clamp=args.clamp)
     else:
         res = mst_estimate(x, y, args.p, clamp=args.clamp)
@@ -99,11 +99,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    ls = (
-        np.asarray(_csv_floats(args.l_values))
-        if args.l_values
-        else default_l_values(args.d)
-    )
+    ls = _l_values(args.l_values, args.d)
     w = solve_weights(ls, args.d)
     a, b = constraint_matrix(ls, args.d)
     out = {
@@ -126,16 +122,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    box = _csv_floats(args.box)
+    box = _csv_numbers(args.box, "--box")
     if len(box) != 2:
         raise HPDivError("--box wants LO,HI")
     if args.dist == "uniform":
         spec = uniform_box(np.tile(box, (args.dim, 1)))
     else:
-        mean = _csv_floats(args.mean) if args.mean else [0.0] * args.dim
+        mean = _csv_numbers(args.mean, "--mean") if args.mean else [0.0] * args.dim
         if len(mean) != args.dim:
             raise HPDivError(f"--mean needs {args.dim} values")
-        sigma = _csv_floats(args.sigma) if args.sigma else [1.0] * args.dim
+        sigma = _csv_numbers(args.sigma, "--sigma") if args.sigma else [1.0] * args.dim
         if len(sigma) == 1:
             sigma = sigma * args.dim
         if len(sigma) != args.dim:
@@ -152,7 +148,7 @@ def cmd_bench(args) -> int:
     plan = bench_mod.ExperimentPlan(
         scenario=args.scenario,
         dims=args.dims,
-        n_grid=tuple(int(v) for v in args.n_grid.split(",")),
+        n_grid=tuple(_csv_numbers(args.n_grid, "--n-grid", int)),
         methods=tuple(bench_mod.parse_methods(args.methods)),
         trials=args.trials,
         p=args.p,
@@ -209,12 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a Monte Carlo benchmark")
     ben.add_argument(
         "--scenario",
-        choices=[
-            bench_mod.SCENARIO_GAUSS_SHIFT,
-            bench_mod.SCENARIO_GAUSS_SCALE,
-            bench_mod.SCENARIO_GAUSS_VS_UNIFORM,
-            bench_mod.SCENARIO_CSV,
-        ],
+        choices=bench_mod.SCENARIOS,
         required=True,
     )
     ben.add_argument("--dims", type=int, default=1)
@@ -247,9 +238,7 @@ def main(argv=None) -> int:
         _check_input_mode(parser, args)
     try:
         return _HANDLERS[args.command](args)
-    except HPDivError as exc:
-        return _fail(exc)
-    except OSError as exc:
+    except (HPDivError, OSError) as exc:
         return _fail(exc)
 
 

@@ -164,9 +164,8 @@ def validate_pair(x: PointCloud, y: PointCloud, p: float) -> JointSet:
     if not isinstance(y, PointCloud):
         y = PointCloud(y)
     MixtureParam(p)  # raises InvalidP
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"x has dim {x.dim} but y has dim {y.dim}")
-    n, m = len(x), len(y)
+    z = pool_pair(x, y)
+    n, m = z.n_x, z.n_y
     m_expected = expected_m(n, p)
     if abs(m - m_expected) > 1:
         warnings.warn(
@@ -175,6 +174,15 @@ def validate_pair(x: PointCloud, y: PointCloud, p: float) -> JointSet:
             SampleRatioWarning,
             stacklevel=2,
         )
+    return z
+
+
+def pool_pair(x: PointCloud, y: PointCloud) -> JointSet:
+    """Pool two clouds of one dimension, X first, with no p check and no
+    ratio warning (so threads need not touch the warning filters)."""
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"x has dim {x.dim} but y has dim {y.dim}")
+    n, m = len(x), len(y)
     pooled = PointCloud(np.vstack([x.points, y.points]))
     labels = np.concatenate(
         [np.full(n, LABEL_X, np.int8), np.full(m, LABEL_Y, np.int8)]
@@ -187,3 +195,12 @@ def finish_estimate(raw_value: float, clamp: bool) -> tuple[float, bool]:
     if clamp:
         return float(min(1.0, max(0.0, raw_value))), True
     return float(raw_value), False
+
+
+def parse_number(conv, text: str, what: str):
+    """conv(text) for conv in (int, float); a malformed value raises an
+    HPDivError naming ``what`` instead of a bare ValueError."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise HPDivError(f"{what}: malformed number {text!r}") from None

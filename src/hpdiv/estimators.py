@@ -18,8 +18,6 @@ studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -34,15 +32,7 @@ from .core import (
     validate_pair,
 )
 from .neighbors import NeighborIndex, build_index, neighbor_table
-from .weights import WeightSchedule
-
-
-@dataclass(frozen=True)
-class DichotomousCount:
-    """Per-rank dichotomous point counts and their (possibly weighted) total."""
-
-    total: float
-    per_k: dict[int, int]
+from .weights import UnresolvedSchedule, WeightSchedule
 
 
 def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks) -> dict[int, int]:
@@ -73,6 +63,11 @@ def affine_map(count: float, n: int, m: int) -> float:
     return 1.0 - count * (n + m) / (2.0 * n * m)
 
 
+def weighted_total(schedule: WeightSchedule, counts: dict[int, int]) -> float:
+    """The ensemble statistic sum_l W(l) |E_K(l)| from per-rank counts."""
+    return float(sum(w * counts[int(k)] for w, k in zip(schedule.w, schedule.k_values)))
+
+
 def knn_estimate(
     x: PointCloud, y: PointCloud, k: int, p: float, clamp: bool = False
 ) -> EstimateResult:
@@ -94,7 +89,7 @@ def knn_estimate(
 
 def _check_schedule(schedule: WeightSchedule, pooled: int) -> np.ndarray:
     if schedule.k_values is None:
-        raise KTooLarge("schedule has no resolved k_values; call resolve_schedule")
+        raise UnresolvedSchedule("schedule has no resolved k_values; call resolve_schedule")
     k = np.asarray(schedule.k_values, dtype=np.int64)
     if len(np.unique(k)) != k.size:
         raise KCollision(f"schedule ranks contain duplicates: {k.tolist()}")
@@ -118,9 +113,7 @@ def wnn_estimate(
     k_values = _check_schedule(schedule, len(z))
     idx = build_index(z)
     counts = dichotomous_counts(z, idx, k_values.tolist())
-    total = float(
-        sum(w * counts[int(k)] for w, k in zip(schedule.w, k_values))
-    )
+    total = weighted_total(schedule, counts)
     value, clamped = finish_estimate(affine_map(total, z.n_x, z.n_y), clamp)
     return EstimateResult(
         value=value,
@@ -135,11 +128,3 @@ def wnn_estimate(
         },
         clamped=clamped,
     )
-
-
-def weighted_count(schedule: WeightSchedule, counts: dict[int, int]) -> DichotomousCount:
-    """Assemble the weighted total S = sum_l W(l) |E_K(l)| from raw counts."""
-    k = np.asarray(schedule.k_values, dtype=np.int64)
-    per_k = {int(kk): int(counts[int(kk)]) for kk in k}
-    total = float(sum(w * per_k[int(kk)] for w, kk in zip(schedule.w, k)))
-    return DichotomousCount(total=total, per_k=per_k)

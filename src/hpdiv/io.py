@@ -57,39 +57,38 @@ class LabeledDataset:
         return len(self.features)
 
 
-def _data_lines(path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
-
-
-def load_points(path, dim: int | None = None) -> PointCloud:
-    """Read a point cloud from CSV; every row must have the same width."""
-    rows = []
+def _rows(path):
+    """(line number, cells) for each non-blank line; rows must agree in width."""
     width = None
-    for lineno, line in _data_lines(path):
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        line = line.strip()
+        if not line:
+            continue
         cells = line.split(",")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise RaggedRows(
-                f"row {lineno} has {len(cells)} columns, expected {width}",
-                row=lineno,
+                f"row {i + 1} has {len(cells)} columns, expected {width}", row=i + 1
             )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            bad = next(
-                i for i, c in enumerate(cells) if not _parses_float(c)
-            )
-            raise ParseError(
-                f"row {lineno}, column {bad + 1}: {cells[bad]!r} is not a number",
-                row=lineno,
-                col=bad + 1,
-            ) from None
+        yield i + 1, cells
+
+
+def _floats(lineno: int, cells: list[str]) -> list[float]:
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        bad = next(i for i, c in enumerate(cells) if not _parses_float(c))
+        raise ParseError(
+            f"row {lineno}, column {bad + 1}: {cells[bad]!r} is not a number",
+            row=lineno,
+            col=bad + 1,
+        ) from None
+
+
+def load_points(path, dim: int | None = None) -> PointCloud:
+    """Read a point cloud from CSV; every row must have the same width."""
+    rows = [_floats(lineno, cells) for lineno, cells in _rows(path)]
     if not rows:
         raise EmptyCloud(f"no data rows in {path}")
     cloud = PointCloud(np.asarray(rows, dtype=np.float64))
@@ -120,37 +119,17 @@ def load_labeled(path, label_column: int = -1) -> LabeledDataset:
     """
     feats = []
     labels = []
-    width = None
-    for lineno, line in _data_lines(path):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise LabelMissing(
-                    f"row {lineno}: need at least one feature and a label"
-                )
-        elif len(cells) != width:
-            raise RaggedRows(
-                f"row {lineno} has {len(cells)} columns, expected {width}",
-                row=lineno,
-            )
+    for lineno, cells in _rows(path):
+        width = len(cells)
+        if width < 2:
+            raise LabelMissing(f"row {lineno}: need at least one feature and a label")
         li = label_column if label_column >= 0 else width + label_column
         if not (0 <= li < width):
             raise LabelMissing(f"label column {label_column} out of range")
         label = cells[li].strip()
         if not label:
             raise LabelMissing(f"row {lineno}: empty label")
-        feat_cells = [c for i, c in enumerate(cells) if i != li]
-        row = []
-        for i, c in enumerate(feat_cells):
-            if not _parses_float(c):
-                raise ParseError(
-                    f"row {lineno}, column {i + 1}: {c!r} is not a number",
-                    row=lineno,
-                    col=i + 1,
-                )
-            row.append(float(c))
-        feats.append(row)
+        feats.append(_floats(lineno, [c for i, c in enumerate(cells) if i != li]))
         labels.append(label)
     if not feats:
         raise EmptyCloud(f"no data rows in {path}")

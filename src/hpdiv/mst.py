@@ -1,14 +1,16 @@
 """Euclidean minimum spanning tree over the pooled sample and the
-dichotomous-edge count statistic.
+dichotomous-edge count statistic R, mapped like the neighbor counts:
+value = 1 - R (N+M)/(2NM).
 
-The estimator counts MST edges whose endpoints carry different sample
-labels and maps that count through the same affine transform the
-neighbor-count estimators use: value = 1 - R (N+M)/(2NM).
-
-Construction is Prim's algorithm with a dense distance loop: exact, O(n^2),
-and adequate at desk scale (tens of thousands of points). Comparisons use
-squared distances; ties break by (length, min endpoint, max endpoint) so
-the tree is deterministic even on degenerate inputs.
+The tree is exact and unique under the edge order (squared length, min
+endpoint, max endpoint). The dimension picks the construction: d = 1 joins
+sorted neighbors ("path"); d = 2 takes the MST of the Delaunay edges, which
+hold the EMST (Shamos & Hoey 1975; "delaunay"); d >= 3 runs an O(n^2) Prim
+("prim"). The first two handle about 10^5 points. One guard sends a 1-D or
+2-D input to Prim where the fast path cannot prove it holds the tree:
+duplicate points, rounding ties between sorted neighbors, or points qhull
+cannot triangulate in full (all collinear). Every construction lists its
+edges in the order above, with lengths from one formula.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .core import (
     finish_estimate,
     validate_pair,
 )
+from .estimators import affine_map
+from .neighbors import _sq_dists
 
 
 class TooFewPoints(HPDivError):
@@ -34,10 +38,12 @@ class TooFewPoints(HPDivError):
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edges (u, v) with u < v and their Euclidean lengths; |Z|-1 rows."""
+    """Edges (u, v) with u < v in (length, u, v) order, their Euclidean
+    lengths, and the construction that ran; |Z|-1 rows."""
 
     edges: np.ndarray    # (m, 2) int64
     lengths: np.ndarray  # (m,) float64
+    algorithm: str       # "path", "delaunay" or "prim"
 
     @property
     def total_length(self) -> float:
@@ -47,65 +53,107 @@ class SpanningTree:
         return self.edges.shape[0]
 
 
-def _points_of(z) -> np.ndarray:
-    if isinstance(z, JointSet):
-        return z.points
-    if isinstance(z, PointCloud):
-        return z.points
-    return PointCloud(z).points
+def _path_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted-neighbor edges in 1-D, or None when a tie could reroute the
+    tree. Any non-adjacent pair is at least as long as a 2-step (i, i+2) it
+    spans; when each 2-step is strictly longer than its two gaps, every such
+    pair tops a cycle strictly and the path is the MST."""
+    order = np.argsort(points[:, 0], kind="stable")
+    gap = _sq_dists(points, order[:-1], order[1:])
+    if len(order) > 2:
+        step2 = _sq_dists(points, order[:-2], order[2:])
+        if not (step2 > np.maximum(gap[:-1], gap[1:])).all():
+            return None
+    return order[:-1], order[1:]
 
 
-def build_emst(z: JointSet | PointCloud) -> SpanningTree:
-    """Exact Euclidean MST of the pooled points (unique on tie-free inputs)."""
-    points = _points_of(z)
+def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """MST edges of the Delaunay graph in 2-D, or None when qhull fails or
+    leaves a point out (duplicates and near-duplicates)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.spatial import Delaunay, QhullError
+
     n = points.shape[0]
-    if n < 2:
-        raise TooFewPoints("an MST needs at least 2 points")
+    try:
+        tri = Delaunay(points)
+    except QhullError:
+        return None
+    if tri.coplanar.size:
+        return None
+    indptr, nbrs = tri.vertex_neighbor_vertices
+    lo = np.repeat(np.arange(n), np.diff(indptr))
+    keep = lo < nbrs
+    lo, hi = lo[keep], nbrs[keep].astype(np.int64)
+    # Distinct weights make the MST unique; csgraph drops zero weights, so
+    # rank the edges in the total order starting from 1.
+    order = np.lexsort((hi, lo, _sq_dists(points, lo, hi)))
+    rank = np.empty(len(order), dtype=np.float64)
+    rank[order] = np.arange(1, len(order) + 1)
+    mst = minimum_spanning_tree(coo_matrix((rank, (lo, hi)), shape=(n, n)))
+    picked = order[mst.tocoo().data.astype(np.int64) - 1]
+    return lo[picked], hi[picked]
 
-    order = np.arange(n)
+
+def _pair_key(a, b, n: int) -> np.ndarray:
+    """Integer key ordering endpoint pairs by (min, max)."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _prim_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense O(n^2) Prim with (length, min endpoint, max endpoint) ties."""
+    n = points.shape[0]
+    idx = np.arange(n)
     in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    diff = points - points[0]
-    best_d2 = np.einsum("ij,ij->i", diff, diff)
-    best_d2[0] = np.inf
+    best_d2 = np.full(n, np.inf)
     best_from = np.zeros(n, dtype=np.int64)
-
     edges = np.empty((n - 1, 2), dtype=np.int64)
-    lengths2 = np.empty(n - 1, dtype=np.float64)
+    j = 0
     for step in range(n - 1):
-        masked = np.where(in_tree, np.inf, best_d2)
-        m = masked.min()
-        ties = np.nonzero(masked == m)[0]
-        if len(ties) == 1:
-            j = int(ties[0])
-        else:
-            lo = np.minimum(best_from[ties], ties)
-            hi = np.maximum(best_from[ties], ties)
-            j = int(ties[np.lexsort((hi, lo))[0]])
-        u = int(best_from[j])
-        edges[step] = (min(u, j), max(u, j))
-        lengths2[step] = best_d2[j]
         in_tree[j] = True
-
         diff = points - points[j]
         d2 = np.einsum("ij,ij->i", diff, diff)
         closer = d2 < best_d2
         eq = d2 == best_d2
         if eq.any():
-            # equal-length edge into the same vertex: prefer the smaller
-            # (min endpoint, max endpoint) pair
-            new_lo = np.minimum(j, order)
-            new_hi = np.maximum(j, order)
-            old_lo = np.minimum(best_from, order)
-            old_hi = np.maximum(best_from, order)
-            closer = closer | (
-                eq & ((new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi)))
-            )
+            # equal-length edge into the same vertex: keep the smaller pair
+            closer |= eq & (_pair_key(j, idx, n) < _pair_key(best_from, idx, n))
         closer &= ~in_tree
         best_d2[closer] = d2[closer]
         best_from[closer] = j
+        masked = np.where(in_tree, np.inf, best_d2)
+        ties = np.flatnonzero(masked == masked.min())
+        pick = 0 if len(ties) == 1 else np.argmin(_pair_key(best_from[ties], ties, n))
+        j = int(ties[pick])
+        edges[step] = best_from[j], j
+    return edges[:, 0], edges[:, 1]
 
-    return SpanningTree(edges=edges, lengths=np.sqrt(lengths2))
+
+def build_emst(z: JointSet | PointCloud) -> SpanningTree:
+    """Exact Euclidean MST of the pooled points under the
+    (length, min endpoint, max endpoint) order, built by dimension."""
+    points = z.points if isinstance(z, (JointSet, PointCloud)) else PointCloud(z).points
+    n, d = points.shape
+    if n < 2:
+        raise TooFewPoints("an MST needs at least 2 points")
+
+    uv = None
+    if d == 1:
+        uv, algorithm = _path_edges(points), "path"
+    elif d == 2:
+        uv, algorithm = _delaunay_edges(points), "delaunay"
+    if uv is None:
+        uv, algorithm = _prim_edges(points), "prim"
+
+    lo = np.minimum(*uv).astype(np.int64)
+    hi = np.maximum(*uv).astype(np.int64)
+    len2 = _sq_dists(points, lo, hi)
+    order = np.lexsort((hi, lo, len2))
+    return SpanningTree(
+        edges=np.column_stack([lo[order], hi[order]]),
+        lengths=np.sqrt(len2[order]),
+        algorithm=algorithm,
+    )
 
 
 def dichotomous_edge_count(tree: SpanningTree, z: JointSet) -> int:
@@ -119,16 +167,13 @@ def mst_estimate(
 ) -> EstimateResult:
     """Divergence estimate from the MST dichotomous-edge count."""
     z = validate_pair(x, y, p)
-    tree = build_emst(z)
-    r = dichotomous_edge_count(tree, z)
-    n, m = z.n_x, z.n_y
-    raw = 1.0 - r * (n + m) / (2.0 * n * m)
-    value, clamped = finish_estimate(raw, clamp)
+    r = dichotomous_edge_count(build_emst(z), z)
+    value, clamped = finish_estimate(affine_map(r, z.n_x, z.n_y), clamp)
     return EstimateResult(
         value=value,
         method=METHOD_MST,
-        n=n,
-        m=m,
+        n=z.n_x,
+        m=z.n_y,
         p=float(p),
         params={"dichotomous_edges": r},
         clamped=clamped,

@@ -238,8 +238,8 @@ def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
     return total
 
 
-def _refined_trapezoid(f, box: np.ndarray, dim: int) -> float:
-    n = _GRID_START[dim]
+def _refined_trapezoid(f, box: np.ndarray, dim: int, n: int | None = None) -> float:
+    n = _GRID_START[dim] if n is None else n
     prev = _tensor_trapezoid(f, box, n)
     while 2 * (n - 1) + 1 <= _GRID_CAP[dim]:
         n = 2 * (n - 1) + 1
@@ -286,18 +286,10 @@ def true_divergence(
         den = p * a + q * b
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
-    n = grid if grid is not None else _GRID_START[dim]
-    if n < 2:
+    if grid is not None and grid < 2:
         raise HPDivError("grid must have at least 2 nodes per axis")
-    prev = _tensor_trapezoid(integrand, box, n)
-    while 2 * (n - 1) + 1 <= _GRID_CAP[dim]:
-        n = 2 * (n - 1) + 1
-        cur = _tensor_trapezoid(integrand, box, n)
-        if abs(cur - prev) < _REFINE_TOL:
-            prev = cur
-            break
-        prev = cur
-    return float(min(1.0, max(0.0, 1.0 - prev)))
+    value = _refined_trapezoid(integrand, box, dim, grid)
+    return float(min(1.0, max(0.0, 1.0 - value)))
 
 
 @dataclass(frozen=True)

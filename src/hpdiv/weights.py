@@ -52,6 +52,10 @@ class SingularConstraints(HPDivError):
     or fewer than d+1 of them."""
 
 
+class UnresolvedSchedule(HPDivError):
+    """A schedule was used before resolve_schedule assigned its ranks."""
+
+
 @dataclass(frozen=True)
 class WeightSchedule:
     """Index values, solved weights, and (once N is known) neighbor ranks."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpdiv import bench
 from hpdiv.bench import (
     CellErrorWarning,
     ExperimentPlan,
@@ -12,7 +13,7 @@ from hpdiv.bench import (
     scenario_specs,
     summarize_csv,
 )
-from hpdiv.core import HPDivError
+from hpdiv.core import HPDivError, InvalidP
 from hpdiv.io import save_points
 from hpdiv import PointCloud
 
@@ -48,6 +49,16 @@ class TestParseMethods:
         with pytest.raises(HPDivError):
             parse_methods("magic")
 
+    @pytest.mark.parametrize("text", ["knn:abc", "wnn:1|x", "const:y"])
+    def test_malformed_number(self, text):
+        with pytest.raises(HPDivError):
+            parse_methods(text)
+
+    @pytest.mark.parametrize("text", ["wnn,wnn:1|2", "knn:5,mst,knn:5"])
+    def test_duplicate_labels_rejected(self, text):
+        with pytest.raises(HPDivError, match="duplicate"):
+            parse_methods(text)
+
 
 class TestPlanValidation:
     def test_trials_floor(self):
@@ -61,6 +72,14 @@ class TestPlanValidation:
     def test_csv_needs_paths(self):
         with pytest.raises(HPDivError):
             small_plan(scenario="csv")
+
+    def test_duplicate_labels(self):
+        with pytest.raises(HPDivError, match="duplicate"):
+            small_plan(methods=(MethodSpec(kind="mst"), MethodSpec(kind="mst")))
+
+    def test_invalid_p(self):
+        with pytest.raises(InvalidP):
+            small_plan(p=1.5)
 
 
 class TestTruth:
@@ -134,6 +153,22 @@ class TestRunPlan:
         labels = {(s.method, s.n) for s in out}
         assert ("knn:3", 32) in labels and ("knn:3", 64) in labels
         assert not any(m == "knn:500" for m, _ in labels)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_programming_error_propagates(self, monkeypatch, threads):
+        def broken(z):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(bench, "build_emst", broken)
+        monkeypatch.setenv("HPDIV_THREADS", threads)
+        plan = small_plan(methods=tuple(parse_methods("knn:3,mst")))
+        with pytest.raises(ZeroDivisionError):
+            run_plan(plan)
+
+    def test_malformed_thread_count(self, monkeypatch):
+        monkeypatch.setenv("HPDIV_THREADS", "x")
+        with pytest.raises(HPDivError, match="HPDIV_THREADS"):
+            run_plan(small_plan())
 
     def test_identical_distributions_ci_brackets_zero(self):
         plan = small_plan(

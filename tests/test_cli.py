@@ -111,6 +111,11 @@ class TestWeights:
         )
         assert json.loads(out)["k_values"] == [10, 20]
 
+    def test_malformed_l_values_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, ["weights", "--d", "1", "--l-values", "1,x"])
+        assert code == 2 and out == ""
+        assert "--l-values" in json.loads(err)["message"]
+
     def test_singular_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -179,3 +184,37 @@ class TestBench:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header == "method,n,mean,bias,variance,mse,ci_low,ci_high,trials"
+
+    @pytest.fixture
+    def bench_argv(self, tmp_path):
+        return ["bench", "--scenario", "gauss-shift", "--dims", "1",
+                "--n-grid", "32,64", "--trials", "3", "--methods", "knn:5",
+                "--out", str(tmp_path / "r.csv")]
+
+    def test_malformed_n_grid_exit_2(self, capsys, bench_argv):
+        argv = bench_argv[:]
+        argv[argv.index("--n-grid") + 1] = "200,abc"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "--n-grid" in json.loads(err)["message"]
+
+    def test_malformed_method_exit_2(self, capsys, bench_argv):
+        argv = bench_argv[:]
+        argv[argv.index("--methods") + 1] = "knn:abc"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "knn:abc" in json.loads(err)["message"]
+
+    def test_malformed_thread_count_exit_2(self, capsys, monkeypatch, bench_argv, tmp_path):
+        monkeypatch.setenv("HPDIV_THREADS", "x")
+        code, out, err = run_cli(capsys, bench_argv)
+        assert code == 2 and out == ""
+        assert "HPDIV_THREADS" in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_duplicate_labels_exit_2(self, capsys, bench_argv):
+        argv = bench_argv[:]
+        argv[argv.index("--methods") + 1] = "wnn,wnn:1|2"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "duplicate" in json.loads(err)["message"]

@@ -11,7 +11,14 @@ from hpdiv import (
     SampleRatioWarning,
     validate_pair,
 )
-from hpdiv.core import LABEL_X, LABEL_Y, expected_m, finish_estimate
+from hpdiv.core import (
+    LABEL_X,
+    LABEL_Y,
+    expected_m,
+    finish_estimate,
+    parse_number,
+    pool_pair,
+)
 
 
 class TestPointCloud:
@@ -102,6 +109,32 @@ class TestValidatePair:
         z2 = validate_pair(x, y, 0.5)
         np.testing.assert_array_equal(z1.points, z2.points)
         np.testing.assert_array_equal(z1.labels, z2.labels)
+
+
+class TestPoolPair:
+    def test_same_layout_as_validate_pair(self):
+        rng = np.random.default_rng(4)
+        x = PointCloud(rng.normal(size=(6, 2)))
+        y = PointCloud(rng.normal(size=(6, 2)))
+        a, b = pool_pair(x, y), validate_pair(x, y, 0.5)
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert (a.n_x, a.n_y) == (b.n_x, b.n_y)
+
+    def test_unbalanced_without_warning(self, recwarn):
+        z = pool_pair(PointCloud(np.arange(10.0)), PointCloud(np.arange(3.0)))
+        assert len(z) == 13
+        assert not recwarn.list
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            pool_pair(PointCloud(np.zeros((2, 2))), PointCloud(np.zeros((2, 3))))
+
+
+def test_parse_number():
+    assert parse_number(int, "12", "--n") == 12
+    with pytest.raises(HPDivError, match="--n"):
+        parse_number(int, "1.5", "--n")
 
 
 def test_expected_m():

@@ -9,6 +9,7 @@ from hpdiv import (
     KCollision,
     KTooLarge,
     PointCloud,
+    UnresolvedSchedule,
     WeightSchedule,
     build_index,
     count_dichotomous,
@@ -108,6 +109,12 @@ class TestWnnEstimate:
             k_values=np.array([1, 1]), n=2,
         )
         with pytest.raises(KCollision):
+            wnn_estimate(x, y, sched, 0.5)
+
+    def test_unresolved_schedule_rejected(self, hand_pair):
+        x, y = hand_pair
+        sched = WeightSchedule(l_values=np.array([1.0, 2.0]), d=1, w=np.array([2.0, -1.0]))
+        with pytest.raises(UnresolvedSchedule):
             wnn_estimate(x, y, sched, 0.5)
 
     def test_rank_bound_rejected(self, hand_pair):

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdiv import PointCloud, TooFewPoints, build_emst, mst_estimate, validate_pair
-from hpdiv.mst import dichotomous_edge_count
+from hpdiv.mst import _prim_edges, dichotomous_edge_count
 
 from conftest import tie_free
 from oracles import kruskal_mst
@@ -98,6 +100,89 @@ class TestBuildEmst:
         edges, _ = kruskal_mst(pts)
         oracle_count = ((edges[:, 0] < 20) != (edges[:, 1] < 20)).sum()
         assert dichotomous_edge_count(tree, z) == oracle_count
+
+
+def edge_set(edges):
+    return sorted(map(tuple, np.sort(np.asarray(edges), axis=1).tolist()))
+
+
+def lattice(m):
+    xs, ys = np.meshgrid(np.arange(float(m)), np.arange(float(m)))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+class TestEdgeSets:
+    """build_emst equals the Kruskal oracle edge for edge (same tie key),
+    whichever construction the dimension picks."""
+
+    def check(self, pts, algorithm):
+        tree = build_emst(PointCloud(pts))
+        assert tree.algorithm == algorithm
+        oracle_edges, _ = kruskal_mst(pts)
+        assert edge_set(tree.edges) == edge_set(oracle_edges)
+        return tree
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_d1_random(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(150, 1))
+        self.check(pts, "path")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d1_duplicates(self, seed):
+        pts = np.random.default_rng(seed).integers(0, 20, size=(80, 1)).astype(float)
+        self.check(pts, "prim")
+
+    def test_d1_rounding_tie(self):
+        # |(-1e20) - 1| and |(-1e20) - 2| round to the same length, and the
+        # (0, 1) pair wins that tie, so the sorted path is not the tree
+        self.check(np.array([[-1e20], [2.0], [1.0]]), "prim")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_d2_random(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(150, 2))
+        self.check(pts, "delaunay")
+
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_d2_lattice(self, m):
+        self.check(lattice(m), "delaunay")
+
+    def test_d2_duplicates(self):
+        pts = lattice(4)
+        self.check(np.vstack([pts, pts[[0, 5, 5, 15]]]), "prim")
+
+    def test_d2_collinear(self):
+        t = np.random.default_rng(3).normal(size=40)
+        self.check(np.column_stack([t, 2.0 * t]), "prim")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d3_random(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(100, 3))
+        self.check(pts, "prim")
+
+    @given(
+        st.integers(1, 2),
+        st.integers(2, 40),
+        st.integers(2, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_lattice_clouds(self, dim, n, side, seed):
+        pts = np.random.default_rng(seed).integers(0, side, size=(n, dim)).astype(float)
+        tree = build_emst(PointCloud(pts))
+        oracle_edges, _ = kruskal_mst(pts)
+        assert edge_set(tree.edges) == edge_set(oracle_edges)
+
+    def test_tree_does_not_depend_on_path(self):
+        pts = np.random.default_rng(11).normal(size=(200, 2))
+        fast = build_emst(PointCloud(pts))
+        slow_edges = np.column_stack(_prim_edges(PointCloud(pts).points))
+        assert fast.algorithm == "delaunay"
+        assert edge_set(fast.edges) == edge_set(slow_edges)
+        lo, hi = fast.edges[:, 0], fast.edges[:, 1]
+        assert (lo < hi).all()
+        diff = pts[lo] - pts[hi]
+        key = np.lexsort((hi, lo, np.einsum("ij,ij->i", diff, diff)))
+        np.testing.assert_array_equal(key, np.arange(len(fast)))
 
 
 class TestMstEstimate:
