@@ -6,12 +6,14 @@ k (self excluded). Ranks are defined by lexicographic order on
 deterministic even in the presence of duplicate points or exact distance
 ties.
 
-A scipy cKDTree provides the fast candidate search; candidates are then
-re-ranked with the package's own distance formula so the documented
-tie-break rule holds exactly. Rows whose rank-k boundary cannot be
-certified from the fetched candidates (exact or near ties at the fetch
-horizon) fall back to a full linear scan of that row, so results always
-match a brute-force scan.
+A scipy cKDTree fetches the k_max + 2 nearest candidates of each point
+once. Only the ranks a caller reads are then certified: for rank r the
+distances of candidates r-1, r and r+1 are recomputed with the package's
+own distance formula, and candidate r is the rank-r neighbor when it lies
+strictly between the other two. A row where some requested rank sits on a
+tie or a duplicate is re-ranked from k_max + 1 + _TIE_PAD candidates
+sorted by (distance, index); a row whose ties reach past those falls back
+to a full linear scan. Results always match a brute-force scan.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from scipy.spatial import cKDTree
 
 from .core import HPDivError, JointSet, KTooLarge
 
-# Extra candidates fetched beyond k to absorb ties at the fetch boundary.
-_TIE_PAD = 8
-# Relative guard separating the kept rank-k distance from the fetch horizon.
+# Relative gap a certified rank's distance keeps from the ranks beside it.
 _TIE_RTOL = 1e-9
+# Extra candidates a tied row sorts beyond its top rank.
+_TIE_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -59,49 +61,65 @@ def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _scan_row(points: np.ndarray, i: int, k_max: int) -> np.ndarray:
     """Exact ranks 1..k_max for point i by linear scan."""
-    n = points.shape[0]
-    diff = points - points[i]
-    d2 = np.einsum("...i,...i->...", diff, diff)
+    d2 = _sq_dists(points, slice(None), i)
     d2[i] = np.inf
-    order = np.lexsort((np.arange(n), d2))
-    return order[:k_max]
+    return np.lexsort((np.arange(points.shape[0]), d2))[:k_max]
 
 
-def _ranked_rows(idx: NeighborIndex, rows: np.ndarray, k_max: int) -> np.ndarray:
-    """Neighbor indices at ranks 1..k_max for the given query rows."""
+def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: int) -> np.ndarray:
+    """Ranks for rows with ties: hi + 1 + _TIE_PAD candidates sorted by
+    (distance, index). A rank is certain when its distance sits strictly
+    inside the last candidate's; other rows are scanned."""
+    points = idx.source.points
+    k_fetch = min(len(points), hi + 1 + _TIE_PAD)
+    _, cand = idx.tree.query(points[rows], k=k_fetch)
+    d2 = _sq_dists(points, cand, rows[:, None])
+    horizon = d2[:, -1:] * (1.0 - _TIE_RTOL) if k_fetch < len(points) else np.inf
+    d2[cand == rows[:, None]] = np.inf  # exclude self
+    order = np.lexsort((cand, d2), axis=1)[:, ranks - 1]
+    out = np.take_along_axis(cand, order, axis=1)
+    sure = (np.take_along_axis(d2, order, axis=1) < horizon).all(axis=1)
+    for r in np.nonzero(~sure)[0]:
+        out[r] = _scan_row(points, int(rows[r]), hi)[ranks - 1]
+    return out
+
+
+def _ranked_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """(len(rows), len(ranks)) neighbor indices at the given ranks.
+
+    Column r of the k_max+2 candidates is rank r when its distance sits
+    strictly inside those of columns r-1 and r+1 (+inf past the last one):
+    columns 0..r-1 are then the r points nearer than it, self among them.
+    """
     points = idx.source.points
     n = points.shape[0]
-    if not (1 <= k_max <= n - 1):
-        raise KTooLarge(f"k must satisfy 1 <= k <= {n - 1}, got {k_max}")
+    lo, hi = (int(ranks.min()), int(ranks.max())) if ranks.size else (0, 0)
+    if not 1 <= lo <= hi <= n - 1:
+        raise KTooLarge(f"ranks must lie in [1, {n - 1}], got {lo}..{hi}")
 
-    k_eff = min(n, k_max + 1 + _TIE_PAD)  # always >= 2, so cand is 2-D
-    complete = k_eff >= n
-    _, cand = idx.tree.query(points[rows], k=k_eff)
+    k_fetch = min(n, hi + 2)  # always >= 2, so cand is 2-D
+    _, cand = idx.tree.query(points[rows], k=k_fetch)
+    cols = np.unique(np.concatenate([ranks - 1, ranks, ranks + 1]))
+    cols = cols[cols < k_fetch]
+    d2 = np.full((len(rows), len(cols) + 1), np.inf)
+    d2[:, :-1] = _sq_dists(points, cand[:, cols], rows[:, None])
+    below, at, above = (d2[:, np.searchsorted(cols, ranks + s)] for s in (-1, 0, 1))
+    sure = (below < at * (1.0 - _TIE_RTOL)) & (at < above * (1.0 - _TIE_RTOL))
 
-    d2 = _sq_dists(points, cand, rows[:, None])
-    d2[cand == rows[:, None]] = np.inf  # exclude self
-    order = np.lexsort((cand, d2), axis=1)
-    d2_sorted = np.take_along_axis(d2, order, axis=1)
-    ranked = np.take_along_axis(cand, order, axis=1)
-
-    out = ranked[:, :k_max].astype(np.int64)
-    if complete:
-        return out
-
-    # Certify each row: the kept rank-k distance must sit strictly inside
-    # the fetch horizon, else ties may extend past the fetched candidates.
-    valid = (~np.isinf(d2_sorted)).sum(axis=1)
-    horizon = np.take_along_axis(d2_sorted, (valid - 1)[:, None], axis=1)[:, 0]
-    kept = d2_sorted[:, k_max - 1]
-    uncertain = ~(kept < horizon * (1.0 - _TIE_RTOL))
-    for r in np.nonzero(uncertain)[0]:
-        out[r] = _scan_row(points, int(rows[r]), k_max)
+    out = cand[:, ranks].astype(np.int64)
+    tied = np.nonzero(~sure.all(axis=1))[0]
+    out[tied] = _sorted_rows(idx, rows[tied], ranks, hi)
     return out
+
+
+def neighbor_ranks(idx: NeighborIndex, ranks) -> np.ndarray:
+    """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of point i."""
+    return _ranked_rows(idx, np.arange(len(idx)), np.asarray(ranks, dtype=np.int64))
 
 
 def neighbor_table(idx: NeighborIndex, k_max: int) -> np.ndarray:
     """(n, k_max) table: entry [i, r-1] is the rank-r neighbor of point i."""
-    return _ranked_rows(idx, np.arange(len(idx)), k_max)
+    return neighbor_ranks(idx, np.arange(1, k_max + 1))
 
 
 def kth_neighbor(idx: NeighborIndex, i: int, k: int) -> int:
@@ -112,5 +130,4 @@ def kth_neighbor(idx: NeighborIndex, i: int, k: int) -> int:
     n = len(idx)
     if not (0 <= i < n):
         raise HPDivError(f"point index {i} out of range for {n} points")
-    row = _ranked_rows(idx, np.asarray([i]), k)
-    return int(row[0, k - 1])
+    return int(_ranked_rows(idx, np.asarray([i]), np.asarray([k]))[0, 0])

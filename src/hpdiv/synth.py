@@ -72,22 +72,27 @@ def sample(state: SamplerState, n: int) -> PointCloud:
         chol = np.linalg.cholesky(spec.cov)
         draw = lambda size: spec.mean + rng.standard_normal((size, spec.dim)) @ chol.T
 
-    kept: list[np.ndarray] = []
-    have = 0
-    probe = draw(_PROBE)
-    accepted = probe[((probe >= lo) & (probe <= hi)).all(axis=1)]
+    inside = lambda pts: pts[((pts >= lo) & (pts <= hi)).all(axis=1)]
+    # The probe is drawn head first, so a small n stops after the head; the
+    # bytes match one full-probe draw. A full covariance goes through BLAS,
+    # whose rows may round differently in a shorter matrix, so it draws the
+    # whole probe at once.
+    head = min(_PROBE, int(1.2 * n) + 64) if spec.cov.ndim == 1 else _PROBE
+    accepted = inside(draw(head))
+    if len(accepted) >= max(n, _MIN_ACCEPT_RATE * _PROBE):
+        return PointCloud(accepted[:n])
+    if head < _PROBE:
+        accepted = np.vstack([accepted, inside(draw(_PROBE - head))])
     rate = len(accepted) / _PROBE
     if rate < _MIN_ACCEPT_RATE:
         raise RejectionStall(
             f"acceptance rate {rate:.2e} below {_MIN_ACCEPT_RATE:.0e}; "
             f"the box excludes essentially all Gaussian mass"
         )
-    kept.append(accepted)
-    have += len(accepted)
+    kept = [accepted]
+    have = len(accepted)
     while have < n:
-        need = n - have
-        batch = draw(int(need / max(rate, _MIN_ACCEPT_RATE) * 1.2) + 64)
-        good = batch[((batch >= lo) & (batch <= hi)).all(axis=1)]
+        good = inside(draw(int((n - have) / max(rate, _MIN_ACCEPT_RATE) * 1.2) + 64))
         kept.append(good)
         have += len(good)
     return PointCloud(np.vstack(kept)[:n])

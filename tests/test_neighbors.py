@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdiv import JointSet, KTooLarge, PointCloud, build_index, kth_neighbor, neighbor_table, validate_pair
+from hpdiv import neighbors
 from hpdiv.core import HPDivError
+from hpdiv.estimators import dichotomous_counts
+from hpdiv.neighbors import neighbor_ranks
 
 
 from oracles import brute_kth, scan_rank_table
@@ -122,3 +125,82 @@ class TestInvariants:
         for i in [0, 7, 29]:
             for k in [1, 5, 29]:
                 assert kth_neighbor(idx, i, k) == table[i, k - 1]
+
+
+def scan_columns(z, ks):
+    """The scan oracle's columns at ranks ks."""
+    return scan_rank_table(z.points)[:, np.asarray(ks) - 1]
+
+
+class TestSelectedRanks:
+    """Only the requested ranks are certified; each must equal the scan."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_counts_match_scan(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        n = data.draw(st.integers(3, 40), label="n")
+        span = data.draw(st.integers(1, 5), label="span")
+        coords = st.lists(st.integers(-span, span), min_size=dim, max_size=dim)
+        pts = np.asarray(data.draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
+        ks = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1), label="ks"))
+        z = make_joint(pts)
+        idx = build_index(z)
+        expected = scan_columns(z, ks)
+        np.testing.assert_array_equal(neighbor_ranks(idx, ks), expected)
+        opposite = z.labels[expected] != z.labels[:, None]
+        assert dichotomous_counts(z, idx, ks) == dict(zip(ks, opposite.sum(axis=0).tolist()))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_last_ranks_have_no_column_beyond(self, dim):
+        rng = np.random.default_rng(dim)
+        n = 30
+        z = make_joint(rng.normal(size=(n, dim)))
+        idx = build_index(z)
+        for ks in ([n - 2], [n - 1], [n - 2, n - 1], [1, n - 1]):
+            np.testing.assert_array_equal(neighbor_ranks(idx, ks), scan_columns(z, ks))
+
+    def test_point_repeated_beyond_fetch(self):
+        # 15 copies of one point and ranks up to 5: neither the 7 nor the 14
+        # candidates the tree fetches need hold a copy's own index.
+        rng = np.random.default_rng(3)
+        pts = np.vstack([np.zeros((12, 2)), rng.normal(size=(20, 2)), np.zeros((3, 2))])
+        z = make_joint(pts)
+        ks = [1, 3, 5]
+        np.testing.assert_array_equal(neighbor_ranks(build_index(z), ks), scan_columns(z, ks))
+
+    def test_rank_on_exact_tie(self):
+        # Equally spaced points: ranks 2j-1 and 2j of an interior point tie.
+        z = make_joint(np.arange(30.0)[:, None])
+        ks = [1, 2, 4, 7, 10]
+        np.testing.assert_array_equal(neighbor_ranks(build_index(z), ks), scan_columns(z, ks))
+
+    def test_lattice_ties_are_sorted_not_scanned(self, monkeypatch):
+        # Every requested rank of an integer grid point sits on a tie; the
+        # sorted candidates resolve it without a linear scan of any row.
+        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+        z = make_joint(np.column_stack([xs.ravel(), ys.ravel()]))
+        ks = [1, 5]
+        expected = scan_columns(z, ks)
+
+        def no_scan(*args):
+            raise AssertionError("a lattice row fell back to the linear scan")
+
+        monkeypatch.setattr(neighbors, "_scan_row", no_scan)
+        np.testing.assert_array_equal(neighbor_ranks(build_index(z), ks), expected)
+
+    def test_gapped_rank_schedule(self):
+        # Ranks floor(l * sqrt(N)) as a wnn schedule reads them.
+        rng = np.random.default_rng(5)
+        z = make_joint(rng.normal(size=(400, 3)))
+        ks = sorted({int(l * np.sqrt(200)) for l in (0.1, 0.35, 0.6, 1.0, 1.5, 2.2, 9.0)})
+        idx = build_index(z)
+        table = neighbor_table(idx, ks[-1])
+        np.testing.assert_array_equal(neighbor_ranks(idx, ks), scan_columns(z, ks))
+        np.testing.assert_array_equal(table[:, np.asarray(ks) - 1], scan_columns(z, ks))
+
+    @pytest.mark.parametrize("ks", [[0, 2], [2, 40], []])
+    def test_ranks_out_of_range(self, ks):
+        z = make_joint(np.arange(40.0)[:, None])
+        with pytest.raises(KTooLarge):
+            neighbor_ranks(build_index(z), ks)

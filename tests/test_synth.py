@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
+from hpdiv.synth import _MIN_ACCEPT_RATE, _PROBE
 from hpdiv import RejectionStall, make_state, sample, trial_seed, truncated_normal, uniform_box
 
 
@@ -48,6 +49,43 @@ class TestSupport:
         spec = truncated_normal([0.0], 1.0, (50.0, 51.0))
         with pytest.raises(RejectionStall):
             sample(make_state(spec, 1), 10)
+
+
+def stream_accepts(spec, seed, rows=_PROBE):
+    """Rows among the first `rows` of the seed's stream that fall in the box."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = spec.mean + np.sqrt(spec.cov) * rng.standard_normal((rows, spec.dim))
+    return pts[((pts >= spec.box[:, 0]) & (pts <= spec.box[:, 1])).all(axis=1)]
+
+
+class TestProbe:
+    @pytest.mark.parametrize("box", [(-5.0, 5.0), (-0.1, 0.1), (1.5, 4.0)])
+    @pytest.mark.parametrize("n", [1, 17, 500, 1500])
+    def test_sample_is_first_accepted_stream_rows(self, box, n):
+        # Covers a head that suffices, a head that runs short, and a probe
+        # that runs short; batches continue the stream, so one long draw
+        # accepts the same rows in the same order.
+        spec = truncated_normal([0.0, 0.5], [1.0, 2.0], box)
+        expected = stream_accepts(spec, 41, rows=50 * _PROBE)[:n]
+        assert len(expected) == n
+        np.testing.assert_array_equal(sample(make_state(spec, 41), n).points, expected)
+
+    def test_near_stall_decided_by_full_probe(self):
+        # About one row in 20_000 lands in the box. Seed 4419 accepts one
+        # row, its 18th, so the head alone would accept it; seed 0 accepts
+        # two rows, enough to go on.
+        spec = truncated_normal([0.0], 1.0, (3.9, 9.0))
+        outcomes = set()
+        for seed in (0, 2, 4419):
+            if len(stream_accepts(spec, seed)) < _MIN_ACCEPT_RATE * _PROBE:
+                with pytest.raises(RejectionStall):
+                    sample(make_state(spec, seed), 1)
+                outcomes.add("stall")
+            else:
+                expected = stream_accepts(spec, seed)[:1]
+                np.testing.assert_array_equal(sample(make_state(spec, seed), 1).points, expected)
+                outcomes.add("ok")
+        assert outcomes == {"stall", "ok"}
 
 
 class TestDistribution:
