@@ -16,7 +16,6 @@ run. Any other exception is a bug and propagates out of run_plan.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .core import (
     expected_m,
     parse_number,
     pool_pair,
+    worker_count,
 )
 from .estimators import affine_map, dichotomous_counts, weighted_total
 from .io import load_points
@@ -200,15 +200,6 @@ def resolve_truth(plan: ExperimentPlan) -> float | None:
         return None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HPDIV_THREADS", "").strip()
-    cap = parse_number(int, raw, "HPDIV_THREADS") if raw else 0
-    if cap == 1:
-        return 1
-    auto = min(os.cpu_count() or 1, 8)
-    return min(cap, auto) if cap > 0 else auto
-
-
 def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
     if plan.scenario == SCENARIO_CSV:
         pair = []
@@ -239,7 +230,7 @@ def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
     counts = {}
     if ks:
         idx = build_index(z)
-        counts = dichotomous_counts(z, idx, sorted(ks))
+        counts = dichotomous_counts(z, idx, sorted(ks))  # 1 thread: trials hold the cores
 
     for spec in plan.methods:
         try:
@@ -285,7 +276,7 @@ def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | Excep
 
 def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     """Execute the full plan and aggregate per-(method, n) summaries."""
-    workers = _worker_count()
+    workers = worker_count()
     specs = scenario_specs(plan)
     clouds = None
     if plan.scenario == SCENARIO_CSV:

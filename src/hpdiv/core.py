@@ -8,6 +8,7 @@ threads. Distances throughout the package are Euclidean.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Any
@@ -204,3 +205,17 @@ def parse_number(conv, text: str, what: str):
         return conv(text)
     except ValueError:
         raise HPDivError(f"{what}: malformed number {text!r}") from None
+
+
+def worker_count() -> int:
+    """Threads a parallel stage may use: HPDIV_THREADS, where 0 or unset
+    means the CPUs this process may run on; capped at that count and at 8."""
+    raw = os.environ.get("HPDIV_THREADS", "").strip()
+    cap = parse_number(int, raw, "HPDIV_THREADS") if raw else 0
+    if cap < 0:
+        raise HPDivError(f"HPDIV_THREADS must be 0 (auto) or positive, got {cap}")
+    if cap == 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    auto = min(cpus or 1, 8)
+    return min(cap, auto) if cap > 0 else auto

@@ -30,17 +30,19 @@ from .core import (
     PointCloud,
     finish_estimate,
     validate_pair,
+    worker_count,
 )
 from .neighbors import NeighborIndex, build_index, neighbor_ranks
 from .weights import UnresolvedSchedule, WeightSchedule
 
 
-def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks) -> dict[int, int]:
-    """|E_k| for every rank in ks, from one neighbor pass that reads only ks."""
+def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) -> dict[int, int]:
+    """|E_k| for every rank in ks, from one neighbor pass that reads only ks
+    (its kd queries on ``workers`` threads)."""
     ks = sorted({int(k) for k in ks})
     if not ks:
         return {}
-    opposite = z.labels[neighbor_ranks(idx, ks)] != z.labels[:, None]
+    opposite = z.labels[neighbor_ranks(idx, ks, workers)] != z.labels[:, None]
     return {k: int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
@@ -65,7 +67,7 @@ def knn_estimate(
     """Rank-k neighbor estimate of the divergence between samples x and y."""
     z = validate_pair(x, y, p)
     idx = build_index(z)
-    count = count_dichotomous(z, idx, k)
+    count = dichotomous_counts(z, idx, [k], worker_count())[int(k)]
     value, clamped = finish_estimate(affine_map(count, z.n_x, z.n_y), clamp)
     return EstimateResult(
         value=value,
@@ -103,7 +105,7 @@ def wnn_estimate(
     z = validate_pair(x, y, p)
     k_values = _check_schedule(schedule, len(z))
     idx = build_index(z)
-    counts = dichotomous_counts(z, idx, k_values.tolist())
+    counts = dichotomous_counts(z, idx, k_values.tolist(), worker_count())
     total = weighted_total(schedule, counts)
     value, clamped = finish_estimate(affine_map(total, z.n_x, z.n_y), clamp)
     return EstimateResult(

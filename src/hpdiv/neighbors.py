@@ -6,14 +6,15 @@ k (self excluded). Ranks are defined by lexicographic order on
 deterministic even in the presence of duplicate points or exact distance
 ties.
 
-A scipy cKDTree fetches the k_max + 2 nearest candidates of each point
-once. Only the ranks a caller reads are then certified: for rank r the
-distances of candidates r-1, r and r+1 are recomputed with the package's
-own distance formula, and candidate r is the rank-r neighbor when it lies
-strictly between the other two. A row where some requested rank sits on a
-tie or a duplicate is re-ranked from k_max + 1 + _TIE_PAD candidates
-sorted by (distance, index); a row whose ties reach past those falls back
-to a full linear scan. Results always match a brute-force scan.
+Only the ranks a caller reads are certified. For each read rank r a scipy
+cKDTree returns candidates r-1, r and r+1 and no others; their distances
+are recomputed with the package's own distance formula, and candidate r is
+the rank-r neighbor when it lies strictly between the other two. A row
+where some requested rank sits on a tie or a duplicate is re-ranked from
+k_max + 1 + _TIE_PAD candidates sorted by (distance, index); a row whose
+ties reach past those falls back to a full linear scan. Results always
+match a brute-force scan. The kd queries may split their rows over
+``workers`` threads; each row's answer does not depend on the split.
 """
 
 from __future__ import annotations
@@ -66,13 +67,15 @@ def _scan_row(points: np.ndarray, i: int, k_max: int) -> np.ndarray:
     return np.lexsort((np.arange(points.shape[0]), d2))[:k_max]
 
 
-def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: int) -> np.ndarray:
+def _sorted_rows(
+    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: int, workers: int
+) -> np.ndarray:
     """Ranks for rows with ties: hi + 1 + _TIE_PAD candidates sorted by
     (distance, index). A rank is certain when its distance sits strictly
     inside the last candidate's; other rows are scanned."""
     points = idx.source.points
     k_fetch = min(len(points), hi + 1 + _TIE_PAD)
-    _, cand = idx.tree.query(points[rows], k=k_fetch)
+    _, cand = idx.tree.query(points[rows], k=k_fetch, workers=workers)
     d2 = _sq_dists(points, cand, rows[:, None])
     horizon = d2[:, -1:] * (1.0 - _TIE_RTOL) if k_fetch < len(points) else np.inf
     d2[cand == rows[:, None]] = np.inf  # exclude self
@@ -84,12 +87,15 @@ def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: in
     return out
 
 
-def _ranked_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _ranked_rows(
+    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, workers: int = 1
+) -> np.ndarray:
     """(len(rows), len(ranks)) neighbor indices at the given ranks.
 
-    Column r of the k_max+2 candidates is rank r when its distance sits
-    strictly inside those of columns r-1 and r+1 (+inf past the last one):
-    columns 0..r-1 are then the r points nearer than it, self among them.
+    The tree returns candidate columns r-1, r and r+1 of each rank r (0 is
+    the nearest). Column r is rank r when its distance sits strictly inside
+    those of columns r-1 and r+1 (+inf past the last point): columns
+    0..r-1 are then the r points nearer than it, self among them.
     """
     points = idx.source.points
     n = points.shape[0]
@@ -97,24 +103,25 @@ def _ranked_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray) -> np.
     if not 1 <= lo <= hi <= n - 1:
         raise KTooLarge(f"ranks must lie in [1, {n - 1}], got {lo}..{hi}")
 
-    k_fetch = min(n, hi + 2)  # always >= 2, so cand is 2-D
-    _, cand = idx.tree.query(points[rows], k=k_fetch)
     cols = np.unique(np.concatenate([ranks - 1, ranks, ranks + 1]))
-    cols = cols[cols < k_fetch]
+    cols = cols[cols < n]
+    _, cand = idx.tree.query(points[rows], k=(cols + 1).tolist(), workers=workers)
     d2 = np.full((len(rows), len(cols) + 1), np.inf)
-    d2[:, :-1] = _sq_dists(points, cand[:, cols], rows[:, None])
+    d2[:, :-1] = _sq_dists(points, cand, rows[:, None])
     below, at, above = (d2[:, np.searchsorted(cols, ranks + s)] for s in (-1, 0, 1))
     sure = (below < at * (1.0 - _TIE_RTOL)) & (at < above * (1.0 - _TIE_RTOL))
 
-    out = cand[:, ranks].astype(np.int64)
+    out = cand[:, np.searchsorted(cols, ranks)].astype(np.int64)
     tied = np.nonzero(~sure.all(axis=1))[0]
-    out[tied] = _sorted_rows(idx, rows[tied], ranks, hi)
+    if tied.size:
+        out[tied] = _sorted_rows(idx, rows[tied], ranks, hi, workers)
     return out
 
 
-def neighbor_ranks(idx: NeighborIndex, ranks) -> np.ndarray:
-    """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of point i."""
-    return _ranked_rows(idx, np.arange(len(idx)), np.asarray(ranks, dtype=np.int64))
+def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
+    """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of
+    point i; the same at any count of kd-query ``workers`` threads."""
+    return _ranked_rows(idx, np.arange(len(idx)), np.asarray(ranks, dtype=np.int64), workers)
 
 
 def neighbor_table(idx: NeighborIndex, k_max: int) -> np.ndarray:

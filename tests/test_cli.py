@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from hpdiv import neighbors
 from hpdiv.cli import main
 
 
@@ -94,6 +96,51 @@ class TestEstimate:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--method", "mst"])
         assert exc.value.code == 2
+
+
+class TestEstimateThreads:
+    """stdout of knn and wnn estimates does not depend on HPDIV_THREADS."""
+
+    @pytest.fixture(params=["grid", "random"])
+    def pair_files(self, request, tmp_path):
+        rng = np.random.default_rng(17)
+        if request.param == "grid":  # integer points, many exact duplicates
+            x, y = (rng.integers(0, 8, size=(300, 2)).astype(float) for _ in range(2))
+        else:
+            x, y = rng.normal(size=(600, 3)), 1.0 + rng.normal(size=(600, 3))
+        for name, pts in (("x.csv", x), ("y.csv", y)):
+            np.savetxt(tmp_path / name, pts, fmt="%.17g", delimiter=",")
+        return request.param, str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+
+    @pytest.mark.parametrize("method", [["knn", "--k", "4"], ["wnn"]])
+    def test_stdout_same_at_1_and_2_threads(self, capsys, monkeypatch, pair_files, method):
+        kind, x, y = pair_files
+        sorted_rows = []
+        real = neighbors._sorted_rows
+
+        def spy(idx, rows, *args):
+            sorted_rows.append(len(rows))
+            return real(idx, rows, *args)
+
+        monkeypatch.setattr(neighbors, "_sorted_rows", spy)
+        argv = ["estimate", "--method", *method, "--x", x, "--y", y]
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HPDIV_THREADS", threads)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        if kind == "grid":
+            assert sum(sorted_rows) > 0  # the tied rows took the sorted tier
+
+    def test_negative_thread_count_exit_2(self, capsys, monkeypatch, hand_files):
+        x, y = hand_files
+        monkeypatch.setenv("HPDIV_THREADS", "-2")
+        code, out, err = run_cli(capsys, ["estimate", "--method", "knn", "--k", "1", "--x", x, "--y", y])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "HPDIV_THREADS" in json.loads(err)["message"]
 
 
 class TestWeights:

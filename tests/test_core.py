@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from hpdiv.core import (
     finish_estimate,
     parse_number,
     pool_pair,
+    worker_count,
 )
 
 
@@ -147,3 +150,46 @@ def test_finish_estimate_clamps():
     assert finish_estimate(-0.5, clamp=True) == (0.0, True)
     assert finish_estimate(1.5, clamp=True) == (1.0, True)
     assert finish_estimate(-0.5, clamp=False) == (-0.5, False)
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the CPUs this process may run on and the machine's count."""
+        monkeypatch.delenv("HPDIV_THREADS", raising=False)
+
+        def set_cpus(allowed, total):
+            if allowed is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: total)
+
+        return set_cpus
+
+    def test_auto_follows_affinity_not_machine(self, cpus):
+        cpus(allowed=3, total=64)
+        assert worker_count() == 3
+
+    def test_auto_without_affinity_uses_cpu_count(self, cpus):
+        cpus(allowed=None, total=5)
+        assert worker_count() == 5
+        cpus(allowed=None, total=None)
+        assert worker_count() == 1
+
+    def test_auto_capped_at_8(self, cpus):
+        cpus(allowed=32, total=32)
+        assert worker_count() == 8
+
+    @pytest.mark.parametrize("raw, expected", [("0", 3), ("", 3), ("1", 1), ("2", 2), ("16", 3)])
+    def test_setting_capped_by_affinity(self, cpus, monkeypatch, raw, expected):
+        cpus(allowed=3, total=64)
+        monkeypatch.setenv("HPDIV_THREADS", raw)
+        assert worker_count() == expected
+
+    @pytest.mark.parametrize("raw", ["-1", "-8"])
+    def test_negative_rejected(self, cpus, monkeypatch, raw):
+        cpus(allowed=2, total=2)
+        monkeypatch.setenv("HPDIV_THREADS", raw)
+        with pytest.raises(HPDivError, match="HPDIV_THREADS"):
+            worker_count()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hpdiv import EmptyCloud, PointCloud
+from hpdiv import EmptyCloud, HPDivError, PointCloud
+from hpdiv import io as hpio
 from hpdiv.io import (
     InvalidPair,
     LabelMissing,
@@ -57,6 +60,105 @@ class TestLoadPoints:
         save_points(f, cloud)
         back = load_points(f)
         np.testing.assert_array_equal(back.points, cloud.points)
+
+
+def line_parser(path):
+    """The rows as the line parser alone reads them."""
+    rows = [hpio._floats(n, cells) for n, cells in hpio._rows(path.read_text(encoding="utf-8"))]
+    if not rows:
+        raise EmptyCloud(f"no data rows in {path}")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def outcome(read, path):
+    """Array bytes and shape on success, else the error type, row and col."""
+    try:
+        points = PointCloud(read(path)).points
+    except HPDivError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return points.tobytes(), points.shape
+
+
+def assert_parsers_agree(path):
+    assert outcome(lambda p: load_points(p).points, path) == outcome(line_parser, path)
+    fast = hpio._c_reader(path.read_bytes())
+    if fast is not None:  # the C reader accepted: the line parser must give the same bytes
+        assert fast.tobytes() == line_parser(path).tobytes()
+
+
+PIECES = ["0", "1", "7", "9", ".", "e", "-", "_", ",", " ", "\t", "\r\n", "\r", "\n",
+          "\x0c", "\x0b", "\x1f", "\xa0", "\x85", "\u2028", "\u0663", "\uff17", "nan",
+          "inf", "\ufeff"]
+NUMBERS = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e5", ".5", "5.", "-0", "+3", "1E-3", "1_0", "1e999", "nan", "-inf"]),
+)
+PADDING = st.sampled_from(["", " ", "\t", "  ", "\x0c", "\xa0"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed rows, with junk pieces mixed into cells, widths
+    and line ends, so that both acceptance and every error are reached."""
+    width = draw(st.integers(1, 3))
+    cell = st.one_of(
+        st.tuples(PADDING, NUMBERS, PADDING).map("".join),
+        st.lists(st.sampled_from(PIECES), max_size=4).map("".join),
+    )
+    clean = draw(st.booleans())
+    cells = NUMBERS if clean else cell
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width + (0 if clean else 1)),
+                         max_size=6))
+    ends = st.sampled_from(["\n", "\r\n", "\r"] if clean else ["\n", "\r\n", "\r", "\n \n", "\x0c"])
+    bom = "" if clean else draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(",".join(r) + draw(ends) for r in rows)
+
+
+class TestReadersAgree:
+    """load_points (C reader first) against the line parser alone."""
+
+    @given(csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_generated_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_parsers_agree(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("", EmptyCloud),
+            ("\n\n", EmptyCloud),
+            (" \n\t\n", EmptyCloud),
+            ("1,2\n \n\t\n3,4\n", (2, 2)),
+            ("1\n-2.5\n3e2\n", (3, 1)),
+            ("1,2,\n3,4,\n", ParseError),
+            ("1,2\r3,4\r", (2, 2)),
+            ("1,\x0c2\n", ParseError),
+            ("\ufeff1,2\n", ParseError),
+            ("1_0,\u0663\n", (1, 2)),
+        ],
+    )
+    def test_edge_files(self, tmp_path, text, expected):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_parsers_agree(path)
+        if isinstance(expected, tuple):
+            assert load_points(path).points.shape == expected
+        else:
+            with pytest.raises(expected):
+                load_points(path)
+
+    def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        path.write_text("0.5,1\r\n-2, 3e-1\n")
+
+        def no_lines(*args):
+            raise AssertionError("a plain file reached the line parser")
+
+        monkeypatch.setattr(hpio, "_rows", no_lines)
+        np.testing.assert_array_equal(load_points(path).points, [[0.5, 1.0], [-2.0, 0.3]])
 
 
 class TestLoadLabeled:

@@ -9,7 +9,7 @@ from hpdiv import JointSet, KTooLarge, PointCloud, build_index, kth_neighbor, ne
 from hpdiv import neighbors
 from hpdiv.core import HPDivError
 from hpdiv.estimators import dichotomous_counts
-from hpdiv.neighbors import neighbor_ranks
+from hpdiv.neighbors import NeighborIndex, neighbor_ranks
 
 
 from oracles import brute_kth, scan_rank_table
@@ -144,12 +144,14 @@ class TestSelectedRanks:
         coords = st.lists(st.integers(-span, span), min_size=dim, max_size=dim)
         pts = np.asarray(data.draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
         ks = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1), label="ks"))
+        workers = data.draw(st.sampled_from([1, 2, 4]), label="workers")
         z = make_joint(pts)
         idx = build_index(z)
         expected = scan_columns(z, ks)
-        np.testing.assert_array_equal(neighbor_ranks(idx, ks), expected)
+        np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
         opposite = z.labels[expected] != z.labels[:, None]
-        assert dichotomous_counts(z, idx, ks) == dict(zip(ks, opposite.sum(axis=0).tolist()))
+        counts = dict(zip(ks, opposite.sum(axis=0).tolist()))
+        assert dichotomous_counts(z, idx, ks, workers) == counts
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_last_ranks_have_no_column_beyond(self, dim):
@@ -204,3 +206,34 @@ class TestSelectedRanks:
         z = make_joint(np.arange(40.0)[:, None])
         with pytest.raises(KTooLarge):
             neighbor_ranks(build_index(z), ks)
+
+
+class TestNarrowFetch:
+    """The tree returns only the columns that certify the read ranks."""
+
+    class RecordingTree:
+        def __init__(self, tree):
+            self.tree = tree
+            self.ks = []
+
+        def query(self, x, k, **kwargs):
+            self.ks.append(k)
+            return self.tree.query(x, k=k, **kwargs)
+
+    def test_only_certified_columns_are_requested(self):
+        rng = np.random.default_rng(8)
+        z = make_joint(rng.normal(size=(300, 3)))
+        tree = self.RecordingTree(build_index(z).tree)
+        ks = [1, 7, 8, 40]
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        # Ranks r ask for columns r-1, r, r+1, i.e. tree ranks r, r+1, r+2;
+        # never k = k_max + 2 and never a column between the read ranks.
+        assert tree.ks == [[1, 2, 3, 7, 8, 9, 10, 40, 41, 42]]
+
+    def test_last_rank_asks_for_nothing_past_the_cloud(self):
+        z = make_joint(np.random.default_rng(9).normal(size=(20, 2)))
+        tree = self.RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [19])
+        np.testing.assert_array_equal(got, scan_columns(z, [19]))
+        assert tree.ks == [[19, 20]]
