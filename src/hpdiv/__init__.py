@@ -22,7 +22,7 @@ from .core import (
     SampleRatioWarning,
     validate_pair,
 )
-from .estimators import count_dichotomous, knn_estimate, wnn_estimate
+from .estimators import knn_estimate, wnn_estimate
 from .mst import SpanningTree, TooFewPoints, build_emst, mst_estimate
 from .neighbors import NeighborIndex, build_index, kth_neighbor, neighbor_table
 from .oracle import (
@@ -77,7 +77,6 @@ __all__ = [
     "bayes_bounds",
     "build_emst",
     "build_index",
-    "count_dichotomous",
     "density",
     "default_l_values",
     "knn_estimate",

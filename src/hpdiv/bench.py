@@ -2,15 +2,16 @@
 versus sample size, with reproducible seeded trials.
 
 Each (n, trial) cell draws one pair of samples and evaluates every
-requested method on the same draw (common random numbers), sharing a
-single neighbor-table pass across all required ranks. Trials own disjoint
-counter-based streams, so results are identical whether trials run
-serially or in the thread pool (HPDIV_THREADS caps the pool; 0 or unset
-means auto).
+requested method on the same draw (common random numbers). knn and wnn go
+through one ``estimators.neighbor_statistics`` call per trial, the engine
+of the public estimators, so one neighbor pass serves all their ranks.
+Trials own disjoint counter-based streams, so results are identical
+whether trials run serially or in the thread pool (HPDIV_THREADS caps the
+pool; 0 or unset means auto).
 
-A method that raises an HPDivError aborts only its own (method, n) cell:
-the error is reported as a CellErrorWarning and the remaining cells still
-run. Any other exception is a bug and propagates out of run_plan.
+A rank or schedule error (an HPDivError) aborts only its own (method, n)
+cell: the error is reported as a CellErrorWarning and the remaining cells
+still run. Any other exception is a bug and propagates out of run_plan.
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ import numpy as np
 
 from .core import (
     HPDivError,
-    KTooLarge,
     MixtureParam,
     PointCloud,
+    affine_map,
     expected_m,
     parse_number,
     pool_pair,
     worker_count,
 )
-from .estimators import affine_map, dichotomous_counts, weighted_total
+from .estimators import neighbor_statistics
 from .io import load_points
 from .mst import build_emst, dichotomous_edge_count
-from .neighbors import build_index
 from .oracle import DimTooHigh, DistributionSpec, true_divergence, truncated_normal, uniform_box
 from .synth import make_state, sample, trial_seed
 from .weights import WeightSchedule, default_l_values, resolve_schedule
@@ -219,44 +219,28 @@ def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
     x, y = _draw_pair(plan, specs, clouds, n, t)
     z = pool_pair(x, y)  # p is checked by the plan
     out: dict[str, object] = {}
-
-    ks: set[int] = set()
+    sums = {}
     for spec in plan.methods:
-        if spec.kind == "knn":
-            if 1 <= spec.k <= len(z) - 1:
-                ks.add(spec.k)
-        elif spec.kind == "wnn" and not isinstance(schedules[n], Exception):
-            ks.update(int(k) for k in schedules[n].k_values)
-    counts = {}
-    if ks:
-        idx = build_index(z)
-        counts = dichotomous_counts(z, idx, sorted(ks))  # 1 thread: trials hold the cores
-
-    for spec in plan.methods:
-        try:
-            if spec.kind == "const":
-                out[spec.label] = float(spec.value)
-            elif spec.kind == "knn":
-                if not (1 <= spec.k <= len(z) - 1):
-                    raise KTooLarge(f"k={spec.k} outside [1, {len(z) - 1}]")
-                out[spec.label] = affine_map(counts[spec.k], z.n_x, z.n_y)
-            elif spec.kind == "wnn":
-                sched = schedules[n]
-                if isinstance(sched, Exception):
-                    raise sched
-                out[spec.label] = affine_map(weighted_total(sched, counts), z.n_x, z.n_y)
-            elif spec.kind == "mst":
-                r = dichotomous_edge_count(build_emst(z), z)
-                out[spec.label] = affine_map(r, z.n_x, z.n_y)
-        except HPDivError as exc:  # recorded, cell aborts later
-            out[spec.label] = exc
+        if spec.kind == "const":
+            out[spec.label] = float(spec.value)
+        elif spec.kind == "mst":
+            out[spec.label] = affine_map(dichotomous_edge_count(build_emst(z), z), z.n_x, z.n_y)
+        elif spec.kind == "knn":
+            sums[spec.label] = ([spec.k], [1])
+        elif isinstance(schedules[n], HPDivError):  # recorded, cell aborts later
+            out[spec.label] = schedules[n]
+        else:
+            sums[spec.label] = (schedules[n].k_values, schedules[n].w)
+    stats = neighbor_statistics(z, sums)  # 1 thread: trials hold the cores
+    for label, stat in stats.items():
+        out[label] = stat if isinstance(stat, HPDivError) else affine_map(stat, z.n_x, z.n_y)
     return out
 
 
-def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | Exception]:
+def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | HPDivError]:
     """One schedule per n for the wnn method (labels are unique, so a plan
     holds at most one)."""
-    out: dict[int, WeightSchedule | Exception] = {}
+    out: dict[int, WeightSchedule | HPDivError] = {}
     wnn = [m for m in plan.methods if m.kind == "wnn"]
     if not wnn:
         return out

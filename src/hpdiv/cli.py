@@ -85,16 +85,8 @@ def cmd_estimate(args) -> int:
         res = wnn_estimate(x, y, sched, args.p, clamp=args.clamp)
     else:
         res = mst_estimate(x, y, args.p, clamp=args.clamp)
-    out = {
-        "method": res.method,
-        "value": res.value,
-        "n": res.n,
-        "m": res.m,
-        "p": res.p,
-        "clamped": res.clamped,
-    }
-    out.update(res.params)
-    _emit(out)
+    fields = ("method", "value", "n", "m", "p", "clamped")
+    _emit({**{f: getattr(res, f) for f in fields}, **res.params})
     return 0
 
 

@@ -191,11 +191,23 @@ def pool_pair(x: PointCloud, y: PointCloud) -> JointSet:
     return JointSet(cloud=pooled, labels=labels, n_x=n, n_y=m)
 
 
-def finish_estimate(raw_value: float, clamp: bool) -> tuple[float, bool]:
-    """Apply the optional [0, 1] clamp to a raw affine statistic."""
+def affine_map(count: float, n: int, m: int) -> float:
+    """The shared count-to-divergence transform 1 - count (N+M)/(2NM)."""
+    return 1.0 - count * (n + m) / (2.0 * n * m)
+
+
+def estimate_result(
+    method: str, z: JointSet, statistic, p: float, clamp: bool, params: dict[str, Any]
+) -> EstimateResult:
+    """The EstimateResult of a dichotomous statistic on z: its affine map,
+    clipped into [0, 1] when ``clamp`` is set."""
+    value = affine_map(statistic, z.n_x, z.n_y)
     if clamp:
-        return float(min(1.0, max(0.0, raw_value))), True
-    return float(raw_value), False
+        value = min(1.0, max(0.0, value))
+    return EstimateResult(
+        value=float(value), method=method, n=z.n_x, m=z.n_y, p=float(p),
+        params=params, clamped=bool(clamp),
+    )
 
 
 def parse_number(conv, text: str, what: str):

@@ -1,14 +1,15 @@
 """Neighbor-count divergence estimators over a pooled two-sample set.
 
-Both estimators share one statistic family: for each point of Z = X u Y,
-look at its rank-k nearest neighbor and record whether the labels differ.
-With |E_k| such dichotomous points,
+For each point of Z = X u Y, look at its rank-k nearest neighbor and record
+whether the labels differ; |E_k| counts such dichotomous points. Both
+estimators map one weighted sum of these counts,
 
-    knn:  value = 1 - |E_k| (N+M)/(2NM)
-    wnn:  value = 1 - [sum_l W(l) |E_K(l)|] (N+M)/(2NM)
+    value = 1 - [sum_l W(l) |E_K(l)|] (N+M)/(2NM)
 
-The weighted form is identically a weighted sum of plain k-NN estimates,
-because sum_l W(l) = 1; both readings must (and do) agree.
+wnn with the ranks K(l) and weights W(l) of its schedule, knn with the one
+rank k and weight 1. As sum_l W(l) = 1, wnn is identically the W-weighted
+sum of knn estimates. ``neighbor_statistics`` computes the sums for both
+estimators and for the Monte Carlo bench, from one neighbor pass.
 
 Estimates are reported unclamped by default: the affine statistic is
 negative whenever the dichotomous count exceeds 2NM/(N+M), which happens
@@ -20,15 +21,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401  (affine_map is re-exported for callers of this module)
     EstimateResult,
+    HPDivError,
     JointSet,
     KCollision,
     KTooLarge,
     METHOD_KNN,
     METHOD_WNN,
     PointCloud,
-    finish_estimate,
+    affine_map,
+    estimate_result,
     validate_pair,
     worker_count,
 )
@@ -46,19 +49,47 @@ def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) ->
     return {k: int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
-def count_dichotomous(z: JointSet, idx: NeighborIndex, k: int) -> int:
-    """Number of points whose rank-k neighbor carries the opposite label."""
-    return dichotomous_counts(z, idx, [k])[int(k)]
+def _checked_ranks(ranks, pooled: int) -> np.ndarray:
+    """The ranks of one estimator method, distinct and inside [1, |Z| - 1]."""
+    if ranks is None:
+        raise UnresolvedSchedule("schedule has no resolved k_values; call resolve_schedule")
+    k = np.asarray(ranks, dtype=np.int64)
+    if len(np.unique(k)) != k.size:
+        raise KCollision(f"ranks contain duplicates: {k.tolist()}")
+    if k.min() < 1 or k.max() > pooled - 1:
+        raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {k.min()}..{k.max()}")
+    return k
 
 
-def affine_map(count: float, n: int, m: int) -> float:
-    """The shared count-to-divergence transform 1 - count (N+M)/(2NM)."""
-    return 1.0 - count * (n + m) / (2.0 * n * m)
+def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
+    """sum_l weights[l] |E_ranks[l]| for each ``key: (ranks, weights)`` of
+    sums, from one neighbor pass over the union of the valid ranks.
+
+    An entry whose ranks fail their check maps to that HPDivError and the
+    others still run. The sum keeps the entry's order, and stays an int
+    for integer weights.
+    """
+    checked = {}
+    for key, (ranks, _) in sums.items():
+        try:
+            checked[key] = _checked_ranks(ranks, len(z))
+        except HPDivError as exc:
+            checked[key] = exc
+    ks = {int(k) for r in checked.values() if not isinstance(r, HPDivError) for k in r}
+    counts = dichotomous_counts(z, build_index(z), ks, workers) if ks else {}
+    return {
+        key: r if isinstance(r, HPDivError)
+        else sum(w * counts[int(k)] for w, k in zip(sums[key][1], r))
+        for key, r in checked.items()
+    }
 
 
-def weighted_total(schedule: WeightSchedule, counts: dict[int, int]) -> float:
-    """The ensemble statistic sum_l W(l) |E_K(l)| from per-rank counts."""
-    return float(sum(w * counts[int(k)] for w, k in zip(schedule.w, schedule.k_values)))
+def _statistic(z: JointSet, ranks, weights):
+    """One weighted count on all the threads HPDIV_THREADS allows."""
+    stat = neighbor_statistics(z, {0: (ranks, weights)}, worker_count())[0]
+    if isinstance(stat, HPDivError):
+        raise stat
+    return stat
 
 
 def knn_estimate(
@@ -66,58 +97,21 @@ def knn_estimate(
 ) -> EstimateResult:
     """Rank-k neighbor estimate of the divergence between samples x and y."""
     z = validate_pair(x, y, p)
-    idx = build_index(z)
-    count = dichotomous_counts(z, idx, [k], worker_count())[int(k)]
-    value, clamped = finish_estimate(affine_map(count, z.n_x, z.n_y), clamp)
-    return EstimateResult(
-        value=value,
-        method=METHOD_KNN,
-        n=z.n_x,
-        m=z.n_y,
-        p=float(p),
-        params={"k": int(k), "dichotomous_count": count},
-        clamped=clamped,
+    count = _statistic(z, [k], [1])
+    return estimate_result(
+        METHOD_KNN, z, count, p, clamp, {"k": int(k), "dichotomous_count": count}
     )
-
-
-def _check_schedule(schedule: WeightSchedule, pooled: int) -> np.ndarray:
-    if schedule.k_values is None:
-        raise UnresolvedSchedule("schedule has no resolved k_values; call resolve_schedule")
-    k = np.asarray(schedule.k_values, dtype=np.int64)
-    if len(np.unique(k)) != k.size:
-        raise KCollision(f"schedule ranks contain duplicates: {k.tolist()}")
-    if k.min() < 1 or k.max() > pooled - 1:
-        raise KTooLarge(
-            f"schedule ranks must lie in [1, {pooled - 1}], got "
-            f"{k.min()}..{k.max()}"
-        )
-    return k
 
 
 def wnn_estimate(
-    x: PointCloud,
-    y: PointCloud,
-    schedule: WeightSchedule,
-    p: float,
-    clamp: bool = False,
+    x: PointCloud, y: PointCloud, schedule: WeightSchedule, p: float, clamp: bool = False
 ) -> EstimateResult:
     """Weighted ensemble of rank-K(l) neighbor counts under one schedule."""
     z = validate_pair(x, y, p)
-    k_values = _check_schedule(schedule, len(z))
-    idx = build_index(z)
-    counts = dichotomous_counts(z, idx, k_values.tolist(), worker_count())
-    total = weighted_total(schedule, counts)
-    value, clamped = finish_estimate(affine_map(total, z.n_x, z.n_y), clamp)
-    return EstimateResult(
-        value=value,
-        method=METHOD_WNN,
-        n=z.n_x,
-        m=z.n_y,
-        p=float(p),
-        params={
-            "l_values": np.asarray(schedule.l_values).tolist(),
-            "weights": np.asarray(schedule.w).tolist(),
-            "k_values": k_values.tolist(),
-        },
-        clamped=clamped,
-    )
+    total = _statistic(z, schedule.k_values, schedule.w)
+    params = {
+        "l_values": np.asarray(schedule.l_values).tolist(),
+        "weights": np.asarray(schedule.w).tolist(),
+        "k_values": np.asarray(schedule.k_values, dtype=np.int64).tolist(),
+    }
+    return estimate_result(METHOD_WNN, z, total, p, clamp, params)

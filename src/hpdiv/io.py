@@ -83,6 +83,15 @@ def _rows(text: str):
         yield i + 1, cells
 
 
+def _text(data: bytes) -> str:
+    """The UTF-8 text of a file; a bad byte raises ParseError at its row."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # as _rows counts
+        raise ParseError(f"row {row}: invalid UTF-8 at byte offset {exc.start}", row=row) from None
+
+
 def _floats(lineno: int, cells: list[str]) -> list[float]:
     out = []
     for col, cell in enumerate(cells, 1):
@@ -119,7 +128,7 @@ def load_points(path, dim: int | None = None) -> PointCloud:
     data = Path(path).read_bytes()
     points = _c_reader(data)
     if points is None:
-        rows = [_floats(lineno, cells) for lineno, cells in _rows(data.decode("utf-8"))]
+        rows = [_floats(lineno, cells) for lineno, cells in _rows(_text(data))]
         if not rows:
             raise EmptyCloud(f"no data rows in {path}")
         points = np.asarray(rows, dtype=np.float64)
@@ -143,7 +152,7 @@ def load_labeled(path, label_column: int = -1) -> LabeledDataset:
     """
     feats = []
     labels = []
-    for lineno, cells in _rows(Path(path).read_text(encoding="utf-8")):
+    for lineno, cells in _rows(_text(Path(path).read_bytes())):
         width = len(cells)
         if width < 2:
             raise LabelMissing(f"row {lineno}: need at least one feature and a label")

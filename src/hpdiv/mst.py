@@ -25,10 +25,9 @@ from .core import (
     JointSet,
     METHOD_MST,
     PointCloud,
-    finish_estimate,
+    estimate_result,
     validate_pair,
 )
-from .estimators import affine_map
 from .neighbors import _sq_dists
 
 
@@ -168,13 +167,4 @@ def mst_estimate(
     """Divergence estimate from the MST dichotomous-edge count."""
     z = validate_pair(x, y, p)
     r = dichotomous_edge_count(build_emst(z), z)
-    value, clamped = finish_estimate(affine_map(r, z.n_x, z.n_y), clamp)
-    return EstimateResult(
-        value=value,
-        method=METHOD_MST,
-        n=z.n_x,
-        m=z.n_y,
-        p=float(p),
-        params={"dichotomous_edges": r},
-        clamped=clamped,
-    )
+    return estimate_result(METHOD_MST, z, r, p, clamp, {"dichotomous_edges": r})

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hpdiv import bench
+from hpdiv import bench, estimators, knn_estimate, mst_estimate, wnn_estimate
 from hpdiv.bench import (
     CellErrorWarning,
     ExperimentPlan,
@@ -14,7 +16,7 @@ from hpdiv.bench import (
     summarize_csv,
 )
 from hpdiv.core import HPDivError, InvalidP
-from hpdiv.io import save_points
+from hpdiv.io import load_points, save_points
 from hpdiv import PointCloud
 
 
@@ -147,23 +149,53 @@ class TestRunPlan:
             assert s.ci_low <= s.mean_est <= s.ci_high
 
     def test_bad_cell_aborts_only_itself(self):
-        plan = small_plan(methods=tuple(parse_methods("knn:500,knn:3")))
-        with pytest.warns(CellErrorWarning):
+        # K(l) for l = 1, 12 is (5, 67) at n=32, past |Z| - 1 = 63; (8, 96) at n=64
+        plan = small_plan(methods=tuple(parse_methods("knn:500,knn:0,wnn:1|12,knn:3")))
+        with pytest.warns(CellErrorWarning) as caught:
             out = run_plan(plan)
         labels = {(s.method, s.n) for s in out}
-        assert ("knn:3", 32) in labels and ("knn:3", 64) in labels
-        assert not any(m == "knn:500" for m, _ in labels)
+        assert labels == {("knn:3", 32), ("knn:3", 64), ("wnn", 64)}
+        assert len([w for w in caught if w.category is CellErrorWarning]) == 5
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_programming_error_propagates(self, monkeypatch, threads):
-        def broken(z):
+        def broken(*args, **kwargs):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(bench, "build_emst", broken)
         monkeypatch.setenv("HPDIV_THREADS", threads)
         plan = small_plan(methods=tuple(parse_methods("knn:3,mst")))
-        with pytest.raises(ZeroDivisionError):
-            run_plan(plan)
+        for module, name in ((bench, "build_emst"), (estimators, "neighbor_ranks")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, broken)
+                with pytest.raises(ZeroDivisionError):
+                    run_plan(plan)
+
+    @pytest.mark.parametrize("scenario", ["gauss-shift", "csv"])
+    def test_trial_matches_library(self, tmp_path, scenario):
+        """One (n, t) of the bench equals the public estimators bit for bit
+        on the same draw; the csv pair is a duplicate-heavy integer grid."""
+        rng = np.random.default_rng(8)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        save_points(xp, PointCloud(rng.integers(0, 5, size=(200, 2))))
+        save_points(yp, PointCloud(rng.integers(1, 6, size=(180, 2))))
+        plan = small_plan(
+            scenario=scenario, dims=2, n_grid=(160,), p=0.4, x_path=str(xp), y_path=str(yp),
+            methods=tuple(parse_methods("knn:5,wnn,mst")),
+        )
+        specs = scenario_specs(plan)
+        clouds = (load_points(xp), load_points(yp)) if scenario == "csv" else None
+        schedules = bench._resolve_schedules(plan)
+        t = 3
+        got = bench._run_trial(plan, specs, clouds, schedules, 160, t)
+        x, y = bench._draw_pair(plan, specs, clouds, 160, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the csv pair is off the balanced ratio
+            want = {
+                "knn:5": knn_estimate(x, y, 5, plan.p).value,
+                "wnn": wnn_estimate(x, y, schedules[160], plan.p).value,
+                "mst": mst_estimate(x, y, plan.p).value,
+            }
+        assert got == want
 
     def test_malformed_thread_count(self, monkeypatch):
         monkeypatch.setenv("HPDIV_THREADS", "x")

@@ -34,6 +34,7 @@ class TestEstimate:
         assert payload["value"] == -1.0
         assert payload["method"] == "knn" and payload["k"] == 1
         assert payload["n"] == 2 and payload["m"] == 2
+        assert type(payload["dichotomous_count"]) is int and payload["dichotomous_count"] == 4
 
     def test_mst_hand(self, capsys, hand_files):
         x, y = hand_files
@@ -72,6 +73,19 @@ class TestEstimate:
         )
         assert code == 2
         assert json.loads(err)["error"] == "KTooLarge"
+
+    @pytest.mark.parametrize("mode", ["points", "data"])
+    def test_invalid_utf8_exit_2(self, capsys, hand_files, tmp_path, mode):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,a\n\xff,b\n" if mode == "data" else b"0\n\xff\n")
+        files = (
+            ["--data", str(bad), "--class-a", "a", "--class-b", "b"]
+            if mode == "data" else ["--x", str(bad), "--y", hand_files[1]]
+        )
+        code, out, err = run_cli(capsys, ["estimate", "--method", "knn", "--k", "1", *files])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ParseError"
 
     def test_labeled_mode(self, capsys, tmp_path):
         data = tmp_path / "d.csv"

@@ -16,8 +16,8 @@ from hpdiv import (
 from hpdiv.core import (
     LABEL_X,
     LABEL_Y,
+    estimate_result,
     expected_m,
-    finish_estimate,
     parse_number,
     pool_pair,
     worker_count,
@@ -146,10 +146,16 @@ def test_expected_m():
     assert expected_m(7, 2 / 3) == 3   # floor(7 * (1/3) / (2/3)) = floor(3.5)
 
 
-def test_finish_estimate_clamps():
-    assert finish_estimate(-0.5, clamp=True) == (0.0, True)
-    assert finish_estimate(1.5, clamp=True) == (1.0, True)
-    assert finish_estimate(-0.5, clamp=False) == (-0.5, False)
+def test_estimate_result_clamps():
+    z = pool_pair(PointCloud([[0.0], [1.0]]), PointCloud([[2.0], [3.0]]))
+
+    def result(statistic, clamp):  # raw value 1 - statistic / 2 at N = M = 2
+        res = estimate_result("knn", z, statistic, 0.5, clamp, {})
+        return res.value, res.clamped
+
+    assert result(3, clamp=True) == (0.0, True)
+    assert result(-1, clamp=True) == (1.0, True)
+    assert result(3, clamp=False) == (-0.5, False)
 
 
 class TestWorkerCount:

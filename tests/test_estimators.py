@@ -12,12 +12,13 @@ from hpdiv import (
     UnresolvedSchedule,
     WeightSchedule,
     build_index,
-    count_dichotomous,
     knn_estimate,
     resolve_schedule,
     validate_pair,
     wnn_estimate,
 )
+
+from hpdiv.estimators import dichotomous_counts
 
 from conftest import tie_free
 
@@ -40,22 +41,22 @@ class TestCountDichotomous:
         x, y = hand_pair
         z = validate_pair(x, y, 0.5)
         idx = build_index(z)
-        assert count_dichotomous(z, idx, 1) == 4
-        assert count_dichotomous(z, idx, 2) == 2
+        assert dichotomous_counts(z, idx, [1])[1] == 4
+        assert dichotomous_counts(z, idx, [2])[2] == 2
 
     def test_far_clusters_zero(self):
         x, y = far_clusters()
         z = validate_pair(x, y, 0.5)
         idx = build_index(z)
         for k in (1, 3, 7):
-            assert count_dichotomous(z, idx, k) == 0
+            assert dichotomous_counts(z, idx, [k])[k] == 0
 
     def test_k_too_large(self, hand_pair):
         x, y = hand_pair
         z = validate_pair(x, y, 0.5)
         idx = build_index(z)
         with pytest.raises(KTooLarge):
-            count_dichotomous(z, idx, 4)
+            dichotomous_counts(z, idx, [4])[4]
 
 
 class TestKnnEstimate:
@@ -209,7 +210,7 @@ class TestEstimatorProperties:
         z = validate_pair(x, y, 0.5)
         idx = build_index(z)
         t = (2 * n) / (2 * n * n)
-        counts = [count_dichotomous(z, idx, int(k)) for k in sched.k_values]
+        counts = [dichotomous_counts(z, idx, [k])[k] for k in sched.k_values.tolist()]
         form_a = 1 - t * sum(w * c for w, c in zip(sched.w, counts))
         form_b = sum(w * (1 - t * c) for w, c in zip(sched.w, counts))
         assert form_a == pytest.approx(form_b, abs=1e-12)

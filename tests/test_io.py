@@ -45,6 +45,27 @@ class TestLoadPoints:
             load_points(f)
         assert exc.value.row == 2 and exc.value.col == 2
 
+    @pytest.mark.parametrize(
+        "data, row",
+        [
+            (b"1,2\n3,4\n5,\xff6\n", 3),
+            (b"\xff\n", 1),
+            (b"1,2\r\n\r\n\xfe,1\n", 3),  # a blank line keeps its number
+            (b"1,2\x0c3,\xc3", 2),  # \x0c ends a line; a cut two-byte sequence
+            (b"1,2\r\xe2\x82", 2),
+        ],
+    )
+    def test_invalid_utf8_names_row(self, tmp_path, data, row):
+        f = tmp_path / "pts.csv"
+        f.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            load_points(f)
+        assert exc.value.row == row
+        f.write_bytes(data.replace(b"1,2", b"1,2,a"))
+        with pytest.raises(ParseError) as exc:
+            load_labeled(f)
+        assert exc.value.row == row
+
     def test_dim_validation(self, tmp_path):
         f = tmp_path / "pts.csv"
         f.write_text("0,0\n1,1\n")
