@@ -48,13 +48,13 @@ class SampleRatioWarning(UserWarning):
 class PointCloud:
     """An ordered, finite sample of d-dimensional points.
 
-    ``points`` is an (n, dim) float64 array, read-only after construction.
+    ``points`` is a read-only (n, dim) float64 copy of the input.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -63,7 +63,6 @@ class PointCloud:
             raise EmptyCloud("point cloud must contain at least one point")
         if not np.isfinite(pts).all():
             raise HPDivError("point coordinates must be finite")
-        pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -90,7 +89,7 @@ class JointSet:
     n_y: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.array(self.labels, dtype=np.int8)
         if labels.shape != (len(self.cloud),):
             raise HPDivError("labels must align one-to-one with points")
         if self.n_x + self.n_y != len(self.cloud):

@@ -11,10 +11,11 @@ cKDTree returns candidates r-1, r and r+1 and no others; their distances
 are recomputed with the package's own distance formula, and candidate r is
 the rank-r neighbor when it lies strictly between the other two. A row
 where some requested rank sits on a tie or a duplicate is re-ranked from
-k_max + 1 + _TIE_PAD candidates sorted by (distance, index); a row whose
-ties reach past those falls back to a full linear scan. Results always
-match a brute-force scan. The kd queries may split their rows over
-``workers`` threads; each row's answer does not depend on the split.
+its k_max + 1 + _TIE_PAD nearest candidates sorted by (distance, index),
+a window that doubles until the ties end inside it or it holds every
+point. Results always match a brute-force scan. The kd queries may split
+their rows over ``workers`` threads; each row's answer does not depend on
+the split.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .core import HPDivError, JointSet, KTooLarge
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
+# Candidate entries (rows x window) sorted at once: bounds the memory of wide windows.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,37 +56,40 @@ def build_index(z: JointSet) -> NeighborIndex:
 def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances with one fixed summation order.
 
-    Both the fast path and the fallback scan rank candidates with this
+    The certified columns and the sorted windows rank candidates with this
     exact computation, so their orderings agree bit-for-bit.
     """
     diff = points[a] - points[b]
     return np.einsum("...i,...i->...", diff, diff)
 
 
-def _scan_row(points: np.ndarray, i: int, k_max: int) -> np.ndarray:
-    """Exact ranks 1..k_max for point i by linear scan."""
-    d2 = _sq_dists(points, slice(None), i)
-    d2[i] = np.inf
-    return np.lexsort((np.arange(points.shape[0]), d2))[:k_max]
-
-
 def _sorted_rows(
     idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: int, workers: int
 ) -> np.ndarray:
-    """Ranks for rows with ties: hi + 1 + _TIE_PAD candidates sorted by
-    (distance, index). A rank is certain when its distance sits strictly
-    inside the last candidate's; other rows are scanned."""
+    """Ranks for rows with ties, from candidates sorted by (distance, index).
+    A row is done once every read rank's distance sits strictly inside the
+    last candidate's, or its window holds all n points; the other rows go
+    round again with twice the window, in blocks of at most _BLOCK entries."""
     points = idx.source.points
-    k_fetch = min(len(points), hi + 1 + _TIE_PAD)
-    _, cand = idx.tree.query(points[rows], k=k_fetch, workers=workers)
-    d2 = _sq_dists(points, cand, rows[:, None])
-    horizon = d2[:, -1:] * (1.0 - _TIE_RTOL) if k_fetch < len(points) else np.inf
-    d2[cand == rows[:, None]] = np.inf  # exclude self
-    order = np.lexsort((cand, d2), axis=1)[:, ranks - 1]
-    out = np.take_along_axis(cand, order, axis=1)
-    sure = (np.take_along_axis(d2, order, axis=1) < horizon).all(axis=1)
-    for r in np.nonzero(~sure)[0]:
-        out[r] = _scan_row(points, int(rows[r]), hi)[ranks - 1]
+    out = np.empty((len(rows), len(ranks)), dtype=np.int64)
+    work = [(np.arange(len(rows)), hi + 1 + _TIE_PAD)]
+    while work:
+        pos, k = work.pop()
+        k = min(len(points), k)
+        step = max(1, _BLOCK // k)
+        if pos.size > step:
+            work.append((pos[step:], k))
+            pos = pos[:step]
+        row = rows[pos, None]
+        _, cand = idx.tree.query(points[rows[pos]], k=k, workers=workers)
+        d2 = _sq_dists(points, cand, row)
+        horizon = d2[:, -1:] * (1.0 - _TIE_RTOL)
+        d2[cand == row] = np.inf  # exclude self
+        order = np.lexsort((cand, d2), axis=1)[:, ranks - 1]
+        out[pos] = np.take_along_axis(cand, order, axis=1)
+        sure = (np.take_along_axis(d2, order, axis=1) < horizon).all(axis=1)
+        if k < len(points) and not sure.all():
+            work.append((pos[~sure], 2 * k))
     return out
 
 

@@ -62,7 +62,7 @@ class DistributionSpec:
     cov: np.ndarray | None = None   # (d,) diagonal or (d, d) full, tnorm only
 
     def __post_init__(self):
-        box = np.asarray(self.box, dtype=np.float64)
+        box = np.array(self.box, dtype=np.float64)
         if box.ndim != 2 or box.shape[1] != 2:
             raise HPDivError("box must have shape (d, 2)")
         if not np.isfinite(box).all() or not (box[:, 0] < box[:, 1]).all():
@@ -70,8 +70,8 @@ class DistributionSpec:
         box.flags.writeable = False
         object.__setattr__(self, "box", box)
         if self.kind == KIND_TRUNC_NORMAL:
-            mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-            cov = np.asarray(self.cov, dtype=np.float64)
+            mean = np.array(self.mean, dtype=np.float64).reshape(-1)
+            cov = np.array(self.cov, dtype=np.float64)
             if cov.ndim == 0:
                 cov = np.full(mean.size, float(cov))
             if mean.size != box.shape[0]:

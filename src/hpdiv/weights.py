@@ -71,9 +71,12 @@ class WeightSchedule:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            arr = np.asarray(arr)
+            arr = np.array(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        shapes = {a.shape for a in (self.l_values, self.w, self.k_values) if a is not None}
+        if shapes != {(self.l_values.size,)} or not self.l_values.size:
+            raise HPDivError(f"l_values, w and k_values need one nonempty length: {sorted(shapes)}")
 
     def __len__(self) -> int:
         return len(self.l_values)
@@ -124,24 +127,16 @@ def solve_weights(l_values, d: int) -> np.ndarray:
     return q @ np.linalg.solve(r.T, b)
 
 
-def default_l_values(d: int, count: int | None = None) -> np.ndarray:
+def default_l_values(d: int) -> np.ndarray:
     """Default index-value grid for dimension d (see module notes)."""
     if d < 1:
         raise HPDivError(f"dimension d must be >= 1, got {d}")
     if d == 1:
-        n_pts = count if count is not None else _DEFAULT_COUNT_1D
-        lo, hi = _DEFAULT_SPAN_1D
-        if n_pts < 2:
-            raise HPDivError("count must be at least 2")
-        return np.linspace(lo, hi, n_pts)
+        return np.linspace(*_DEFAULT_SPAN_1D, _DEFAULT_COUNT_1D)
     if d == 2:
-        n_pts = count if count is not None else _DEFAULT_COUNT_2D
-        lo, hi = _DEFAULT_SPAN_2D
+        n_pts, (lo, hi) = _DEFAULT_COUNT_2D, _DEFAULT_SPAN_2D
     else:
-        n_pts = count if count is not None else max(_DEFAULT_COUNT_HI, d + 1)
-        lo, hi = _DEFAULT_SPAN_HI
-    if n_pts < d + 1:
-        raise HPDivError(f"count must be at least d+1={d + 1}")
+        n_pts, (lo, hi) = max(_DEFAULT_COUNT_HI, d + 1), _DEFAULT_SPAN_HI
     return np.linspace(math.sqrt(lo), math.sqrt(hi), n_pts) ** 2
 
 

@@ -16,12 +16,15 @@ from hpdiv import (
 from hpdiv.core import (
     LABEL_X,
     LABEL_Y,
+    JointSet,
     estimate_result,
     expected_m,
     parse_number,
     pool_pair,
     worker_count,
 )
+from hpdiv.oracle import KIND_TRUNC_NORMAL, KIND_UNIFORM, DistributionSpec, uniform_box
+from hpdiv.weights import resolve_schedule
 
 
 class TestPointCloud:
@@ -199,3 +202,40 @@ class TestWorkerCount:
         monkeypatch.setenv("HPDIV_THREADS", raw)
         with pytest.raises(HPDivError, match="HPDIV_THREADS"):
             worker_count()
+
+
+def _tnorm(**arrays):
+    spec = {"box": [[-3.0, 3.0], [-3.0, 3.0]], "mean": [0.0, 0.0], "cov": [1.0, 2.0]}
+    return DistributionSpec(kind=KIND_TRUNC_NORMAL, **{**spec, **arrays})
+
+
+@pytest.mark.parametrize(
+    "array, build, read",
+    [
+        (np.zeros((3, 2)), PointCloud, lambda o: o.points),
+        (np.zeros(3), PointCloud, lambda o: o.points),
+        (
+            np.zeros(3, np.int8),
+            lambda a: JointSet(cloud=PointCloud(np.zeros((3, 1))), labels=a, n_x=3, n_y=0),
+            lambda o: o.labels,
+        ),
+        (np.array([1.0, 2.0]), lambda a: resolve_schedule(a, 1, 100), lambda o: o.l_values),
+        (np.array([[0.0, 1.0]]), lambda a: DistributionSpec(KIND_UNIFORM, a), lambda o: o.box),
+        (np.array([[-3.0, 3.0]] * 2), lambda a: _tnorm(box=a), lambda o: o.box),
+        (np.array([0.5, 1.5]), lambda a: _tnorm(cov=a), lambda o: o.cov),
+        (np.eye(2), lambda a: _tnorm(cov=a), lambda o: o.cov),
+        (np.zeros(2), lambda a: _tnorm(mean=a), lambda o: o.mean),
+        (np.array([0.0, 1.0]), uniform_box, lambda o: o.box),
+    ],
+    ids=[
+        "cloud", "cloud-1d", "labels", "schedule", "uniform", "tnorm-box",
+        "tnorm-cov", "tnorm-full-cov", "tnorm-mean", "uniform_box",
+    ],
+)
+def test_constructors_freeze_a_copy(array, build, read):
+    obj = build(array)
+    kept = read(obj).copy()
+    assert array.flags.writeable
+    array[...] = 7
+    np.testing.assert_array_equal(read(obj), kept)
+    assert not read(obj).flags.writeable

@@ -132,6 +132,26 @@ def scan_columns(z, ks):
     return scan_rank_table(z.points)[:, np.asarray(ks) - 1]
 
 
+class RecordingTree:
+    """A kd tree that records the rows and the k of each query."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.ks = []
+        self.rows = []
+
+    def query(self, x, k, **kwargs):
+        self.ks.append(k)
+        self.rows.append(len(x))
+        return self.tree.query(x, k=k, **kwargs)
+
+
+def copied_lattice(side, dim, copies):
+    """Every point of a side^dim integer grid, ``copies`` times over."""
+    grid = np.stack(np.meshgrid(*[np.arange(float(side))] * dim), -1).reshape(-1, dim)
+    return np.repeat(grid, copies, axis=0)
+
+
 class TestSelectedRanks:
     """Only the requested ranks are certified; each must equal the scan."""
 
@@ -153,13 +173,15 @@ class TestSelectedRanks:
         counts = dict(zip(ks, opposite.sum(axis=0).tolist()))
         assert dichotomous_counts(z, idx, ks, workers) == counts
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, pytest.param(0, id="identical")])
     def test_last_ranks_have_no_column_beyond(self, dim):
+        # dim 0 stands for n copies of one 2-D point: every rank ties, so
+        # the sorted window widens until it holds all n points.
         rng = np.random.default_rng(dim)
         n = 30
-        z = make_joint(rng.normal(size=(n, dim)))
+        z = make_joint(rng.normal(size=(n, dim)) if dim else np.ones((n, 2)))
         idx = build_index(z)
-        for ks in ([n - 2], [n - 1], [n - 2, n - 1], [1, n - 1]):
+        for ks in ([2], [n - 2], [n - 1], [n - 2, n - 1], [1, n - 1]):
             np.testing.assert_array_equal(neighbor_ranks(idx, ks), scan_columns(z, ks))
 
     def test_point_repeated_beyond_fetch(self):
@@ -177,19 +199,31 @@ class TestSelectedRanks:
         ks = [1, 2, 4, 7, 10]
         np.testing.assert_array_equal(neighbor_ranks(build_index(z), ks), scan_columns(z, ks))
 
-    def test_lattice_ties_are_sorted_not_scanned(self, monkeypatch):
-        # Every requested rank of an integer grid point sits on a tie; the
-        # sorted candidates resolve it without a linear scan of any row.
-        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
-        z = make_joint(np.column_stack([xs.ravel(), ys.ravel()]))
-        ks = [1, 5]
-        expected = scan_columns(z, ks)
+    def test_lattice_ties_widen_the_window_not_to_n(self):
+        # Five copies of each grid point put the tie group of rank 20 past
+        # the first window of 20 + 1 + 8 candidates; doubling it once ends
+        # the group, so no row needs all n points.
+        z = make_joint(copied_lattice(6, 3, 5))
+        ks = [5, 20]
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        windows = [k for k in tree.ks if isinstance(k, int)]
+        assert len(set(windows)) > 1
+        assert max(windows) < len(z)
 
-        def no_scan(*args):
-            raise AssertionError("a lattice row fell back to the linear scan")
-
-        monkeypatch.setattr(neighbors, "_scan_row", no_scan)
-        np.testing.assert_array_equal(neighbor_ranks(build_index(z), ks), expected)
+    def test_tied_rows_split_into_blocks(self, monkeypatch):
+        # A small block bound sorts a few rows at a time, in every round.
+        monkeypatch.setattr(neighbors, "_BLOCK", 100)
+        z = make_joint(copied_lattice(4, 3, 5))
+        ks = [5, 20]
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        blocks = [(rows, k) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, int)]
+        assert len({k for _, k in blocks}) > 1
+        assert len(blocks) > 2 * len({k for _, k in blocks})
+        assert all(rows * k <= 100 for rows, k in blocks)
 
     def test_gapped_rank_schedule(self):
         # Ranks floor(l * sqrt(N)) as a wnn schedule reads them.
@@ -211,19 +245,10 @@ class TestSelectedRanks:
 class TestNarrowFetch:
     """The tree returns only the columns that certify the read ranks."""
 
-    class RecordingTree:
-        def __init__(self, tree):
-            self.tree = tree
-            self.ks = []
-
-        def query(self, x, k, **kwargs):
-            self.ks.append(k)
-            return self.tree.query(x, k=k, **kwargs)
-
     def test_only_certified_columns_are_requested(self):
         rng = np.random.default_rng(8)
         z = make_joint(rng.normal(size=(300, 3)))
-        tree = self.RecordingTree(build_index(z).tree)
+        tree = RecordingTree(build_index(z).tree)
         ks = [1, 7, 8, 40]
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
@@ -233,7 +258,7 @@ class TestNarrowFetch:
 
     def test_last_rank_asks_for_nothing_past_the_cloud(self):
         z = make_joint(np.random.default_rng(9).normal(size=(20, 2)))
-        tree = self.RecordingTree(build_index(z).tree)
+        tree = RecordingTree(build_index(z).tree)
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [19])
         np.testing.assert_array_equal(got, scan_columns(z, [19]))
         assert tree.ks == [[19, 20]]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hpdiv import KCollision, KTooLarge, SingularConstraints, default_l_values, resolve_schedule, solve_weights
 from hpdiv.core import HPDivError
-from hpdiv.weights import constraint_matrix
+from hpdiv.weights import WeightSchedule, constraint_matrix
 
 from oracles import minnorm_pinv
 
@@ -80,9 +80,6 @@ class TestDefaultLValues:
         assert len(ls) == 4
         np.testing.assert_allclose(ls, np.linspace(1.0, 3.0, 4))
 
-    def test_d1_two_points_hits_endpoints(self):
-        np.testing.assert_allclose(default_l_values(1, count=2), [1.0, 3.0])
-
     def test_d2_grid_spans_wide(self):
         ls = default_l_values(2)
         assert len(ls) == 28
@@ -101,10 +98,6 @@ class TestDefaultLValues:
     def test_beyond_d5_defaults_rejected(self):
         with pytest.raises(SingularConstraints):
             solve_weights(default_l_values(7), 7)
-
-    def test_count_validated(self):
-        with pytest.raises(HPDivError):
-            default_l_values(3, count=2)
 
 
 class TestResolveSchedule:
@@ -132,3 +125,17 @@ class TestResolveSchedule:
         b = resolve_schedule([1.0, 2.0, 3.0], 1, 10_000)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.k_values.tolist() != b.k_values.tolist()
+
+
+class TestWeightSchedule:
+    @pytest.mark.parametrize(
+        "w, k_values", [([1.0], [1, 2]), ([2.0, -1.0], [1]), ([2.0, -1.0, 0.0], None)]
+    )
+    def test_lengths_must_match_l_values(self, w, k_values):
+        # A short w would let the weighted sum drop rank 2 through zip.
+        with pytest.raises(HPDivError, match="one nonempty length"):
+            WeightSchedule(l_values=[1.0, 2.0], d=1, w=w, k_values=k_values)
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(HPDivError, match="one nonempty length"):
+            WeightSchedule(l_values=[], d=1, w=[], k_values=[])
