@@ -41,7 +41,7 @@ from .weights import UnresolvedSchedule, WeightSchedule
 
 def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) -> dict[int, int]:
     """|E_k| for every rank in ks, from one neighbor pass that reads only ks
-    (its kd queries on ``workers`` threads)."""
+    (its kd queries or row sorts on ``workers`` threads)."""
     ks = sorted({int(k) for k in ks})
     if not ks:
         return {}
@@ -56,8 +56,9 @@ def _checked_ranks(ranks, pooled: int) -> np.ndarray:
     k = np.asarray(ranks, dtype=np.int64)
     if len(np.unique(k)) != k.size:
         raise KCollision(f"ranks contain duplicates: {k.tolist()}")
-    if k.min() < 1 or k.max() > pooled - 1:
-        raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {k.min()}..{k.max()}")
+    lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
+    if not 1 <= lo <= hi <= pooled - 1:
+        raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {lo}..{hi}")
     return k
 
 

@@ -6,20 +6,26 @@ k (self excluded). Ranks are defined by lexicographic order on
 deterministic even in the presence of duplicate points or exact distance
 ties.
 
-Only the ranks a caller reads are certified. For each read rank r a scipy
-cKDTree returns candidates r-1, r and r+1 and no others; their distances
-are recomputed with the package's own distance formula, and candidate r is
-the rank-r neighbor when it lies strictly between the other two. A row
+Only the ranks a caller reads are certified. For each read rank r the
+candidates r-1, r and r+1 come from one of two sources: a scipy cKDTree
+query while the deepest rank is shallow (10 (k_max + 2) < n), else a sort
+of whole rows of squared distances, in blocks. The tree must search k_max
+deep for every row whichever columns it returns, so deep wnn schedules
+are cheaper to sort. Either way the candidates' distances are recomputed
+with the package's own distance formula, and candidate r is the rank-r
+neighbor when it lies strictly between the other two; a source whose
+distances are right to a few ulps therefore yields the same ranks. A row
 where some requested rank sits on a tie or a duplicate is re-ranked from
 its k_max + 1 + _TIE_PAD nearest candidates sorted by (distance, index),
 a window that doubles until the ties end inside it or it holds every
-point. Results always match a brute-force scan. The kd queries may split
-their rows over ``workers`` threads; each row's answer does not depend on
-the split.
+point. Results always match a brute-force scan. The kd queries and the
+row sorts may split their rows over ``workers`` threads; each row's answer
+does not depend on the split.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +37,15 @@ from .core import HPDivError, JointSet, KTooLarge
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
-# Candidate entries (rows x window) sorted at once: bounds the memory of wide windows.
+# Candidate entries (rows x window, or rows x n in a row sort) sorted at
+# once: bounds the memory of wide windows and of the row sorts' threads.
 _BLOCK = 1 << 18
+# The kd tree searches k_max deep for every row whichever columns it
+# returns, while a row sort costs about n per row at any depth; rows are
+# sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread, d = 1..4
+# and n = 1000..16384, the kd query took 0.06-0.19x the sort's time at
+# k_max = n/200, 0.41-1.29x at n/20, 0.71-2.26x at n/10, 1.5-4.0x at n/4.
+_SORT_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -93,13 +106,51 @@ def _sorted_rows(
     return out
 
 
+def _sorted_columns(
+    points: np.ndarray, rows: np.ndarray, cols: np.ndarray, workers: int
+) -> np.ndarray:
+    """Points at sorted columns ``cols`` (0 is the nearest, self included)
+    of each row, from whole rows of squared distances.
+
+    Rows go in blocks of at most _BLOCK distances, split over ``workers``
+    threads. Ties and near ties may come back in any order: the caller
+    certifies the columns it reads in its own distance.
+    """
+    n = len(points)
+    coords = np.ascontiguousarray(points.T)
+    kth = int(cols[-1])
+    step = max(1, _BLOCK // (n * workers))
+    out = np.empty((len(rows), len(cols)), dtype=np.intp)
+
+    def block(start: int) -> None:
+        here = points[rows[start:start + step]]
+        d2 = np.subtract(coords[0], here[:, :1])
+        d2 *= d2
+        part = np.empty_like(d2)
+        for c, h in zip(coords[1:], here[:, 1:].T):
+            d2 += np.square(np.subtract(c, h[:, None], out=part), out=part)
+        del part  # freed before the partition allocates its indices
+        head = np.argpartition(d2, kth, axis=1)[:, :kth + 1]
+        order = np.argsort(np.take_along_axis(d2, head, axis=1), axis=1)[:, cols]
+        out[start:start + step] = np.take_along_axis(head, order, axis=1)
+
+    starts = range(0, len(rows), step)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
+    else:
+        for start in starts:
+            block(start)
+    return out
+
+
 def _ranked_rows(
     idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, workers: int = 1
 ) -> np.ndarray:
     """(len(rows), len(ranks)) neighbor indices at the given ranks.
 
-    The tree returns candidate columns r-1, r and r+1 of each rank r (0 is
-    the nearest). Column r is rank r when its distance sits strictly inside
+    The tree, or for deep ranks a row sort, returns candidate columns r-1,
+    r and r+1 of each rank r (0 is the nearest). Column r is rank r when its distance sits strictly inside
     those of columns r-1 and r+1 (+inf past the last point): columns
     0..r-1 are then the r points nearer than it, self among them.
     """
@@ -111,7 +162,10 @@ def _ranked_rows(
 
     cols = np.unique(np.concatenate([ranks - 1, ranks, ranks + 1]))
     cols = cols[cols < n]
-    _, cand = idx.tree.query(points[rows], k=(cols + 1).tolist(), workers=workers)
+    if _SORT_DEPTH * (hi + 2) < n:
+        _, cand = idx.tree.query(points[rows], k=(cols + 1).tolist(), workers=workers)
+    else:
+        cand = _sorted_columns(points, rows, cols, workers)
     d2 = np.full((len(rows), len(cols) + 1), np.inf)
     d2[:, :-1] = _sq_dists(points, cand, rows[:, None])
     below, at, above = (d2[:, np.searchsorted(cols, ranks + s)] for s in (-1, 0, 1))

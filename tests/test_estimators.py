@@ -18,7 +18,7 @@ from hpdiv import (
     wnn_estimate,
 )
 
-from hpdiv.estimators import dichotomous_counts
+from hpdiv.estimators import dichotomous_counts, neighbor_statistics
 
 from conftest import tie_free
 
@@ -57,6 +57,14 @@ class TestCountDichotomous:
         idx = build_index(z)
         with pytest.raises(KTooLarge):
             dichotomous_counts(z, idx, [4])[4]
+
+    def test_empty_ranks_fail_only_their_entry(self, hand_pair):
+        x, y = hand_pair
+        z = validate_pair(x, y, 0.5)
+        stats = neighbor_statistics(z, {0: ([], []), 1: ([1], [1])})
+        assert isinstance(stats[0], KTooLarge)
+        assert str(stats[0]) == "ranks must lie in [1, 3], got 0..0"
+        assert stats[1] == dichotomous_counts(z, build_index(z), [1])[1] == 4
 
 
 class TestKnnEstimate:

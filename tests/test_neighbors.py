@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,13 +166,17 @@ class TestSelectedRanks:
         pts = np.asarray(data.draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
         ks = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1), label="ks"))
         workers = data.draw(st.sampled_from([1, 2, 4]), label="workers")
+        # At these sizes nearly every draw sorts whole rows; a switch depth
+        # of 0 sends the ranks to the kd query instead.
+        depth = data.draw(st.sampled_from([0, neighbors._SORT_DEPTH]), label="depth")
         z = make_joint(pts)
         idx = build_index(z)
         expected = scan_columns(z, ks)
-        np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
         opposite = z.labels[expected] != z.labels[:, None]
         counts = dict(zip(ks, opposite.sum(axis=0).tolist()))
-        assert dichotomous_counts(z, idx, ks, workers) == counts
+        with mock.patch.object(neighbors, "_SORT_DEPTH", depth):
+            np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
+            assert dichotomous_counts(z, idx, ks, workers) == counts
 
     @pytest.mark.parametrize("dim", [1, 2, 3, pytest.param(0, id="identical")])
     def test_last_ranks_have_no_column_beyond(self, dim):
@@ -185,8 +190,9 @@ class TestSelectedRanks:
             np.testing.assert_array_equal(neighbor_ranks(idx, ks), scan_columns(z, ks))
 
     def test_point_repeated_beyond_fetch(self):
-        # 15 copies of one point and ranks up to 5: neither the 7 nor the 14
-        # candidates the tree fetches need hold a copy's own index.
+        # 15 copies of one point and ranks up to 5: a copy's first candidates
+        # need not hold its own index. At 35 points these ranks take the row
+        # sort; test_lattice_counts_match_scan also forces the kd query.
         rng = np.random.default_rng(3)
         pts = np.vstack([np.zeros((12, 2)), rng.normal(size=(20, 2)), np.zeros((3, 2))])
         z = make_joint(pts)
@@ -243,11 +249,12 @@ class TestSelectedRanks:
 
 
 class TestNarrowFetch:
-    """The tree returns only the columns that certify the read ranks."""
+    """The candidate source returns only the columns that certify the read ranks."""
 
     def test_only_certified_columns_are_requested(self):
+        # 10 * (40 + 2) < 600, so the kd query is the source.
         rng = np.random.default_rng(8)
-        z = make_joint(rng.normal(size=(300, 3)))
+        z = make_joint(rng.normal(size=(600, 3)))
         tree = RecordingTree(build_index(z).tree)
         ks = [1, 7, 8, 40]
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
@@ -256,9 +263,95 @@ class TestNarrowFetch:
         # never k = k_max + 2 and never a column between the read ranks.
         assert tree.ks == [[1, 2, 3, 7, 8, 9, 10, 40, 41, 42]]
 
-    def test_last_rank_asks_for_nothing_past_the_cloud(self):
+    def test_last_rank_asks_for_nothing_past_the_cloud(self, monkeypatch):
+        # Rank n-1 is always deep enough to sort whole rows.
         z = make_joint(np.random.default_rng(9).normal(size=(20, 2)))
+        sorted_cols = []
+        real = neighbors._sorted_columns
+
+        def recording(points, rows, cols, workers):
+            sorted_cols.append(cols.tolist())
+            return real(points, rows, cols, workers)
+
+        monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         tree = RecordingTree(build_index(z).tree)
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [19])
         np.testing.assert_array_equal(got, scan_columns(z, [19]))
-        assert tree.ks == [[19, 20]]
+        assert sorted_cols == [[18, 19]]
+        assert tree.ks == []
+
+
+class TestSortedColumns:
+    """Deep ranks take their candidates from whole sorted rows, not the tree."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kind", ["random", "copied_lattice", "identical", "wide_random", "wide_lattice"]
+    )
+    def test_deep_ranks_skip_the_kd_query(self, kind, workers):
+        # Below a few hundred points numpy's partition happens to leave the
+        # head sorted; the wide inputs make the head sort and the partition
+        # depth matter.
+        pts = {
+            "random": np.random.default_rng(4).normal(size=(60, 3)),
+            "copied_lattice": copied_lattice(3, 3, 2),
+            "identical": np.ones((40, 2)),
+            "wide_random": np.random.default_rng(5).normal(size=(1000, 3)),
+            "wide_lattice": copied_lattice(5, 3, 8),
+        }[kind]
+        z = make_joint(pts)
+        ks = [3, 31, 95, 316] if kind.startswith("wide") else [1, 5, 6, 20]
+        assert neighbors._SORT_DEPTH * (max(ks) + 2) >= len(z)
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        # Only the tie path may still ask the tree, for its tied rows.
+        assert not any(isinstance(k, list) for k in tree.ks)
+        if kind.endswith("random"):
+            assert tree.ks == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    def test_columns_hold_the_sorted_distances(self, kind, workers):
+        # The source's contract, ties aside: column c of a row is at the
+        # c-th smallest distance of that row, self included. At d=2 both
+        # sums add the same two squares, so the distances agree bit for bit.
+        pts = (np.random.default_rng(7).normal(size=(1000, 2)) if kind == "random"
+               else copied_lattice(16, 2, 4))
+        rows = np.arange(0, len(pts), 7)
+        cols = np.array([0, 1, 2, 40, 41, 42, 299, 300, 301])
+        got = neighbors._sorted_columns(pts, rows, cols, workers)
+        full = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(
+            np.take_along_axis(full, got, axis=1), np.sort(full, axis=1)[:, cols]
+        )
+
+    @pytest.mark.parametrize("top, source", [(27, "kd"), (28, "sort")])
+    def test_either_side_of_the_switch(self, top, source):
+        # 10 * (27 + 2) < 300 <= 10 * (28 + 2).
+        z = make_joint(np.random.default_rng(6).normal(size=(300, 2)))
+        ks = [1, 9, top]
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        assert any(isinstance(k, list) for k in tree.ks) == (source == "kd")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sorted_rows_split_into_blocks(self, monkeypatch, workers):
+        # A small block bound sorts a few rows at a time; the threads share it.
+        monkeypatch.setattr(neighbors, "_BLOCK", 200)
+        shapes = []
+        real = np.argpartition
+
+        def recording(a, kth, axis):
+            shapes.append(a.shape)
+            return real(a, kth, axis=axis)
+
+        monkeypatch.setattr(np, "argpartition", recording)
+        z = make_joint(copied_lattice(3, 2, 4))
+        ks = [1, 4, 30]
+        got = neighbor_ranks(build_index(z), ks, workers)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        assert sum(rows for rows, _ in shapes) == len(z)
+        assert len(shapes) > 2
+        assert all(rows * n * workers <= 200 for rows, n in shapes)
