@@ -30,7 +30,6 @@ from .oracle import (
     DimTooHigh,
     DistributionSpec,
     NonOverlappingSupportWarning,
-    UnsupportedP,
     bayes_bounds,
     density,
     true_divergence,
@@ -72,7 +71,6 @@ __all__ = [
     "SpanningTree",
     "TooFewPoints",
     "UnresolvedSchedule",
-    "UnsupportedP",
     "WeightSchedule",
     "bayes_bounds",
     "build_emst",

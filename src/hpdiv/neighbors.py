@@ -108,22 +108,25 @@ def _sorted_rows(
 
 def _sorted_columns(
     points: np.ndarray, rows: np.ndarray, cols: np.ndarray, workers: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Points at sorted columns ``cols`` (0 is the nearest, self included)
-    of each row, from whole rows of squared distances.
+    of each row, from whole rows of squared distances, and their
+    ``_sq_dists`` from the row.
 
     Rows go in blocks of at most _BLOCK distances, split over ``workers``
     threads. Ties and near ties may come back in any order: the caller
-    certifies the columns it reads in its own distance.
+    certifies the columns it reads in the returned distances.
     """
     n = len(points)
     coords = np.ascontiguousarray(points.T)
     kth = int(cols[-1])
     step = max(1, _BLOCK // (n * workers))
     out = np.empty((len(rows), len(cols)), dtype=np.intp)
+    near = np.empty((len(rows), len(cols)))
 
     def block(start: int) -> None:
-        here = points[rows[start:start + step]]
+        span = slice(start, start + step)
+        here = points[rows[span]]
         d2 = np.subtract(coords[0], here[:, :1])
         d2 *= d2
         part = np.empty_like(d2)
@@ -132,7 +135,8 @@ def _sorted_columns(
         del part  # freed before the partition allocates its indices
         head = np.argpartition(d2, kth, axis=1)[:, :kth + 1]
         order = np.argsort(np.take_along_axis(d2, head, axis=1), axis=1)[:, cols]
-        out[start:start + step] = np.take_along_axis(head, order, axis=1)
+        out[span] = np.take_along_axis(head, order, axis=1)
+        near[span] = _sq_dists(points, out[span], rows[span, None])
 
     starts = range(0, len(rows), step)
     if workers > 1 and len(starts) > 1:
@@ -141,7 +145,7 @@ def _sorted_columns(
     else:
         for start in starts:
             block(start)
-    return out
+    return out, near
 
 
 def _ranked_rows(
@@ -164,10 +168,11 @@ def _ranked_rows(
     cols = cols[cols < n]
     if _SORT_DEPTH * (hi + 2) < n:
         _, cand = idx.tree.query(points[rows], k=(cols + 1).tolist(), workers=workers)
+        near = _sq_dists(points, cand, rows[:, None])
     else:
-        cand = _sorted_columns(points, rows, cols, workers)
+        cand, near = _sorted_columns(points, rows, cols, workers)
     d2 = np.full((len(rows), len(cols) + 1), np.inf)
-    d2[:, :-1] = _sq_dists(points, cand, rows[:, None])
+    d2[:, :-1] = near
     below, at, above = (d2[:, np.searchsorted(cols, ranks + s)] for s in (-1, 0, 1))
     sure = (below < at * (1.0 - _TIE_RTOL)) & (at < above * (1.0 - _TIE_RTOL))
 

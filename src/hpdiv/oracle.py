@@ -9,9 +9,19 @@ evaluated on tensor-product trapezoid grids (dims <= 3), refined by node
 doubling until successive values agree to 1e-6. Deterministic quadrature
 keeps regression values stable, which Monte Carlo would not.
 
-For p = 1/2 the divergence brackets the two-class Bayes error:
+The integrand comes from per-axis factors: each slab is an open mesh of
+1-D node arrays, the box mask a product of per-axis masks and a diagonal
+Gaussian's exponent the broadcast sum, in axis order, of (x_j - mu_j)^2/s2_j.
+Each grid value is the same operations on the same operands, in the same
+order, as on a materialized (points, d) array, so its bytes are too. A full
+covariance is not separable and still builds points.
 
-    (1 - sqrt(D))/2  <=  error  <=  (1 - D)/2.
+At any prior p (q = 1 - p) the divergence brackets the two-class Bayes
+error: with u = 4pq D_p + (p - q)^2,
+
+    (1 - sqrt(u))/2  <=  error  <=  min((1 - u)/2, p, q),
+
+which at p = 1/2 is (1 - sqrt(D))/2 <= error <= (1 - D)/2.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HPDivError
+from .core import HPDivError, MixtureParam
 
 KIND_TRUNC_NORMAL = "tnorm"
 KIND_UNIFORM = "uniform"
@@ -36,10 +46,6 @@ _SLAB = 1 << 22  # max points evaluated per chunk
 
 class DimTooHigh(HPDivError):
     """Tensor-grid quadrature only supports up to 3 dimensions."""
-
-
-class UnsupportedP(HPDivError):
-    """Bayes error bounds are implemented for p = 1/2 only."""
 
 
 class NonOverlappingSupportWarning(UserWarning):
@@ -114,15 +120,18 @@ class DistributionSpec:
             and np.array_equal(self.cov, other.cov)
         )
 
-    def _gauss_unnormalized(self, x: np.ndarray) -> np.ndarray:
-        """Gaussian density without the truncation renormalizer."""
-        diff = x - self.mean
+    def _gauss_unnormalized(self, axes) -> np.ndarray:
+        """Gaussian density without the truncation renormalizer, at the
+        broadcast of the per-axis coordinate arrays ``axes``."""
         if self.cov.ndim == 1:
-            quad = ((diff * diff) / self.cov).sum(axis=-1)
+            # added in axis order, as numpy sums the last axis of a points array
+            quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, self.mean, self.cov))
             norm = math.sqrt((2 * math.pi) ** self.dim * float(np.prod(self.cov)))
         else:
+            grid = np.broadcast_arrays(*axes)
+            diff = np.stack(grid, axis=-1).reshape(-1, self.dim) - self.mean
             inv = np.linalg.inv(self.cov)
-            quad = np.einsum("...i,ij,...j->...", diff, inv, diff)
+            quad = np.einsum("...i,ij,...j->...", diff, inv, diff).reshape(grid[0].shape)
             norm = math.sqrt(
                 (2 * math.pi) ** self.dim * float(np.linalg.det(self.cov))
             )
@@ -138,7 +147,7 @@ class DistributionSpec:
                 lo, hi = self.box[j]
 
                 def axis_pdf(t, mu=mu, s2=s2):
-                    return np.exp(-0.5 * (t[:, 0] - mu) ** 2 / s2) / math.sqrt(
+                    return np.exp(-0.5 * (t[0] - mu) ** 2 / s2) / math.sqrt(
                         2 * math.pi * s2
                     )
 
@@ -180,21 +189,25 @@ def density(spec: DistributionSpec, x) -> np.ndarray | float:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != spec.dim:
         raise HPDivError(f"points must have dimension {spec.dim}")
-    inside = (
-        (pts >= spec.box[:, 0]) & (pts <= spec.box[:, 1])
-    ).all(axis=1)
-    if spec.kind == KIND_UNIFORM:
-        volume = float(np.prod(spec.box[:, 1] - spec.box[:, 0]))
-        vals = np.where(inside, 1.0 / volume, 0.0)
-    else:
-        vals = np.where(
-            inside, spec._gauss_unnormalized(pts) / spec._mass, 0.0
-        )
+    vals = _density_on(spec, pts.T)
     return float(vals[0]) if scalar else vals
 
 
+def _density_on(spec: DistributionSpec, axes) -> np.ndarray:
+    """Normalized density at the broadcast of the per-axis coordinate arrays
+    ``axes`` (the columns of a point array, or an open tensor grid)."""
+    inside = True
+    for x, (lo, hi) in zip(axes, spec.box):
+        inside = inside & (x >= lo) & (x <= hi)
+    if spec.kind == KIND_UNIFORM:
+        volume = float(np.prod(spec.box[:, 1] - spec.box[:, 0]))
+        return np.where(inside, 1.0 / volume, 0.0)
+    return np.where(inside, spec._gauss_unnormalized(axes) / spec._mass, 0.0)
+
+
 def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
-    """Composite trapezoid of f over the box with n_nodes per axis."""
+    """Composite trapezoid of f over the box with n_nodes per axis; f maps
+    an open grid (one broadcastable array per axis) to values on the grid."""
     dim = box.shape[0]
     axes, weights = [], []
     for j in range(dim):
@@ -208,33 +221,18 @@ def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
     total = 0.0
     # evaluate in slabs along the first axis to bound memory
     per_plane = n_nodes ** (dim - 1)
-    step = max(1, _SLAB // max(per_plane, 1))
-    rest = axes[1:]
-    rest_mesh = (
-        np.stack(np.meshgrid(*rest, indexing="ij"), axis=-1).reshape(-1, dim - 1)
-        if dim > 1
-        else None
-    )
-    rest_w = (
-        np.prod(
-            np.stack(np.meshgrid(*weights[1:], indexing="ij"), axis=-1), axis=-1
-        ).reshape(-1)
-        if dim > 1
-        else None
-    )
+    step = max(1, _SLAB // per_plane)
+    rest_w = np.ones(1)
+    for wj in weights[1:]:
+        rest_w = np.multiply.outer(rest_w, wj).reshape(-1)
     for start in range(0, n_nodes, step):
         chunk = axes[0][start : start + step]
+        w0 = weights[0][start : start + step]
+        vals = np.asarray(f(np.ix_(chunk, *axes[1:])))
         if dim == 1:
-            vals = np.asarray(f(chunk.reshape(-1, 1)))
-            total += float((vals * weights[0][start : start + step]).sum())
+            total += float((vals * w0).sum())
         else:
-            pts = np.empty((len(chunk), per_plane, dim))
-            pts[..., 0] = chunk[:, None]
-            pts[..., 1:] = rest_mesh[None, :, :]
-            vals = np.asarray(f(pts.reshape(-1, dim))).reshape(len(chunk), per_plane)
-            total += float(
-                (weights[0][start : start + step] @ (vals @ rest_w))
-            )
+            total += float(w0 @ (vals.reshape(len(chunk), per_plane) @ rest_w))
     return total
 
 
@@ -280,9 +278,9 @@ def true_divergence(
             ]
         )
 
-    def integrand(pts):
-        a = density(fx, pts)
-        b = density(fy, pts)
+    def integrand(axes):
+        a = _density_on(fx, axes)
+        b = _density_on(fy, axes)
         den = p * a + q * b
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
@@ -309,12 +307,18 @@ class BayesBounds:
 
 
 def bayes_bounds(d_p: float, p: float) -> BayesBounds:
-    """Bayes error bracket from a divergence value (p = 1/2 only).
+    """Bayes error bracket at prior p from a divergence value.
 
-    The input divergence is clamped into [0, 1] first, so raw (possibly
-    negative) small-sample estimates are accepted.
+    With u = 4pq D_p + (p - q)^2 (Berisha, Wisler, Hero & Spanias, IEEE TSP
+    2016), lower = (1 - sqrt(u))/2 and upper = min((1 - u)/2, p, q): the
+    error never exceeds the smaller prior, which the raw upper bound can
+    when p != 1/2; the lower bound meets it at D = 0 and is capped against
+    rounding. The input divergence is clamped into [0, 1] first, so
+    raw (possibly negative) small-sample estimates are accepted.
     """
-    if p != 0.5:
-        raise UnsupportedP("bounds are only tight (and implemented) for p = 1/2")
+    prior = MixtureParam(p)  # raises InvalidP
     d = min(1.0, max(0.0, float(d_p)))
-    return BayesBounds(lower=(1.0 - math.sqrt(d)) / 2.0, upper=(1.0 - d) / 2.0, p=0.5)
+    u = min(1.0, 4.0 * prior.p * prior.q * d + (prior.p - prior.q) ** 2)
+    lower, upper = (1.0 - math.sqrt(u)) / 2.0, (1.0 - u) / 2.0
+    cap = min(prior.p, prior.q)
+    return BayesBounds(lower=min(lower, cap), upper=min(upper, cap), p=prior.p)

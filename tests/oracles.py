@@ -2,14 +2,19 @@
 
 Each oracle takes a deliberately different route from the code it checks:
 full-matrix linear scans instead of tree search, Kruskal instead of Prim,
-pseudoinverse least-squares instead of the Gram solve, and adaptive
-Gauss-Kronrod quadrature instead of trapezoid grids.
+pseudoinverse least-squares instead of the Gram solve, adaptive
+Gauss-Kronrod quadrature instead of trapezoid grids, and trapezoid grids
+over materialized point arrays instead of per-axis factors.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate
+
+from hpdiv import oracle
 
 
 def scan_rank_table(points: np.ndarray) -> np.ndarray:
@@ -102,9 +107,115 @@ def quad_divergence_1d(fx, fy, p: float, lo: float, hi: float) -> float:
     return 1.0 - val
 
 
-def quad_bayes_error_1d(fx, fy, lo: float, hi: float) -> float:
-    """Adaptive quadrature of the p=1/2 Bayes error for 1-D callables."""
+def quad_bayes_error_1d(fx, fy, lo: float, hi: float, p: float = 0.5) -> float:
+    """Adaptive quadrature of the prior-p Bayes error for 1-D callables."""
     val, _ = integrate.quad(
-        lambda t: min(0.5 * fx(t), 0.5 * fy(t)), lo, hi, limit=300, epsabs=1e-13
+        lambda t: min(p * fx(t), (1 - p) * fy(t)), lo, hi, limit=300, epsabs=1e-13
     )
     return val
+
+
+# The package's tensor-grid quadrature as it stood when every grid value came
+# from a materialized (points, d) array. The per-axis evaluation must match it
+# bit for bit, so the arithmetic here is kept op for op; the slab size and the
+# grid constants are read from the package at call time so a test can shrink
+# them for both sides at once.
+
+
+def _points_gauss(spec, x):
+    diff = x - spec.mean
+    if spec.cov.ndim == 1:
+        quad = ((diff * diff) / spec.cov).sum(axis=-1)
+        norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.prod(spec.cov)))
+    else:
+        inv = np.linalg.inv(spec.cov)
+        quad = np.einsum("...i,ij,...j->...", diff, inv, diff)
+        norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.linalg.det(spec.cov)))
+    return np.exp(-0.5 * quad) / norm
+
+
+def _points_trapezoid(f, box, n_nodes):
+    dim = box.shape[0]
+    axes, weights = [], []
+    for j in range(dim):
+        lo, hi = box[j]
+        h = (hi - lo) / (n_nodes - 1)
+        wj = np.full(n_nodes, h)
+        wj[0] = wj[-1] = h / 2.0
+        axes.append(np.linspace(lo, hi, n_nodes))
+        weights.append(wj)
+    total = 0.0
+    per_plane = n_nodes ** (dim - 1)
+    step = max(1, oracle._SLAB // per_plane)
+    if dim > 1:
+        rest_mesh = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, dim - 1)
+        rest_w = np.prod(
+            np.stack(np.meshgrid(*weights[1:], indexing="ij"), axis=-1), axis=-1
+        ).reshape(-1)
+    for start in range(0, n_nodes, step):
+        chunk = axes[0][start : start + step]
+        w0 = weights[0][start : start + step]
+        if dim == 1:
+            total += float((np.asarray(f(chunk.reshape(-1, 1))) * w0).sum())
+        else:
+            pts = np.empty((len(chunk), per_plane, dim))
+            pts[..., 0] = chunk[:, None]
+            pts[..., 1:] = rest_mesh[None, :, :]
+            vals = np.asarray(f(pts.reshape(-1, dim))).reshape(len(chunk), per_plane)
+            total += float(w0 @ (vals @ rest_w))
+    return total
+
+
+def _points_refined(f, box, dim, n=None):
+    n = oracle._GRID_START[dim] if n is None else n
+    prev = _points_trapezoid(f, box, n)
+    while 2 * (n - 1) + 1 <= oracle._GRID_CAP[dim]:
+        n = 2 * (n - 1) + 1
+        cur = _points_trapezoid(f, box, n)
+        if abs(cur - prev) < oracle._REFINE_TOL:
+            return cur
+        prev = cur
+    return prev
+
+
+def points_mass(spec) -> float:
+    """Truncation mass of a spec, from point arrays."""
+    if spec.kind == "uniform":
+        return 1.0
+    if spec.cov.ndim == 2:
+        return _points_refined(lambda x: _points_gauss(spec, x), spec.box, spec.dim)
+    mass = 1.0
+    for (lo, hi), mu, s2 in zip(spec.box, spec.mean, spec.cov):
+        mu, s2 = float(mu), float(s2)
+
+        def axis_pdf(t, mu=mu, s2=s2):
+            return np.exp(-0.5 * (t[:, 0] - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)
+
+        mass *= _points_refined(axis_pdf, np.array([[lo, hi]]), 1)
+    return mass
+
+
+def points_density(spec, pts, mass: float):
+    """Density of a spec at the rows of a (points, d) array, given its mass."""
+    inside = ((pts >= spec.box[:, 0]) & (pts <= spec.box[:, 1])).all(axis=1)
+    if spec.kind == "uniform":
+        volume = float(np.prod(spec.box[:, 1] - spec.box[:, 0]))
+        return np.where(inside, 1.0 / volume, 0.0)
+    return np.where(inside, _points_gauss(spec, pts) / mass, 0.0)
+
+
+def points_divergence(fx, fy, p: float, grid: int | None = None) -> float:
+    """D_p by the tensor trapezoid over (points, d) arrays, on the union box."""
+    box = np.column_stack(
+        [np.minimum(fx.box[:, 0], fy.box[:, 0]), np.maximum(fx.box[:, 1], fy.box[:, 1])]
+    )
+    mx, my = points_mass(fx), points_mass(fy)
+
+    def integrand(pts):
+        a = points_density(fx, pts, mx)
+        b = points_density(fy, pts, my)
+        den = p * a + (1 - p) * b
+        return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
+
+    value = _points_refined(integrand, box, fx.dim, grid)
+    return float(min(1.0, max(0.0, 1.0 - value)))

@@ -193,10 +193,18 @@ class TestBounds:
         assert code == 0
         assert json.loads(out) == {"lower": 0.5, "upper": 0.5}
 
+    def test_other_p(self, capsys):
+        code, out, _ = run_cli(capsys, ["bounds", "--divergence", "0", "--p", "0.2"])
+        assert code == 0
+        got = json.loads(out)
+        assert got["upper"] == 0.2
+        assert got["lower"] == pytest.approx(0.2, abs=1e-15)
+
     def test_bad_p_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, ["bounds", "--divergence", "0.2", "--p", "0.4"])
-        assert code == 2
-        assert json.loads(err)["error"] == "UnsupportedP"
+        for p in ("0", "1.5"):
+            code, _, err = run_cli(capsys, ["bounds", "--divergence", "0.2", "--p", p])
+            assert code == 2
+            assert json.loads(err)["error"] == "InvalidP"
 
 
 class TestGen:

@@ -320,11 +320,13 @@ class TestSortedColumns:
                else copied_lattice(16, 2, 4))
         rows = np.arange(0, len(pts), 7)
         cols = np.array([0, 1, 2, 40, 41, 42, 299, 300, 301])
-        got = neighbors._sorted_columns(pts, rows, cols, workers)
+        got, near = neighbors._sorted_columns(pts, rows, cols, workers)
         full = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(
             np.take_along_axis(full, got, axis=1), np.sort(full, axis=1)[:, cols]
         )
+        # The distances come back in the package's own formula, block by block.
+        np.testing.assert_array_equal(near, neighbors._sq_dists(pts, got, rows[:, None]))
 
     @pytest.mark.parametrize("top, source", [(27, "kd"), (28, "sort")])
     def test_either_side_of_the_switch(self, top, source):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,16 +7,23 @@ from scipy.stats import norm
 
 from hpdiv import (
     DimTooHigh,
+    InvalidP,
     NonOverlappingSupportWarning,
-    UnsupportedP,
     bayes_bounds,
     density,
     true_divergence,
     truncated_normal,
+    oracle,
     uniform_box,
 )
 
-from oracles import quad_bayes_error_1d, quad_divergence_1d
+from oracles import (
+    points_density,
+    points_divergence,
+    points_mass,
+    quad_bayes_error_1d,
+    quad_divergence_1d,
+)
 
 # frozen by adaptive Gauss-Kronrod quadrature over the analytic truncated
 # densities: TruncNormal(0,1,[-5,5]) vs TruncNormal(1,1,[-5,5]) at p = 1/2
@@ -104,6 +112,82 @@ class TestTrueDivergence:
     def test_3d_identical_and_disjoint(self):
         f = truncated_normal(np.zeros(3), 1.0, (-3, 3))
         assert true_divergence(f, f, 0.5, grid=41) == pytest.approx(0.0, abs=5e-4)
+        a = uniform_box([(0.0, 1.0)] * 3)
+        b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
+        with pytest.warns(NonOverlappingSupportWarning):
+            assert true_divergence(a, b, 0.5, grid=11) == 1.0
+
+
+def _specs(d: int) -> dict:
+    """Diagonal, full-covariance and uniform specs on equal and unequal boxes."""
+    return {
+        "diag": truncated_normal(np.zeros(d), 1.0, (-5, 5)),
+        "diag2": truncated_normal(
+            np.arange(d) * 0.3 + 0.5, np.linspace(0.7, 2.0, d), (-4, 4.5)
+        ),
+        "full": truncated_normal(
+            np.full(d, 0.1), np.full((d, d), 0.3) + 0.9 * np.eye(d), (-4, 4)
+        ),
+        "odd": truncated_normal(
+            np.full(d, 0.2),
+            np.linspace(1.3, 0.6, d),
+            np.column_stack([np.linspace(-3, -2, d), np.linspace(2.5, 4, d)]),
+        ),
+        "unif": uniform_box(np.tile([-3.0, 3.5], (d, 1))),
+        "disj": uniform_box(np.tile([6.0, 7.0], (d, 1))),
+    }
+
+
+@pytest.fixture
+def coarse_grids(monkeypatch):
+    """Start grids and caps small enough for the point-array reference at
+    d = 2, 3; d = 1 keeps its own. Specs built under it take their masses
+    on these grids too."""
+    monkeypatch.setattr(oracle, "_GRID_START", {1: 2001, 2: 41, 3: 11})
+    monkeypatch.setattr(oracle, "_GRID_CAP", {1: 32001, 2: 321, 3: 81})
+
+
+class TestMatchesPointArrays:
+    """The per-axis grid evaluation gives the point-array quadrature's bytes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_masses_and_densities(self, coarse_grids, d):
+        pts = np.random.default_rng(d).uniform(-6, 6, size=(500, d))
+        for spec in _specs(d).values():
+            assert spec._mass == points_mass(spec)
+            np.testing.assert_array_equal(
+                density(spec, pts), points_density(spec, pts, spec._mass)
+            )
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.73])
+    @pytest.mark.parametrize(
+        "pair", [("diag", "diag2"), ("diag", "unif"), ("full", "odd"), ("unif", "disj")]
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_true_divergence(self, coarse_grids, d, pair, p):
+        specs = _specs(d)
+        fx, fy = specs[pair[0]], specs[pair[1]]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = true_divergence(fx, fy, p)
+        assert bool(seen) == (not np.array_equal(fx.box, fy.box))
+        assert got == points_divergence(fx, fy, p)
+
+    def test_default_grids_on_the_bench_pair(self):
+        fx = truncated_normal(np.zeros(2), 1.0, (-5, 5))
+        fy = truncated_normal([1.0, 0.0], 1.0, (-5, 5))
+        assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_many_slabs(self, coarse_grids, monkeypatch, d):
+        whole = true_divergence(_specs(d)["diag"], _specs(d)["full"], 0.4)
+        monkeypatch.setattr(oracle, "_SLAB", 1000)  # 2 to 41 slabs per grid
+        specs = _specs(d)  # masses on the same slabs as the reference's
+        fx, fy = specs["diag"], specs["full"]
+        got = true_divergence(fx, fy, 0.4)
+        assert got == points_divergence(fx, fy, 0.4)
+        assert got == pytest.approx(whole, abs=1e-12)
 
 
 class TestBayesBounds:
@@ -124,14 +208,34 @@ class TestBayesBounds:
         assert bayes_bounds(-0.7, 0.5).lower == 0.5
         assert bayes_bounds(1.4, 0.5).upper == 0.0
 
-    def test_rejects_other_p(self):
-        with pytest.raises(UnsupportedP):
-            bayes_bounds(0.3, 0.4)
+    def test_other_p(self):
+        # u = 4 (0.4)(0.6)(0.3) + 0.2^2 = 0.328
+        b = bayes_bounds(0.3, 0.4)
+        assert b.lower == pytest.approx((1 - math.sqrt(0.328)) / 2, rel=1e-12)
+        assert b.upper == pytest.approx((1 - 0.328) / 2, rel=1e-12)
+        assert b.p == 0.4
+
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_upper_capped_by_smaller_prior(self, p):
+        # At D = 0 the raw upper bound (1 - u)/2 = 0.32 exceeds the error 0.2.
+        b = bayes_bounds(0.0, p)
+        assert b.upper == min(p, 1 - p)
+        assert b.lower == pytest.approx(0.2, abs=1e-15)
+        assert (bayes_bounds(1.0, p).lower, bayes_bounds(1.0, p).upper) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(InvalidP):
+            bayes_bounds(0.3, p)
 
     @pytest.mark.parametrize("d", np.linspace(0, 1, 11).tolist())
     def test_ordering(self, d):
         b = bayes_bounds(d, 0.5)
         assert 0.0 <= b.lower <= b.upper <= 0.5
+        assert (b.lower, b.upper) == ((1.0 - math.sqrt(d)) / 2.0, (1.0 - d) / 2.0)
+        for p in (0.05, 0.2, 0.4, 0.73):
+            b = bayes_bounds(d, p)
+            assert 0.0 <= b.lower <= b.upper <= min(p, 1 - p)
 
     @pytest.mark.parametrize("mu,s2", [(1.0, 1.0), (0.5, 1.0), (1.5, 2.0)])
     def test_sandwich_on_gaussian_pairs(self, mu, s2):
@@ -142,4 +246,15 @@ class TestBayesBounds:
         fx = truncated_normal([0.0], 1.0, (-5, 5))
         fy = truncated_normal([mu], s2, (-5, 5))
         b = bayes_bounds(true_divergence(fx, fy, 0.5), 0.5)
+        assert b.lower - 1e-9 <= err <= b.upper + 1e-9
+
+    @pytest.mark.parametrize("p", [0.2, 0.4])
+    @pytest.mark.parametrize("mu,s2", [(0.0, 1.0), (1.0, 1.0), (0.5, 1.0), (1.5, 2.0)])
+    def test_sandwich_at_other_p(self, mu, s2, p):
+        fx_pdf = tnorm_pdf(0.0, 1.0, -5, 5)
+        fy_pdf = tnorm_pdf(mu, s2, -5, 5)
+        err = quad_bayes_error_1d(fx_pdf, fy_pdf, -5, 5, p)
+        fx = truncated_normal([0.0], 1.0, (-5, 5))
+        fy = truncated_normal([mu], s2, (-5, 5))
+        b = bayes_bounds(true_divergence(fx, fy, p), p)
         assert b.lower - 1e-9 <= err <= b.upper + 1e-9
