@@ -30,6 +30,7 @@ from .oracle import (
     DimTooHigh,
     DistributionSpec,
     NonOverlappingSupportWarning,
+    RefinementCapWarning,
     bayes_bounds,
     density,
     true_divergence,
@@ -64,6 +65,7 @@ __all__ = [
     "NeighborIndex",
     "NonOverlappingSupportWarning",
     "PointCloud",
+    "RefinementCapWarning",
     "RejectionStall",
     "SamplerState",
     "SampleRatioWarning",

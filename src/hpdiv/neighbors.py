@@ -6,21 +6,18 @@ k (self excluded). Ranks are defined by lexicographic order on
 deterministic even in the presence of duplicate points or exact distance
 ties.
 
-Only the ranks a caller reads are certified. For each read rank r the
-candidates r-1, r and r+1 come from one of two sources: a scipy cKDTree
-query while the deepest rank is shallow (10 (k_max + 2) < n), else a sort
-of whole rows of squared distances, in blocks. The tree must search k_max
-deep for every row whichever columns it returns, so deep wnn schedules
-are cheaper to sort. Either way the candidates' distances are recomputed
-with the package's own distance formula, and candidate r is the rank-r
-neighbor when it lies strictly between the other two; a source whose
-distances are right to a few ulps therefore yields the same ranks. A row
-where some requested rank sits on a tie or a duplicate is re-ranked from
-its k_max + 1 + _TIE_PAD nearest candidates sorted by (distance, index),
-a window that doubles until the ties end inside it or it holds every
-point. Results always match a brute-force scan. The kd queries and the
-row sorts may split their rows over ``workers`` threads; each row's answer
-does not depend on the split.
+Only the ranks a caller reads are certified, in one block loop over rows
+in the tree's leaf order on ``workers`` threads. For each read rank r a
+block takes candidates r-1, r and r+1 from a scipy cKDTree query, or for
+deep ranks from a sort of whole rows of packed int64 keys (a squared
+distance's bits, the low bits holding the point's index). Candidate r is
+the rank-r neighbor when its distance, recomputed by one formula, lies
+strictly between the other two and its key bucket (the bits above the
+index) differs from theirs: one bucket orders by index, which can hide a
+gap between subnormal distances. A row with a read rank on a tie is
+re-ranked from its k_max + 1 + _TIE_PAD nearest candidates sorted by
+(distance, index), a window that doubles until the ties end inside it or
+it holds every point. Results match a brute-force scan at any thread count.
 """
 
 from __future__ import annotations
@@ -37,14 +34,13 @@ from .core import HPDivError, JointSet, KTooLarge
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
-# Candidate entries (rows x window, or rows x n in a row sort) sorted at
-# once: bounds the memory of wide windows and of the row sorts' threads.
+# Candidate entries held at once over all threads: rows x n in a row
+# sort, rows x (k_max + 2) in a kd search, rows x window on the tie path.
 _BLOCK = 1 << 18
-# The kd tree searches k_max deep for every row whichever columns it
-# returns, while a row sort costs about n per row at any depth; rows are
-# sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread, d = 1..4
-# and n = 1000..16384, the kd query took 0.06-0.19x the sort's time at
-# k_max = n/200, 0.41-1.29x at n/20, 0.71-2.26x at n/10, 1.5-4.0x at n/4.
+# A kd query costs about k_max per row and a row sort about n, so rows are
+# sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread (d = 1..4,
+# n = 1000..16384) kd took 0.02-0.58x the sort's time at k_max = 20,
+# 0.48-1.43x at n/20 (0.48-0.63x at d = 1) and 0.87-2.63x at n/10.
 _SORT_DEPTH = 10
 
 
@@ -67,13 +63,11 @@ def build_index(z: JointSet) -> NeighborIndex:
 
 
 def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances with one fixed summation order.
-
-    The certified columns and the sorted windows rank candidates with this
-    exact computation, so their orderings agree bit-for-bit.
-    """
-    diff = points[a] - points[b]
-    return np.einsum("...i,...i->...", diff, diff)
+    """Squared Euclidean distances with one fixed summation order, so every
+    ranking of candidates agrees bit for bit. Index n, the tree's answer past
+    the last finite (not overflowed) distance, reads as +inf."""
+    diff = np.take(points, a, axis=0, mode="clip") - points[b]
+    return np.where(a < len(points), np.einsum("...i,...i->...", diff, diff), np.inf)
 
 
 def _sorted_rows(
@@ -94,7 +88,9 @@ def _sorted_rows(
             work.append((pos[step:], k))
             pos = pos[:step]
         row = rows[pos, None]
-        _, cand = idx.tree.query(points[rows[pos]], k=k, workers=workers)
+        # The whole window needs no tree, which leaves out overflowed distances.
+        cand = (idx.tree.query(points[rows[pos]], k=k, workers=workers)[1] if k < len(points)
+                else np.broadcast_to(np.arange(k), (len(pos), k)))
         d2 = _sq_dists(points, cand, row)
         horizon = d2[:, -1:] * (1.0 - _TIE_RTOL)
         d2[cand == row] = np.inf  # exclude self
@@ -106,58 +102,40 @@ def _sorted_rows(
     return out
 
 
+@np.errstate(over="ignore")  # overflowed squares are +inf, as in _sq_dists
 def _sorted_columns(
-    points: np.ndarray, rows: np.ndarray, cols: np.ndarray, workers: int
+    coords: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Points at sorted columns ``cols`` (0 is the nearest, self included)
-    of each row, from whole rows of squared distances, and their
-    ``_sq_dists`` from the row.
-
-    Rows go in blocks of at most _BLOCK distances, split over ``workers``
-    threads. Ties and near ties may come back in any order: the caller
-    certifies the columns it reads in the returned distances.
-    """
-    n = len(points)
-    coords = np.ascontiguousarray(points.T)
-    kth = int(cols[-1])
-    step = max(1, _BLOCK // (n * workers))
-    out = np.empty((len(rows), len(cols)), dtype=np.intp)
-    near = np.empty((len(rows), len(cols)))
-
-    def block(start: int) -> None:
-        span = slice(start, start + step)
-        here = points[rows[span]]
-        d2 = np.subtract(coords[0], here[:, :1])
-        d2 *= d2
-        part = np.empty_like(d2)
-        for c, h in zip(coords[1:], here[:, 1:].T):
-            d2 += np.square(np.subtract(c, h[:, None], out=part), out=part)
-        del part  # freed before the partition allocates its indices
-        head = np.argpartition(d2, kth, axis=1)[:, :kth + 1]
-        order = np.argsort(np.take_along_axis(d2, head, axis=1), axis=1)[:, cols]
-        out[span] = np.take_along_axis(head, order, axis=1)
-        near[span] = _sq_dists(points, out[span], rows[span, None])
-
-    starts = range(0, len(rows), step)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
-    else:
-        for start in starts:
-            block(start)
-    return out, near
+    of each row against all of ``coords`` (d, n), and their buckets: a row
+    sorts keys, a squared distance's bits (monotone, as squares are >= +0)
+    with the low (n-1).bit_length() bits replaced by the point's index, so
+    keys in one bucket (``key >> bits``) sort by index, not distance."""
+    n = coords.shape[1]
+    bits = (n - 1).bit_length()
+    here = coords[:, rows, None]
+    d2 = np.subtract(coords[0], here[0])
+    d2 *= d2
+    part = np.empty_like(d2)
+    for c, h in zip(coords[1:], here[1:]):
+        d2 += np.square(np.subtract(c, h, out=part), out=part)
+    del part  # freed before the partition copies the keys
+    keys = d2.view(np.int64)
+    keys &= -1 << bits
+    keys |= np.arange(n)
+    head = np.partition(keys, int(cols[-1]), axis=1)[:, :int(cols[-1]) + 1]
+    head.sort(axis=1)
+    keys = head[:, cols]
+    return keys & ((1 << bits) - 1), keys >> bits
 
 
 def _ranked_rows(
     idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, workers: int = 1
 ) -> np.ndarray:
-    """(len(rows), len(ranks)) neighbor indices at the given ranks.
-
-    The tree, or for deep ranks a row sort, returns candidate columns r-1,
-    r and r+1 of each rank r (0 is the nearest). Column r is rank r when its distance sits strictly inside
-    those of columns r-1 and r+1 (+inf past the last point): columns
-    0..r-1 are then the r points nearer than it, self among them.
-    """
+    """(len(rows), len(ranks)) neighbor indices at the given ranks. Column r
+    (0 is the nearest) is rank r when its distance sits strictly inside
+    those of columns r-1 and r+1 (+inf past the last point) and its bucket
+    differs from theirs: columns 0..r-1 are then the r points nearer."""
     points = idx.source.points
     n = points.shape[0]
     lo, hi = (int(ranks.min()), int(ranks.max())) if ranks.size else (0, 0)
@@ -166,18 +144,37 @@ def _ranked_rows(
 
     cols = np.unique(np.concatenate([ranks - 1, ranks, ranks + 1]))
     cols = cols[cols < n]
-    if _SORT_DEPTH * (hi + 2) < n:
-        _, cand = idx.tree.query(points[rows], k=(cols + 1).tolist(), workers=workers)
-        near = _sq_dists(points, cand, rows[:, None])
-    else:
-        cand, near = _sorted_columns(points, rows, cols, workers)
-    d2 = np.full((len(rows), len(cols) + 1), np.inf)
-    d2[:, :-1] = near
-    below, at, above = (d2[:, np.searchsorted(cols, ranks + s)] for s in (-1, 0, 1))
-    sure = (below < at * (1.0 - _TIE_RTOL)) & (at < above * (1.0 - _TIE_RTOL))
+    at = np.searchsorted(cols, ranks)
+    sort = _SORT_DEPTH * (hi + 2) >= n
+    coords = np.ascontiguousarray(points.T) if sort else None
+    step = max(1, _BLOCK // ((n if sort else hi + 2) * workers))
+    blocks = -(-len(rows) // step)
+    step = -(-len(rows) // (blocks + -blocks % workers))  # as many blocks per thread
+    out = np.empty((len(rows), len(ranks)), dtype=np.int64)
+    sure = np.empty(len(rows), dtype=bool)
 
-    out = cand[:, np.searchsorted(cols, ranks)].astype(np.int64)
-    tied = np.nonzero(~sure.all(axis=1))[0]
+    def block(start: int) -> None:
+        here = rows[start:start + step]
+        if sort:
+            cand, bucket = _sorted_columns(coords, here, cols)
+        else:  # the tree orders by distance alone: each column is its own bucket
+            _, cand = idx.tree.query(points[here], k=(cols + 1).tolist(), workers=1)
+            bucket = cols[None]
+        d2 = _sq_dists(points, cand, here[:, None])
+        apart = np.ones(cand.shape, dtype=bool)  # column j sits below column j+1
+        apart[:, :-1] = d2[:, :-1] < d2[:, 1:] * (1.0 - _TIE_RTOL)
+        apart[:, :-1] &= bucket[:, :-1] != bucket[:, 1:]
+        out[start:start + step] = cand[:, at]
+        sure[start:start + step] = (apart[:, at - 1] & apart[:, at]).all(axis=1)
+
+    starts = range(0, len(rows), step)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
+    else:
+        for start in starts:
+            block(start)
+    tied = np.flatnonzero(~sure)
     if tied.size:
         out[tied] = _sorted_rows(idx, rows[tied], ranks, hi, workers)
     return out
@@ -185,8 +182,11 @@ def _ranked_rows(
 
 def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
     """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of
-    point i; the same at any count of kd-query ``workers`` threads."""
-    return _ranked_rows(idx, np.arange(len(idx)), np.asarray(ranks, dtype=np.int64), workers)
+    point i, the same at any count of ``workers`` threads."""
+    leaf = idx.tree.indices  # a block's rows then lie close together
+    out = np.empty((len(leaf), np.size(ranks)), dtype=np.int64)
+    out[leaf] = _ranked_rows(idx, leaf, np.asarray(ranks, dtype=np.int64), workers)
+    return out
 
 
 def neighbor_table(idx: NeighborIndex, k_max: int) -> np.ndarray:

@@ -52,6 +52,10 @@ class NonOverlappingSupportWarning(UserWarning):
     """The two specs carry different boxes; integrating over the union."""
 
 
+class RefinementCapWarning(UserWarning):
+    """Grid doubling reached its cap before two values agreed to _REFINE_TOL."""
+
+
 @dataclass(frozen=True, eq=False)
 class DistributionSpec:
     """Analytic density on an axis-aligned box: truncated normal or uniform.
@@ -239,12 +243,21 @@ def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
 def _refined_trapezoid(f, box: np.ndarray, dim: int, n: int | None = None) -> float:
     n = _GRID_START[dim] if n is None else n
     prev = _tensor_trapezoid(f, box, n)
+    change = None
     while 2 * (n - 1) + 1 <= _GRID_CAP[dim]:
         n = 2 * (n - 1) + 1
         cur = _tensor_trapezoid(f, box, n)
-        if abs(cur - prev) < _REFINE_TOL:
+        change = abs(cur - prev)
+        if change < _REFINE_TOL:
             return cur
         prev = cur
+    if change is not None:
+        warnings.warn(
+            f"quadrature refinement stopped at its cap of {n} nodes per axis; "
+            f"the last doubling moved the value by {change:.3g} (tolerance {_REFINE_TOL:g})",
+            RefinementCapWarning,
+            stacklevel=3,
+        )
     return prev
 
 

@@ -17,20 +17,24 @@ from scipy import integrate
 from hpdiv import oracle
 
 
-def scan_rank_table(points: np.ndarray) -> np.ndarray:
-    """(n, n-1) neighbor ranks per point from a full distance matrix.
+@np.errstate(over="ignore")  # squares past the float range read as +inf
+def scan_rank_table(points: np.ndarray, ranks=None) -> np.ndarray:
+    """(n, n-1) neighbor ranks per point by a linear scan of every row, or
+    only the columns of ``ranks`` (n, len(ranks)).
 
     Ordering key is (squared distance, index), identical to the package's
-    documented tie-break but computed from an explicit n x n matrix.
+    documented tie-break but computed from one explicit distance row per
+    point.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
+    cols = np.arange(n - 1) if ranks is None else np.asarray(ranks) - 1
     idx = np.arange(n)
-    table = np.empty((n, n - 1), dtype=np.int64)
+    table = np.empty((n, len(cols)), dtype=np.int64)
     for i in range(n):
-        table[i] = np.lexsort((idx, d2[i]))[: n - 1]
+        d2 = ((pts[i] - pts) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        table[i] = np.lexsort((idx, d2))[cols]
     return table
 
 

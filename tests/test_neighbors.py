@@ -130,7 +130,7 @@ class TestInvariants:
 
 def scan_columns(z, ks):
     """The scan oracle's columns at ranks ks."""
-    return scan_rank_table(z.points)[:, np.asarray(ks) - 1]
+    return scan_rank_table(z.points, ks)
 
 
 class RecordingTree:
@@ -138,6 +138,7 @@ class RecordingTree:
 
     def __init__(self, tree):
         self.tree = tree
+        self.indices = tree.indices
         self.ks = []
         self.rows = []
 
@@ -252,16 +253,18 @@ class TestNarrowFetch:
     """The candidate source returns only the columns that certify the read ranks."""
 
     def test_only_certified_columns_are_requested(self):
-        # 10 * (40 + 2) < 600, so the kd query is the source.
+        # _SORT_DEPTH * (40 + 2) < 600, so the kd query is the source.
         rng = np.random.default_rng(8)
         z = make_joint(rng.normal(size=(600, 3)))
+        assert neighbors._SORT_DEPTH * (40 + 2) < len(z)
         tree = RecordingTree(build_index(z).tree)
         ks = [1, 7, 8, 40]
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         # Ranks r ask for columns r-1, r, r+1, i.e. tree ranks r, r+1, r+2;
         # never k = k_max + 2 and never a column between the read ranks.
-        assert tree.ks == [[1, 2, 3, 7, 8, 9, 10, 40, 41, 42]]
+        assert tree.ks
+        assert all(k == [1, 2, 3, 7, 8, 9, 10, 40, 41, 42] for k in tree.ks)
 
     def test_last_rank_asks_for_nothing_past_the_cloud(self, monkeypatch):
         # Rank n-1 is always deep enough to sort whole rows.
@@ -269,9 +272,9 @@ class TestNarrowFetch:
         sorted_cols = []
         real = neighbors._sorted_columns
 
-        def recording(points, rows, cols, workers):
+        def recording(coords, rows, cols):
             sorted_cols.append(cols.tolist())
-            return real(points, rows, cols, workers)
+            return real(coords, rows, cols)
 
         monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         tree = RecordingTree(build_index(z).tree)
@@ -312,26 +315,40 @@ class TestSortedColumns:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["random", "lattice"])
-    def test_columns_hold_the_sorted_distances(self, kind, workers):
+    def test_columns_hold_the_sorted_distances(self, kind, workers, monkeypatch):
         # The source's contract, ties aside: column c of a row is at the
-        # c-th smallest distance of that row, self included. At d=2 both
-        # sums add the same two squares, so the distances agree bit for bit.
+        # c-th smallest distance of that row, self included, and its bucket
+        # holds that distance's bits above the index bits. At d=2 every sum
+        # adds the same two squares, so the distances agree bit for bit.
         pts = (np.random.default_rng(7).normal(size=(1000, 2)) if kind == "random"
                else copied_lattice(16, 2, 4))
-        rows = np.arange(0, len(pts), 7)
-        cols = np.array([0, 1, 2, 40, 41, 42, 299, 300, 301])
-        got, near = neighbors._sorted_columns(pts, rows, cols, workers)
-        full = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(
-            np.take_along_axis(full, got, axis=1), np.sort(full, axis=1)[:, cols]
-        )
-        # The distances come back in the package's own formula, block by block.
-        np.testing.assert_array_equal(near, neighbors._sq_dists(pts, got, rows[:, None]))
+        blocks = []
+        real = neighbors._sorted_columns
+
+        def recording(coords, rows, cols):
+            got, bucket = real(coords, rows, cols)
+            blocks.append((rows, cols, got, bucket))
+            return got, bucket
+
+        monkeypatch.setattr(neighbors, "_sorted_columns", recording)
+        z = make_joint(pts)
+        neighbor_ranks(build_index(z), [1, 41, 300], workers)
+        assert np.array_equal(np.sort(np.concatenate([b[0] for b in blocks])), np.arange(len(pts)))
+        bits = (len(pts) - 1).bit_length()
+        for rows, cols, got, bucket in blocks:
+            assert cols.tolist() == [0, 1, 2, 40, 41, 42, 299, 300, 301]
+            full = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+            np.testing.assert_array_equal(
+                np.take_along_axis(full, got, axis=1), np.sort(full, axis=1)[:, cols]
+            )
+            # The certified distances, in the package's own formula, are the keys'.
+            near = neighbors._sq_dists(z.points, got, rows[:, None])
+            np.testing.assert_array_equal(bucket, near.view(np.int64) >> bits)
 
     @pytest.mark.parametrize("top, source", [(27, "kd"), (28, "sort")])
     def test_either_side_of_the_switch(self, top, source):
-        # 10 * (27 + 2) < 300 <= 10 * (28 + 2).
-        z = make_joint(np.random.default_rng(6).normal(size=(300, 2)))
+        # _SORT_DEPTH * (27 + 2) < n <= _SORT_DEPTH * (28 + 2).
+        z = make_joint(np.random.default_rng(6).normal(size=(30 * neighbors._SORT_DEPTH, 2)))
         ks = [1, 9, top]
         tree = RecordingTree(build_index(z).tree)
         got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
@@ -343,13 +360,13 @@ class TestSortedColumns:
         # A small block bound sorts a few rows at a time; the threads share it.
         monkeypatch.setattr(neighbors, "_BLOCK", 200)
         shapes = []
-        real = np.argpartition
+        real = np.partition
 
         def recording(a, kth, axis):
             shapes.append(a.shape)
             return real(a, kth, axis=axis)
 
-        monkeypatch.setattr(np, "argpartition", recording)
+        monkeypatch.setattr(np, "partition", recording)
         z = make_joint(copied_lattice(3, 2, 4))
         ks = [1, 4, 30]
         got = neighbor_ranks(build_index(z), ks, workers)
@@ -357,3 +374,65 @@ class TestSortedColumns:
         assert sum(rows for rows, _ in shapes) == len(z)
         assert len(shapes) > 2
         assert all(rows * n * workers <= 200 for rows, n in shapes)
+
+
+class TestPackedKeys:
+    """The row sort ranks by int64 keys: a squared distance's bits with the
+    low bits holding the point index. Each case must give the scan's ranks
+    from either source at one and two threads."""
+
+    @staticmethod
+    def tied_rows(z, ks, monkeypatch):
+        """Check every source and thread count against the scan; return the
+        count of rows each run sent to the tie path."""
+        expected = scan_columns(z, ks)
+        idx = build_index(z)
+        tied = []
+        real = neighbors._sorted_rows
+
+        def recording(idx, rows, *args):
+            tied[-1] += len(rows)
+            return real(idx, rows, *args)
+
+        monkeypatch.setattr(neighbors, "_sorted_rows", recording)
+        for depth in (0, len(z)):  # the kd query, then the row sort
+            monkeypatch.setattr(neighbors, "_SORT_DEPTH", depth)
+            for workers in (1, 2):
+                tied.append(0)
+                np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
+        return tied
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_subnormal_distances(self, seed, monkeypatch):
+        # Spacing about 2^-537 puts every squared distance a few hundred
+        # subnormal steps above zero: a key bucket of 2^6 steps then holds
+        # distances whose relative gaps are far above _TIE_RTOL. A few
+        # spread ranks leave a misordered bucket's other columns unread.
+        pts = np.random.default_rng(seed).normal(size=(40, 2)) * 8 * 2.0**-537
+        assert 0 < np.abs(pts).max() ** 2 < np.finfo(float).tiny
+        for ks in ([1, 2, 3], [5, 10, 20]):
+            self.tied_rows(make_joint(pts), ks, monkeypatch)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances(self, monkeypatch):
+        # Coordinates near 1e155: most squared distances overflow to inf,
+        # silently, as on the kd path.
+        pts = np.random.default_rng(1).normal(size=(40, 2)) * 1e155
+        z = make_joint(pts)
+        assert np.isinf(neighbors._sq_dists(z.points, np.arange(40), 0)).any()
+        self.tied_rows(z, list(range(1, 40)), monkeypatch)
+
+    def test_near_ties_inside_one_bucket(self, monkeypatch):
+        # Each point has a twin moved by a relative 2^-45, so their distances
+        # from the other points share a key bucket.
+        base = np.random.default_rng(2).normal(size=(20, 3))
+        pts = np.vstack([base, base * (1 + 2.0**-45)])
+        self.tied_rows(make_joint(pts), list(range(1, 40)), monkeypatch)
+
+    @pytest.mark.parametrize("n", [1 << 12, (1 << 12) + 1])
+    def test_index_bits_boundary(self, n, monkeypatch):
+        # (n - 1).bit_length() index bits hold every index; with one bit
+        # fewer the high indices decode wrong. Random points have no ties,
+        # so every row certifies and none may reach the tie path.
+        pts = np.random.default_rng(n).normal(size=(n, 2))
+        assert self.tied_rows(make_joint(pts), [1, 2, 3, 50], monkeypatch) == [0, 0, 0, 0]

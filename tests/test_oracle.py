@@ -9,7 +9,9 @@ from hpdiv import (
     DimTooHigh,
     InvalidP,
     NonOverlappingSupportWarning,
+    RefinementCapWarning,
     bayes_bounds,
+    bench,
     density,
     true_divergence,
     truncated_normal,
@@ -111,7 +113,10 @@ class TestTrueDivergence:
 
     def test_3d_identical_and_disjoint(self):
         f = truncated_normal(np.zeros(3), 1.0, (-3, 3))
-        assert true_divergence(f, f, 0.5, grid=41) == pytest.approx(0.0, abs=5e-4)
+        # Doubling from 41 nodes stops at 321 (the 3-D cap is 401), short of
+        # _REFINE_TOL.
+        with pytest.warns(RefinementCapWarning, match="cap of 321 nodes"):
+            assert true_divergence(f, f, 0.5, grid=41) == pytest.approx(0.0, abs=5e-4)
         a = uniform_box([(0.0, 1.0)] * 3)
         b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
         with pytest.warns(NonOverlappingSupportWarning):
@@ -138,6 +143,12 @@ def _specs(d: int) -> dict:
     }
 
 
+# The coarse caps stop many refinements short of _REFINE_TOL; the tests
+# that use them compare bytes with the reference at the same caps, and
+# TestRefinementCap checks the warning itself.
+coarse_cap_warnings = pytest.mark.filterwarnings("ignore::hpdiv.RefinementCapWarning")
+
+
 @pytest.fixture
 def coarse_grids(monkeypatch):
     """Start grids and caps small enough for the point-array reference at
@@ -150,6 +161,7 @@ def coarse_grids(monkeypatch):
 class TestMatchesPointArrays:
     """The per-axis grid evaluation gives the point-array quadrature's bytes."""
 
+    @coarse_cap_warnings
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_masses_and_densities(self, coarse_grids, d):
         pts = np.random.default_rng(d).uniform(-6, 6, size=(500, d))
@@ -159,6 +171,7 @@ class TestMatchesPointArrays:
                 density(spec, pts), points_density(spec, pts, spec._mass)
             )
 
+    @coarse_cap_warnings
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.73])
     @pytest.mark.parametrize(
         "pair", [("diag", "diag2"), ("diag", "unif"), ("full", "odd"), ("unif", "disj")]
@@ -170,7 +183,8 @@ class TestMatchesPointArrays:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             got = true_divergence(fx, fy, p)
-        assert bool(seen) == (not np.array_equal(fx.box, fy.box))
+        union = [w for w in seen if issubclass(w.category, NonOverlappingSupportWarning)]
+        assert bool(union) == (not np.array_equal(fx.box, fy.box))
         assert got == points_divergence(fx, fy, p)
 
     def test_default_grids_on_the_bench_pair(self):
@@ -178,6 +192,7 @@ class TestMatchesPointArrays:
         fy = truncated_normal([1.0, 0.0], 1.0, (-5, 5))
         assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
 
+    @coarse_cap_warnings
     @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_many_slabs(self, coarse_grids, monkeypatch, d):
@@ -188,6 +203,30 @@ class TestMatchesPointArrays:
         got = true_divergence(fx, fy, 0.4)
         assert got == points_divergence(fx, fy, 0.4)
         assert got == pytest.approx(whole, abs=1e-12)
+
+
+class TestRefinementCap:
+    """Refinement that reaches its grid cap unconverged says so."""
+
+    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
+    def test_unequal_boxes_warn_at_the_cap(self):
+        # The inner box's edges fall between grid nodes, so each doubling
+        # gains only first order and the cap comes first.
+        fx = truncated_normal([0.0], 1.0, (-5, 5))
+        fy = truncated_normal([0.3], 0.8, (-2.2, 3.1))
+        with pytest.warns(RefinementCapWarning, match=r"cap of 32001 nodes .* by \d"):
+            got = true_divergence(fx, fy, 0.5)
+        assert got == points_divergence(fx, fy, 0.5)  # still the finest grid's value
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "scenario", [bench.SCENARIO_GAUSS_SHIFT, bench.SCENARIO_GAUSS_SCALE, bench.SCENARIO_GAUSS_VS_UNIFORM]
+    )
+    def test_bench_scenarios_converge(self, scenario, d):
+        plan = bench.ExperimentPlan(scenario, d, (100,), tuple(bench.parse_methods("knn:1")), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RefinementCapWarning)
+            assert 0.0 < bench.resolve_truth(plan) < 1.0
 
 
 class TestBayesBounds:
