@@ -135,6 +135,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise HPDivError(f"unknown scenario {self.scenario!r}")
+        if self.dims < 1:
+            raise HPDivError(f"dims must be >= 1, got {self.dims}")
         if self.trials < 2:
             raise HPDivError("trials must be >= 2")
         grid = tuple(int(n) for n in self.n_grid)

@@ -114,6 +114,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.dim < 1:
+        raise HPDivError(f"--dim must be >= 1, got {args.dim}")
     box = _csv_numbers(args.box, "--box")
     if len(box) != 2:
         raise HPDivError("--box wants LO,HI")

@@ -83,6 +83,11 @@ class TestPlanValidation:
         with pytest.raises(InvalidP):
             small_plan(p=1.5)
 
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_dims_floor(self, dims):
+        with pytest.raises(HPDivError, match="dims"):
+            small_plan(dims=dims)
+
 
 class TestTruth:
     def test_user_truth_wins(self):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, argv, match):
+    """Exit 2, nothing on stdout, one JSON line on stderr, no warnings."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, out, seen) == (2, "", [])
+    assert len(err.splitlines()) == 1
+    assert match in json.loads(err)["message"]
 
 
 class TestEstimate:
@@ -200,6 +211,9 @@ class TestBounds:
         assert got["upper"] == 0.2
         assert got["lower"] == pytest.approx(0.2, abs=1e-15)
 
+    def test_nan_divergence_exit_2(self, capsys):
+        assert_usage_error(capsys, ["bounds", "--divergence", "nan"], "nan")
+
     def test_bad_p_exit_2(self, capsys):
         for p in ("0", "1.5"):
             code, _, err = run_cli(capsys, ["bounds", "--divergence", "0.2", "--p", p])
@@ -238,6 +252,21 @@ class TestGen:
         )
         assert code == 3
         assert json.loads(err)["error"] == "RejectionStall"
+
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--dist", "uniform", "--dim", "0"], "--dim"),
+        (["--dist", "tnorm", "--dim", "0"], "--dim"),
+        (["--dist", "uniform", "--dim", "-1"], "--dim"),
+        (["--dist", "tnorm", "--dim", "2", "--mean", "nan,0"], "finite"),
+        (["--dist", "tnorm", "--dim", "2", "--mean", "0,inf"], "finite"),
+        (["--dist", "tnorm", "--dim", "2", "--sigma", "inf"], "finite"),
+        (["--dist", "tnorm", "--dim", "1", "--sigma", "nan"], "finite"),
+    ])
+    def test_degenerate_spec_exit_2(self, capsys, tmp_path, flags, match):
+        out = tmp_path / "never.csv"
+        assert_usage_error(capsys, ["gen", *flags, "--n", "5", "--out", str(out)], match)
+        assert not out.exists()
 
 
 class TestBench:
@@ -279,6 +308,22 @@ class TestBench:
         code, out, err = run_cli(capsys, bench_argv)
         assert code == 2 and out == ""
         assert "HPDIV_THREADS" in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,match", [
+        ("--dims", "0", "dims"),
+        ("--dims", "-1", "dims"),
+        ("--shift", "nan", "finite"),
+        ("--shift", "inf", "finite"),
+        ("--shift", "-inf", "finite"),
+    ])
+    def test_degenerate_plan_exit_2(self, capsys, tmp_path, bench_argv, flag, value, match):
+        argv = bench_argv[:]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [f"{flag}={value}"]
+        assert_usage_error(capsys, argv, match)
         assert not (tmp_path / "r.csv").exists()
 
     def test_duplicate_labels_exit_2(self, capsys, bench_argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import norm
 
 from hpdiv import (
     DimTooHigh,
+    HPDivError,
     InvalidP,
     NonOverlappingSupportWarning,
     RefinementCapWarning,
@@ -122,6 +124,44 @@ class TestTrueDivergence:
         with pytest.warns(NonOverlappingSupportWarning):
             assert true_divergence(a, b, 0.5, grid=11) == 1.0
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rejects_p_outside_unit_interval(self, p):
+        f = truncated_normal([0.0], 1.0, (-5, 5))
+        with pytest.raises(InvalidP):
+            true_divergence(f, f, p)
+
+    def test_bad_grid_raises_before_the_union_warning(self):
+        a = uniform_box((0.0, 1.0))
+        b = uniform_box((2.0, 3.0))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(HPDivError, match="grid"):
+                true_divergence(a, b, 0.5, grid=1)
+        assert seen == []
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: uniform_box(np.empty((0, 2))),
+        lambda: truncated_normal(np.empty(0), 1.0, np.empty((0, 2))),
+    ])
+    def test_rejects_zero_dimensional_box(self, make):
+        with pytest.raises(HPDivError, match="d >= 1"):
+            make()
+
+    @pytest.mark.parametrize("mean,cov", [
+        ([np.nan, 0.0], 1.0),
+        ([np.inf, 0.0], 1.0),
+        ([0.0, 0.0], np.inf),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ])
+    def test_rejects_non_finite_mean_or_covariance(self, mean, cov):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HPDivError, match="finite"):
+                truncated_normal(mean, cov, (-5, 5))
+
 
 def _specs(d: int) -> dict:
     """Diagonal, full-covariance and uniform specs on equal and unequal boxes."""
@@ -141,6 +181,10 @@ def _specs(d: int) -> dict:
         "unif": uniform_box(np.tile([-3.0, 3.5], (d, 1))),
         "disj": uniform_box(np.tile([6.0, 7.0], (d, 1))),
     }
+
+
+# equal-box, full-covariance and union-box pairs
+_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("full", "odd"), ("unif", "disj")]
 
 
 # The coarse caps stop many refinements short of _REFINE_TOL; the tests
@@ -173,9 +217,7 @@ class TestMatchesPointArrays:
 
     @coarse_cap_warnings
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.73])
-    @pytest.mark.parametrize(
-        "pair", [("diag", "diag2"), ("diag", "unif"), ("full", "odd"), ("unif", "disj")]
-    )
+    @pytest.mark.parametrize("pair", _PAIRS)
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_true_divergence(self, coarse_grids, d, pair, p):
         specs = _specs(d)
@@ -204,6 +246,44 @@ class TestMatchesPointArrays:
         assert got == points_divergence(fx, fy, 0.4)
         assert got == pytest.approx(whole, abs=1e-12)
 
+    @coarse_cap_warnings
+    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("slab", [None, 1000])
+    @pytest.mark.parametrize("piece", [1, 7, 5000])
+    def test_many_pieces(self, coarse_grids, monkeypatch, piece, slab, d):
+        """Pieces of whole planes, runs of lines and runs of points fill the
+        slabs with the point-array values, so every sum sees the same bytes."""
+        if piece < 100:
+            # one integrand call per point or per 7 points: smaller grids,
+            # which still cross slabs at _SLAB = 1000 for d < 3
+            monkeypatch.setattr(oracle, "_GRID_START", {1: 513, 2: 17, 3: 5})
+            monkeypatch.setattr(oracle, "_GRID_CAP", {1: 1025, 2: 33, 3: 9})
+        monkeypatch.setattr(oracle, "_PIECE", piece)
+        if slab is not None:
+            monkeypatch.setattr(oracle, "_SLAB", slab)
+        specs = _specs(d)
+        for a, b in [("diag", "full"), *_PAIRS]:
+            fx, fy = specs[a], specs[b]
+            assert true_divergence(fx, fy, 0.4) == points_divergence(fx, fy, 0.4), (a, b)
+
+
+class TestWorkingSet:
+    """One value buffer per grid, filled in pieces, bounds a truth's memory."""
+
+    @pytest.mark.parametrize("d,limit_mb", [(2, 8), (3, 40)])
+    def test_default_grid_truth_peak(self, d, limit_mb):
+        plan = bench.ExperimentPlan(
+            bench.SCENARIO_GAUSS_SHIFT, d, (100,), tuple(bench.parse_methods("knn:1")), 2
+        )
+        fx, fy = bench.scenario_specs(plan)
+        tracemalloc.start()
+        try:
+            true_divergence(fx, fy, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2**20
 
 class TestRefinementCap:
     """Refinement that reaches its grid cap unconverged says so."""
@@ -266,6 +346,14 @@ class TestBayesBounds:
     def test_rejects_p_outside_unit_interval(self, p):
         with pytest.raises(InvalidP):
             bayes_bounds(0.3, p)
+
+    def test_rejects_nan_divergence(self):
+        with pytest.raises(HPDivError, match="nan"):
+            bayes_bounds(float("nan"), 0.5)
+
+    def test_infinite_divergence_clamps(self):
+        assert bayes_bounds(float("inf"), 0.5) == bayes_bounds(1.0, 0.5)
+        assert bayes_bounds(float("-inf"), 0.5) == bayes_bounds(0.0, 0.5)
 
     @pytest.mark.parametrize("d", np.linspace(0, 1, 11).tolist())
     def test_ordering(self, d):
