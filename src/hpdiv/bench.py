@@ -169,37 +169,36 @@ def scenario_specs(plan: ExperimentPlan) -> tuple[DistributionSpec, Distribution
     """Analytic (f_X, f_Y) for synthetic scenarios, None for csv."""
     if plan.scenario == SCENARIO_CSV:
         return None
-    d = plan.dims
-    box = (-BOX_HALF_WIDTH, BOX_HALF_WIDTH)
-    mu_x = np.zeros(d)
-    mu_y = np.zeros(d)
-    mu_y[0] = plan.shift if plan.scenario != SCENARIO_GAUSS_VS_UNIFORM else 0.0
-    fx = truncated_normal(mu_x, 1.0, box)
+    d, box = plan.dims, (-BOX_HALF_WIDTH, BOX_HALF_WIDTH)
+    fx = truncated_normal(np.zeros(d), 1.0, box)
     if plan.scenario == SCENARIO_GAUSS_SHIFT:
-        fy = truncated_normal(mu_y, 1.0, box)
-    elif plan.scenario == SCENARIO_GAUSS_SCALE:
-        mu_y = np.zeros(d)
-        mu_y[0] = 1.0
-        fy = truncated_normal(mu_y, 2.0, box)
-    else:
-        fy = uniform_box(np.tile(box, (d, 1)))
-    return fx, fy
+        return fx, truncated_normal(np.r_[plan.shift, np.zeros(d - 1)], 1.0, box)
+    if plan.scenario == SCENARIO_GAUSS_SCALE:
+        return fx, truncated_normal(np.r_[1.0, np.zeros(d - 1)], 2.0, box)
+    return fx, uniform_box(np.tile(box, (d, 1)))
 
 
-def resolve_truth(plan: ExperimentPlan) -> float | None:
-    """True divergence for the plan: user-supplied, analytic, or None."""
+# (scenario, dims, shift, p) -> truth, stored only when the quadrature returns.
+# Pays off where one process repeats a plan (a Monte Carlo sweep), not in `hpdiv bench`.
+_TRUTHS: dict[tuple, float | None] = {}
+
+
+def resolve_truth(plan: ExperimentPlan, specs=None) -> float | None:
+    """True divergence for the plan: user-supplied, analytic, or None. The
+    quadrature, and any warning it gives, comes once per key and process;
+    ``specs`` saves rebuilding ``scenario_specs(plan)`` when the caller has it."""
     if plan.truth is not None:
         return float(plan.truth)
-    specs = scenario_specs(plan)
-    if specs is None:
+    if plan.scenario == SCENARIO_CSV:
         return None
-    fx, fy = specs
-    if fx == fy:
-        return 0.0
-    try:
-        return true_divergence(fx, fy, plan.p)
-    except DimTooHigh:
-        return None
+    key = (plan.scenario, plan.dims, plan.shift, plan.p)
+    if key not in _TRUTHS:
+        fx, fy = specs or scenario_specs(plan)
+        try:
+            _TRUTHS[key] = 0.0 if fx == fy else true_divergence(fx, fy, plan.p)
+        except DimTooHigh:
+            _TRUTHS[key] = None
+    return _TRUTHS[key]
 
 
 def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
@@ -267,7 +266,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     clouds = None
     if plan.scenario == SCENARIO_CSV:
         clouds = (load_points(plan.x_path), load_points(plan.y_path))
-    truth = resolve_truth(plan)
+    truth = resolve_truth(plan, specs)
     schedules = _resolve_schedules(plan)
     summaries: list[TrialSummary] = []
     for n in plan.n_grid:

@@ -17,7 +17,8 @@ index) differs from theirs: one bucket orders by index, which can hide a
 gap between subnormal distances. A row with a read rank on a tie is
 re-ranked from its k_max + 1 + _TIE_PAD nearest candidates sorted by
 (distance, index), a window that doubles until the ties end inside it or
-it holds every point. Results match a brute-force scan at any thread count.
+it holds every point. Each block's rows fit one byte budget, _BLOCK_BYTES.
+Results match a brute-force scan at any thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .core import HPDivError, JointSet, KTooLarge
 
@@ -34,9 +36,10 @@ from .core import HPDivError, JointSet, KTooLarge
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
-# Candidate entries held at once over all threads: rows x n in a row
-# sort, rows x (k_max + 2) in a kd search, rows x window on the tie path.
-_BLOCK = 1 << 18
+# Bytes a block holds over all threads: per row, 8 n in a row sort (keys
+# made and sorted in place), _entry_bytes per column in a kd block or per
+# window entry on the tie path. 2 MiB holds 2^18 sort keys.
+_BLOCK_BYTES = 1 << 21
 # A kd query costs about k_max per row and a row sort about n, so rows are
 # sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread (d = 1..4,
 # n = 1000..16384) kd took 0.02-0.58x the sort's time at k_max = 20,
@@ -62,6 +65,11 @@ def build_index(z: JointSet) -> NeighborIndex:
     return NeighborIndex(tree=cKDTree(z.points), source=z)
 
 
+def _entry_bytes(d: int) -> int:
+    """Bytes per candidate: a query's index and distance, _sq_dists' temporaries."""
+    return 8 * (2 * d + 4)
+
+
 def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances with one fixed summation order, so every
     ranking of candidates agrees bit for bit. Index n, the tree's answer past
@@ -76,14 +84,14 @@ def _sorted_rows(
     """Ranks for rows with ties, from candidates sorted by (distance, index).
     A row is done once every read rank's distance sits strictly inside the
     last candidate's, or its window holds all n points; the other rows go
-    round again with twice the window, in blocks of at most _BLOCK entries."""
+    round again with twice the window, in blocks of at most _BLOCK_BYTES."""
     points = idx.source.points
     out = np.empty((len(rows), len(ranks)), dtype=np.int64)
     work = [(np.arange(len(rows)), hi + 1 + _TIE_PAD)]
     while work:
         pos, k = work.pop()
         k = min(len(points), k)
-        step = max(1, _BLOCK // k)
+        step = max(1, _BLOCK_BYTES // (k * _entry_bytes(points.shape[1])))
         if pos.size > step:
             work.append((pos[step:], k))
             pos = pos[:step]
@@ -102,30 +110,23 @@ def _sorted_rows(
     return out
 
 
-@np.errstate(over="ignore")  # overflowed squares are +inf, as in _sq_dists
 def _sorted_columns(
-    coords: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    points: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Points at sorted columns ``cols`` (0 is the nearest, self included)
-    of each row against all of ``coords`` (d, n), and their buckets: a row
-    sorts keys, a squared distance's bits (monotone, as squares are >= +0)
-    with the low (n-1).bit_length() bits replaced by the point's index, so
-    keys in one bucket (``key >> bits``) sort by index, not distance."""
-    n = coords.shape[1]
+    of each row against all ``points``, and their buckets: a row sorts keys,
+    a squared distance's bits (monotone, as squares are >= +0) with the low
+    (n-1).bit_length() bits replaced by the point's index, so keys in one
+    bucket (``key >> bits``) sort by index, not distance. Keys are made and
+    sorted in cdist's array (silent on overflow to +inf)."""
+    n = len(points)
     bits = (n - 1).bit_length()
-    here = coords[:, rows, None]
-    d2 = np.subtract(coords[0], here[0])
-    d2 *= d2
-    part = np.empty_like(d2)
-    for c, h in zip(coords[1:], here[1:]):
-        d2 += np.square(np.subtract(c, h, out=part), out=part)
-    del part  # freed before the partition copies the keys
-    keys = d2.view(np.int64)
+    keys = cdist(points[rows], points, "sqeuclidean").view(np.int64)
     keys &= -1 << bits
     keys |= np.arange(n)
-    head = np.partition(keys, int(cols[-1]), axis=1)[:, :int(cols[-1]) + 1]
-    head.sort(axis=1)
-    keys = head[:, cols]
+    keys.partition(int(cols[-1]), axis=1)
+    keys[:, :int(cols[-1]) + 1].sort(axis=1)
+    keys = keys[:, cols]
     return keys & ((1 << bits) - 1), keys >> bits
 
 
@@ -146,8 +147,8 @@ def _ranked_rows(
     cols = cols[cols < n]
     at = np.searchsorted(cols, ranks)
     sort = _SORT_DEPTH * (hi + 2) >= n
-    coords = np.ascontiguousarray(points.T) if sort else None
-    step = max(1, _BLOCK // ((n if sort else hi + 2) * workers))
+    row_bytes = 8 * n if sort else len(cols) * _entry_bytes(points.shape[1])
+    step = max(1, _BLOCK_BYTES // (row_bytes * workers))
     blocks = -(-len(rows) // step)
     step = -(-len(rows) // (blocks + -blocks % workers))  # as many blocks per thread
     out = np.empty((len(rows), len(ranks)), dtype=np.int64)
@@ -156,7 +157,7 @@ def _ranked_rows(
     def block(start: int) -> None:
         here = rows[start:start + step]
         if sort:
-            cand, bucket = _sorted_columns(coords, here, cols)
+            cand, bucket = _sorted_columns(points, here, cols)
         else:  # the tree orders by distance alone: each column is its own bucket
             _, cand = idx.tree.query(points[here], k=(cols + 1).tolist(), workers=1)
             bucket = cols[None]

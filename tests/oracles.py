@@ -38,6 +38,16 @@ def scan_rank_table(points: np.ndarray, ranks=None) -> np.ndarray:
     return table
 
 
+@np.errstate(over="ignore")  # squares past the float range read as +inf
+def coordinate_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between the rows of a and of b,
+    one coordinate at a time: the first square, then each next one added."""
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for c in range(1, a.shape[1]):
+        d2 += (a[:, None, c] - b[None, :, c]) ** 2
+    return d2
+
+
 def brute_kth(points, i: int, k: int) -> int:
     """Pure-python k-th neighbor of point i with the documented tie-break."""
     pts = [tuple(map(float, row)) for row in np.atleast_2d(points)]

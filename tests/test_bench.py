@@ -16,6 +16,7 @@ from hpdiv.bench import (
     summarize_csv,
 )
 from hpdiv.core import HPDivError, InvalidP
+from hpdiv.oracle import RefinementCapWarning
 from hpdiv.io import load_points, save_points
 from hpdiv import PointCloud
 
@@ -109,6 +110,58 @@ class TestTruth:
         save_points(yp, PointCloud(rng.normal(size=(30, 2))))
         plan = small_plan(scenario="csv", x_path=str(xp), y_path=str(yp), dims=2)
         assert resolve_truth(plan) is None
+
+
+    def test_truth_once_per_process(self, monkeypatch):
+        # Plans that share scenario, dims, shift and p share one quadrature,
+        # in resolve_truth and in run_plan alike; run_plan builds the specs once.
+        calls, built = [], []
+        real, real_specs = bench.true_divergence, bench.scenario_specs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def counting_specs(plan):
+            built.append(plan)
+            return real_specs(plan)
+
+        monkeypatch.setattr(bench, "true_divergence", counting)
+        monkeypatch.setattr(bench, "scenario_specs", counting_specs)
+        rows = run_plan(small_plan(shift=0.75, base_seed=2, trials=2))
+        assert len(calls) == 1 and len(built) == 1
+        truth = resolve_truth(small_plan(shift=0.75, base_seed=1))
+        assert truth == real(*real_specs(small_plan(shift=0.75)), 0.5)  # the unmemoised value
+        assert all(r.bias == r.mean_est - truth for r in rows)
+        assert resolve_truth(small_plan(shift=0.75, n_grid=(8,))) == truth
+        assert len(calls) == 1
+        assert resolve_truth(small_plan(shift=0.5)) != truth
+        assert len(calls) == 2
+
+    def test_truth_warning_raised_as_error_is_not_memoised(self, monkeypatch):
+        # A quadrature warning comes with the call that computes the truth.
+        # Raised by an "error" filter it stores nothing, so the next call
+        # computes (and raises) again; once stored, the value is served silently.
+        calls = []
+
+        def warning(*args):
+            calls.append(args)
+            warnings.warn("refinement stopped", RefinementCapWarning)
+            return 0.25
+
+        monkeypatch.setattr(bench, "true_divergence", warning)
+        for expected in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RefinementCapWarning)
+                with pytest.raises(RefinementCapWarning):
+                    resolve_truth(small_plan())
+            assert len(calls) == expected
+        with pytest.warns(RefinementCapWarning, match="refinement stopped"):
+            assert resolve_truth(small_plan()) == 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_truth(small_plan()) == 0.25
+        assert len(calls) == 3
 
 
 class TestRunPlan:

@@ -96,3 +96,51 @@ def test_digests_found_at_any_depth():
     gate = {"attempted": 3, "output_sha256": "x",
             "calls": {"wnn_d3": {"output_sha256": "y", "checks": {"ok": True}}}}
     assert bench_pairs._digests(gate) == {"output_sha256": "x", "calls.wnn_d3.output_sha256": "y"}
+
+
+def fresh(wall, minflt, peak, digest="d"):
+    return {"wall_ms": wall, "minflt": minflt, "maxrss_mb": 80.0, "neighbor_ranks_peak_mb": peak,
+            "rc": 0, "stdout_sha256": digest}
+
+
+class TestSummariseFresh:
+    RUNS = {
+        "parent": {
+            "wnn_d3": [fresh(w, 63000 + w, 6.3) for w in (300.0, 350.0, 400.0, 450.0, 500.0)],
+            "mst_d1": [fresh(15.0, 70, None)] * 5,
+        },
+        "change": {
+            "wnn_d3": [fresh(w, 1500 + w, 4.2) for w in (170.0, 180.0, 190.0, 200.0, 300.0)],
+            "mst_d1": [fresh(16.0, 75, None)] * 5,
+        },
+    }
+
+    def test_medians_and_quartiles_per_side(self):
+        got = bench_pairs.summarise_fresh(self.RUNS)
+        assert sorted(got) == ["mst_d1", "wnn_d3"]
+        wnn = got["wnn_d3"]
+        assert wnn["runs"] == {"parent": 5, "change": 5}
+        # statistics.quantiles(exclusive) of 300..500 by 50: 325 and 475
+        assert wnn["wall_ms"]["parent"] == {"median": 400.0, "quartiles": [325.0, 475.0]}
+        assert wnn["wall_ms"]["change"]["median"] == 190.0
+        assert wnn["minflt"]["parent"]["median"] == 63400.0
+        assert wnn["minflt"]["change"]["median"] == 1690.0
+        assert wnn["neighbor_ranks_peak_mb"]["change"]["median"] == 4.2
+        assert wnn["maxrss_mb"]["parent"]["median"] == 80.0
+        assert wnn["stdout_equal"]
+
+    def test_calls_without_neighbor_ranks_leave_the_peak_out(self):
+        mst = bench_pairs.summarise_fresh(self.RUNS)["mst_d1"]
+        assert "neighbor_ranks_peak_mb" not in mst
+        assert mst["minflt"] == {
+            "parent": {"median": 70, "quartiles": [70, 70]},
+            "change": {"median": 75, "quartiles": [75, 75]},
+        }
+
+    def test_one_differing_stdout_or_exit_code_shows(self):
+        runs = {s: dict(kinds) for s, kinds in self.RUNS.items()}
+        runs["change"]["mst_d1"] = [fresh(16.0, 75, None)] * 4 + [fresh(16.0, 75, None, "e")]
+        got = bench_pairs.summarise_fresh(runs)
+        assert not got["mst_d1"]["stdout_equal"] and got["wnn_d3"]["stdout_equal"]
+        runs["change"]["mst_d1"] = [dict(fresh(16.0, 75, None), rc=2)] + [fresh(16.0, 75, None)] * 4
+        assert not bench_pairs.summarise_fresh(runs)["mst_d1"]["stdout_equal"]

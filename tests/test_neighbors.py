@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from hpdiv import JointSet, KTooLarge, PointCloud, build_index, kth_neighbor, neighbor_table, validate_pair
 from hpdiv import neighbors
-from hpdiv.core import HPDivError
+from hpdiv.core import HPDivError, pool_pair
 from hpdiv.estimators import dichotomous_counts
 from hpdiv.neighbors import NeighborIndex, neighbor_ranks
+from hpdiv.weights import default_l_values, resolve_schedule
 
 
-from oracles import brute_kth, scan_rank_table
+from oracles import brute_kth, coordinate_sq_dists, scan_rank_table
 
 
 def make_joint(points):
@@ -220,8 +222,10 @@ class TestSelectedRanks:
         assert max(windows) < len(z)
 
     def test_tied_rows_split_into_blocks(self, monkeypatch):
-        # A small block bound sorts a few rows at a time, in every round.
-        monkeypatch.setattr(neighbors, "_BLOCK", 100)
+        # A small byte budget, 100 window entries, sorts a few rows at a
+        # time, in every round.
+        entry = neighbors._entry_bytes(3)
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 100 * entry)
         z = make_joint(copied_lattice(4, 3, 5))
         ks = [5, 20]
         tree = RecordingTree(build_index(z).tree)
@@ -230,7 +234,7 @@ class TestSelectedRanks:
         blocks = [(rows, k) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, int)]
         assert len({k for _, k in blocks}) > 1
         assert len(blocks) > 2 * len({k for _, k in blocks})
-        assert all(rows * k <= 100 for rows, k in blocks)
+        assert all(rows * k * entry <= 100 * entry for rows, k in blocks)
 
     def test_gapped_rank_schedule(self):
         # Ranks floor(l * sqrt(N)) as a wnn schedule reads them.
@@ -272,9 +276,9 @@ class TestNarrowFetch:
         sorted_cols = []
         real = neighbors._sorted_columns
 
-        def recording(coords, rows, cols):
+        def recording(points, rows, cols):
             sorted_cols.append(cols.tolist())
-            return real(coords, rows, cols)
+            return real(points, rows, cols)
 
         monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         tree = RecordingTree(build_index(z).tree)
@@ -325,8 +329,8 @@ class TestSortedColumns:
         blocks = []
         real = neighbors._sorted_columns
 
-        def recording(coords, rows, cols):
-            got, bucket = real(coords, rows, cols)
+        def recording(points, rows, cols):
+            got, bucket = real(points, rows, cols)
             blocks.append((rows, cols, got, bucket))
             return got, bucket
 
@@ -357,23 +361,131 @@ class TestSortedColumns:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sorted_rows_split_into_blocks(self, monkeypatch, workers):
-        # A small block bound sorts a few rows at a time; the threads share it.
-        monkeypatch.setattr(neighbors, "_BLOCK", 200)
+        # A small byte budget, 200 sort keys, sorts a few rows at a time;
+        # the threads share it.
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 200 * 8)
         shapes = []
-        real = np.partition
+        real = neighbors._sorted_columns
 
-        def recording(a, kth, axis):
-            shapes.append(a.shape)
-            return real(a, kth, axis=axis)
+        def recording(points, rows, cols):
+            shapes.append((len(rows), len(points)))
+            return real(points, rows, cols)
 
-        monkeypatch.setattr(np, "partition", recording)
+        monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         z = make_joint(copied_lattice(3, 2, 4))
         ks = [1, 4, 30]
         got = neighbor_ranks(build_index(z), ks, workers)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         assert sum(rows for rows, _ in shapes) == len(z)
         assert len(shapes) > 2
-        assert all(rows * n * workers <= 200 for rows, n in shapes)
+        assert all(rows * 8 * n * workers <= 200 * 8 for rows, n in shapes)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "tiny", "huge"])
+    def test_kernel_sums_coordinates_in_order(self, kind, dim, monkeypatch):
+        # The squared distances the keys are made from equal a per-coordinate
+        # loop bit for bit, subnormal (1e-160) and overflowing (1e155) ones
+        # too, and the overflow stays silent. The bits are a property of the
+        # tested scipy build's kernel, not a scipy guarantee; the ranks do not
+        # rest on them, as every candidate is re-certified from _sq_dists.
+        rng = np.random.default_rng(dim)
+        pts = {
+            "random": rng.normal(size=(300, dim)),
+            "lattice": copied_lattice([0, 60, 8, 4, 3][dim], dim, 2),
+            "tiny": rng.normal(size=(300, dim)) * 1e-160,
+            "huge": rng.normal(size=(300, dim)) * 1e155,
+        }[kind]
+        calls = []
+        real = neighbors.cdist
+
+        def recording(a, b, metric):
+            out = real(a, b, metric)
+            calls.append((a.copy(), b, out.copy()))
+            return out
+
+        monkeypatch.setattr(neighbors, "cdist", recording)
+        z = make_joint(pts)
+        ks = [1, len(z) // 3, len(z) - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = neighbor_ranks(build_index(z), ks, 2)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        assert sum(len(a) for a, _, _ in calls) == len(z)
+        for a, b, d2 in calls:
+            assert b is z.points
+            want = coordinate_sq_dists(a, b)
+            assert np.array_equal(d2.view(np.int64), want.view(np.int64))
+
+
+def estimate_files_pair(dim, n, seed=0):
+    """X ~ N(0, I) and Y ~ N(e1, 4 I), n points each, pooled as the
+    estimate command pools them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    y = np.eye(1, dim)[0] + 2.0 * rng.standard_normal((n, dim))
+    return pool_pair(PointCloud(x), PointCloud(y))
+
+
+class TestBlockBudget:
+    """Every candidate block, kd, row sort or tie window, fits _BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "copied_lattice"])
+    def test_kd_blocks_and_tie_windows_fit_the_budget(self, kind, workers, monkeypatch):
+        # Random points take kd blocks only; the lattice's tied rows then
+        # go through tie windows, several of them.
+        budget = 20_000
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+        entry = neighbors._entry_bytes(3)
+        assert entry >= 8 * (2 + 2 * 3)  # query index and distance, two (.., d) arrays
+        pts, ks = {
+            "random": (np.random.default_rng(8).normal(size=(600, 3)), [1, 7, 8, 40]),
+            "copied_lattice": (copied_lattice(5, 3, 4), [5, 20]),
+        }[kind]
+        z = make_joint(pts)
+        assert neighbors._SORT_DEPTH * (max(ks) + 2) < len(z)  # the kd source
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        kd = [(rows, len(k)) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, list)]
+        ties = [(rows, k) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, int)]
+        assert sum(rows for rows, _ in kd) == len(z) and len(kd) > 2
+        assert all(rows * cols * entry * workers <= budget for rows, cols in kd)
+        assert all(rows * k * entry <= budget for rows, k in ties)
+        assert len(ties) > 2 if kind == "copied_lattice" else not ties
+
+    def test_small_ranks_take_one_kd_query(self):
+        # A Monte Carlo trial at N=2000 (knn:5 and knn:20, one thread): 4000
+        # rows of 6 fetched columns fit the budget, so one query serves all.
+        z = estimate_files_pair(2, 2000)
+        tree = RecordingTree(build_index(z).tree)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [5, 20], workers=1)
+        np.testing.assert_array_equal(got, scan_rank_table(z.points, [5, 20]))
+        assert tree.rows == [4000]
+        assert tree.ks == [[5, 6, 7, 20, 21, 22]]
+
+    @pytest.mark.parametrize(
+        "shape, workers, limit_mb",
+        [("wnn_d3", 1, 5), ("wnn_d3", 2, 5), ("knn_d2", 1, 4), ("knn_d2", 2, 4)],
+    )
+    def test_neighbor_ranks_peak(self, shape, workers, limit_mb):
+        # The pooled inputs and ranks of the estimate command's calls: wnn at
+        # d=3 on 2048 + 2048 points (the default schedule sorts whole rows),
+        # knn k=1 at d=2 on 50000 + 50000 points (one kd pass).
+        if shape == "wnn_d3":
+            z = estimate_files_pair(3, 2048)
+            ks = resolve_schedule(default_l_values(3), 3, 2048, m=2048).k_values
+        else:
+            z = estimate_files_pair(2, 50_000)
+            ks = [1]
+        idx = build_index(z)
+        tracemalloc.start()
+        try:
+            neighbor_ranks(idx, ks, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2**20
 
 
 class TestPackedKeys:

@@ -9,7 +9,7 @@ workload runs its pair i before any runs pair i+1. Run from anywhere:
     python3 tools/bench_pairs.py --parent P --change C \\
         --workload estimate-files --workload mc-shift-knn \\
         --pairs 10 --seed 1101 --seconds 45 --out BENCH_<date>_<name>.json \\
-        [--traced-seed S] [--tier1] [--attach KEY=FILE.json]
+        [--traced-seed S] [--tier1] [--fresh N] [--attach KEY=FILE.json]
 
 The output holds the machine, the seeds, every run's end-to-end metrics,
 each side's median and quartiles, the pairs the change won and whether the
@@ -18,6 +18,12 @@ parent's interquartile range), failed operations and output digests. It
 is rewritten after every pair, so an interrupted run keeps what it measured.
 ``--traced-seed`` adds a ``--trace 1`` run per side and workload with the
 mean of every span; ``--tier1`` times the test suite in both trees;
+``--fresh N`` runs, per side, N fresh interpreters for each estimate-files
+call kind on the CSVs of ``--seed``, alternating the side that goes first.
+Each makes one ``hpdiv.cli.main(["estimate", ...])`` call and records its
+wall ms, its minor page faults (``ru_minflt``), the process's ``ru_maxrss``
+and the stdout digest, then repeats the call to take the tracemalloc peak
+of ``neighbor_ranks``; ``--pairs 0 --fresh N`` runs the probe alone.
 ``--attach`` copies a JSON file in under KEY.
 """
 
@@ -103,6 +109,96 @@ def summarise(pairs: list[dict], declared: dict[str, dict]) -> dict:
     }
 
 
+def summarise_fresh(runs: dict[str, dict[str, list[dict]]]) -> dict:
+    """Per call kind, each side's median and quartiles of every fresh-process
+    metric (a metric no run of the kind reports is left out) and whether
+    every run of both sides printed the same stdout.
+
+    ``runs[side][kind]`` lists one record per interpreter: ``{"wall_ms",
+    "minflt", "maxrss_mb", "neighbor_ranks_peak_mb" (None when the call
+    ranks no neighbors), "rc", "stdout_sha256"}``.
+    """
+    out = {}
+    for kind in sorted(runs["change"]):
+        side = {s: runs[s][kind] for s in SIDES}
+        entry: dict = {"runs": {s: len(side[s]) for s in SIDES}}
+        for name in ("wall_ms", "minflt", "maxrss_mb", "neighbor_ranks_peak_mb"):
+            if any(r[name] is None for s in SIDES for r in side[s]):
+                continue
+            entry[name] = {}
+            for s in SIDES:
+                q1, med, q3 = _quartiles([r[name] for r in side[s]])
+                entry[name][s] = {"median": med, "quartiles": [q1, q3]}
+        digests = {(r["rc"], r["stdout_sha256"]) for s in SIDES for r in side[s]}
+        entry["stdout_equal"] = len(digests) == 1
+        out[kind] = entry
+    return out
+
+
+_FRESH_INPUTS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, "hpbench")
+import workloads
+wl = workloads.make("estimate-files", False)
+wl.prepare(int(sys.argv[1]), Path(sys.argv[2]))
+print(json.dumps({c.kind: c.argv for c in wl.calls}))
+"""
+
+_FRESH_CALL = """
+import contextlib, hashlib, io, json, resource, sys, time, tracemalloc
+from hpdiv import cli, estimators
+argv = json.loads(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF)
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(argv)
+wall_ms = (time.perf_counter() - t0) * 1e3
+after = resource.getrusage(resource.RUSAGE_SELF)
+peaks = []
+real = estimators.neighbor_ranks
+def traced(*args):
+    tracemalloc.start()
+    try:
+        return real(*args)
+    finally:
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        tracemalloc.stop()
+estimators.neighbor_ranks = traced
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+print(json.dumps({
+    "wall_ms": wall_ms, "minflt": after.ru_minflt - before.ru_minflt,
+    "maxrss_mb": after.ru_maxrss / 1024, "neighbor_ranks_peak_mb": max(peaks, default=None),
+    "rc": rc, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+}))
+"""
+
+
+def _python(tree: Path, code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on the tree's sources,
+    with the thread cap hpbench/run.py sets."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), HPDIV_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=tree, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: fresh interpreter exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def _fresh(trees: dict[str, Path], seed: int, repeats: int) -> dict:
+    """``repeats`` fresh estimate calls per side and call kind, summarised."""
+    argv = {s: json.loads(_python(t, _FRESH_INPUTS, str(seed), str(t / ".bench_work" / "fresh")))
+            for s, t in trees.items()}
+    runs: dict = {s: {k: [] for k in argv[s]} for s in SIDES}
+    for i in range(repeats):
+        for kind in argv["change"]:
+            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[s][kind].append(json.loads(_python(trees[s], _FRESH_CALL, json.dumps(argv[s][kind]))))
+    return {"seed": seed, "repeats": repeats, "threads": 2, "runs": runs,
+            "summary": summarise_fresh(runs)}
+
+
 def _digests(gate: dict, prefix: str = "") -> dict[str, str]:
     """Every ``output_sha256`` in a gate record, keyed by where it sits."""
     out = {}
@@ -157,11 +253,12 @@ def _traced(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _tier1(tree: Path) -> dict:
-    """Wall time and summary line of the test suite in one tree."""
+    """Wall time and summary line of the tree's tier-1 suite, ``tests/``: a tree
+    without it reports pytest's error, not the tests it found elsewhere."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
         cwd=tree, env=env, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -180,6 +277,8 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-seed", type=int, action="append", default=[])
     parser.add_argument("--trace-seconds", type=float, default=20.0)
     parser.add_argument("--tier1", action="store_true", help="time the test suite in both trees")
+    parser.add_argument("--fresh", type=int, default=0, metavar="N",
+                        help="N fresh interpreters per side for each estimate-files call kind")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--title", default="parent vs change")
     parser.add_argument("--out", type=Path, required=True)
@@ -234,6 +333,8 @@ def main(argv=None) -> int:
         }
     if args.tier1:
         out["tier1"] = {s: _tier1(trees[s]) for s in SIDES}
+    if args.fresh:
+        out["fresh_process"] = _fresh(trees, args.seed, args.fresh)
     write()
     return 0
 
