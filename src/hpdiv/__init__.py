@@ -24,7 +24,7 @@ from .core import (
 )
 from .estimators import knn_estimate, wnn_estimate
 from .mst import SpanningTree, TooFewPoints, build_emst, mst_estimate
-from .neighbors import NeighborIndex, build_index, kth_neighbor, neighbor_table
+from .neighbors import NeighborIndex, build_index, neighbor_table
 from .oracle import (
     BayesBounds,
     DimTooHigh,
@@ -80,7 +80,6 @@ __all__ = [
     "density",
     "default_l_values",
     "knn_estimate",
-    "kth_neighbor",
     "make_state",
     "mst_estimate",
     "neighbor_table",

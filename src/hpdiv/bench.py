@@ -5,13 +5,16 @@ Each (n, trial) cell draws one pair of samples and evaluates every
 requested method on the same draw (common random numbers). knn and wnn go
 through one ``estimators.neighbor_statistics`` call per trial, the engine
 of the public estimators, so one neighbor pass serves all their ranks.
-Trials own disjoint counter-based streams, so results are identical
-whether trials run serially or in the thread pool (HPDIV_THREADS caps the
-pool; 0 or unset means auto).
+Each trial keys its own counter-based streams from (base seed, trial), so
+results are identical whether trials run serially or in the thread pool
+(HPDIV_THREADS caps the pool; 0 or unset means auto).
 
-A rank or schedule error (an HPDivError) aborts only its own (method, n)
-cell: the error is reported as a CellErrorWarning and the remaining cells
-still run. Any other exception is a bug and propagates out of run_plan.
+Every draw at one n pools the same number of points, so the ranks of each
+knn and wnn (method, n) cell are resolved and checked once, before its
+trials. A rank or schedule error (an HPDivError) aborts only its own cell:
+the error is reported as a CellErrorWarning, the cell runs no trial and
+the remaining cells still run. Any other exception is a bug and
+propagates out of run_plan.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from .core import (
     pool_pair,
     worker_count,
 )
-from .estimators import neighbor_statistics
+from .estimators import checked_ranks, neighbor_statistics
 from .io import load_points
 from .mst import build_emst, dichotomous_edge_count
 from .oracle import DimTooHigh, DistributionSpec, true_divergence, truncated_normal, uniform_box
-from .synth import make_state, sample, trial_seed
-from .weights import WeightSchedule, default_l_values, resolve_schedule
+from .synth import make_state, sample, seeded_rng, trial_seed
+from .weights import default_l_values, resolve_schedule
 
 SCENARIO_GAUSS_SHIFT = "gauss-shift"
 SCENARIO_GAUSS_SCALE = "gauss-scale"
@@ -139,6 +142,10 @@ class ExperimentPlan:
             raise HPDivError(f"dims must be >= 1, got {self.dims}")
         if self.trials < 2:
             raise HPDivError("trials must be >= 2")
+        if not 0 <= self.base_seed < 1 << 127:  # trial_seed shifts it left by one
+            raise HPDivError(f"base_seed must lie in [0, 2**127), got {self.base_seed}")
+        if self.truth is not None and not math.isfinite(self.truth):
+            raise HPDivError(f"truth must be finite, got {self.truth}")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise HPDivError("n_grid must be nonempty and strictly increasing")
@@ -205,7 +212,7 @@ def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
     if plan.scenario == SCENARIO_CSV:
         pair = []
         for role, cloud in enumerate(clouds):
-            rng = np.random.Generator(np.random.Philox(key=trial_seed(plan.base_seed, t, role)))
+            rng = seeded_rng(trial_seed(plan.base_seed, t, role))
             pair.append(PointCloud(cloud.points[rng.integers(0, len(cloud), size=n)]))
         return tuple(pair)
     fx, fy = specs
@@ -215,47 +222,41 @@ def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
     return x, y
 
 
-def _run_trial(plan, specs, clouds, schedules, n, t) -> dict[str, object]:
-    """All method values for one (n, trial); HPDivErrors recorded per method."""
+def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> dict:
+    """label -> (checked ranks, weights) for each knn and wnn method of the
+    plan at sample size n on ``dim``-dimensional data, or the HPDivError
+    that aborts the cell. Every draw at n pools n + m points: m = n for
+    csv, max(expected_m(n, p), 1) otherwise."""
+    m = n if plan.scenario == SCENARIO_CSV else max(expected_m(n, plan.p), 1)
+    out = {}
+    for spec in plan.methods:
+        try:
+            if spec.kind == "knn":
+                ranks, weights = [spec.k], [1]
+            elif spec.kind == "wnn":
+                ls = default_l_values(dim) if spec.l_values is None else np.asarray(spec.l_values)
+                schedule = resolve_schedule(ls, dim, n, m=m)
+                ranks, weights = schedule.k_values, schedule.w
+            else:
+                continue
+            out[spec.label] = (checked_ranks(ranks, n + m), weights)
+        except HPDivError as exc:
+            out[spec.label] = exc
+    return out
+
+
+def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
+    """All method values for one (n, trial); ``sums`` holds the checked
+    ranks and weights of the knn and wnn cells that run."""
     x, y = _draw_pair(plan, specs, clouds, n, t)
     z = pool_pair(x, y)  # p is checked by the plan
-    out: dict[str, object] = {}
-    sums = {}
+    stats = neighbor_statistics(z, sums)  # 1 thread: trials hold the cores
+    out = {label: affine_map(stat, z.n_x, z.n_y) for label, stat in stats.items()}
     for spec in plan.methods:
         if spec.kind == "const":
             out[spec.label] = float(spec.value)
         elif spec.kind == "mst":
             out[spec.label] = affine_map(dichotomous_edge_count(build_emst(z), z), z.n_x, z.n_y)
-        elif spec.kind == "knn":
-            sums[spec.label] = ([spec.k], [1])
-        elif isinstance(schedules[n], HPDivError):  # recorded, cell aborts later
-            out[spec.label] = schedules[n]
-        else:
-            sums[spec.label] = (schedules[n].k_values, schedules[n].w)
-    stats = neighbor_statistics(z, sums)  # 1 thread: trials hold the cores
-    for label, stat in stats.items():
-        out[label] = stat if isinstance(stat, HPDivError) else affine_map(stat, z.n_x, z.n_y)
-    return out
-
-
-def _resolve_schedules(plan: ExperimentPlan) -> dict[int, WeightSchedule | HPDivError]:
-    """One schedule per n for the wnn method (labels are unique, so a plan
-    holds at most one)."""
-    out: dict[int, WeightSchedule | HPDivError] = {}
-    wnn = [m for m in plan.methods if m.kind == "wnn"]
-    if not wnn:
-        return out
-    ls = (
-        np.asarray(wnn[0].l_values, dtype=np.float64)
-        if wnn[0].l_values is not None
-        else default_l_values(plan.dims)
-    )
-    for n in plan.n_grid:
-        m = expected_m(n, plan.p) if plan.scenario != SCENARIO_CSV else n
-        try:
-            out[n] = resolve_schedule(ls, plan.dims, n, m=max(m, 1))
-        except HPDivError as exc:
-            out[n] = exc
     return out
 
 
@@ -267,28 +268,23 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     if plan.scenario == SCENARIO_CSV:
         clouds = (load_points(plan.x_path), load_points(plan.y_path))
     truth = resolve_truth(plan, specs)
-    schedules = _resolve_schedules(plan)
+    dim = clouds[0].dim if clouds else plan.dims
     summaries: list[TrialSummary] = []
     for n in plan.n_grid:
-        trial = partial(_run_trial, plan, specs, clouds, schedules, n)
+        sums = _neighbor_cells(plan, n, dim)
+        failed = {label: c for label, c in sums.items() if isinstance(c, HPDivError)}
+        for label, err in failed.items():
+            warnings.warn(f"cell {label} @ n={n} aborted: {err}", CellErrorWarning, stacklevel=2)
+            del sums[label]
+        trial = partial(_run_trial, plan, specs, clouds, sums, n)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(trial, range(plan.trials)))
         else:
             results = [trial(t) for t in range(plan.trials)]
-
-        for spec in plan.methods:
-            label = spec.label
-            vals = [r[label] for r in results]
-            err = next((v for v in vals if isinstance(v, Exception)), None)
-            if err is not None:
-                warnings.warn(
-                    f"cell {label} @ n={n} aborted: {err}",
-                    CellErrorWarning,
-                    stacklevel=2,
-                )
-                continue
-            summaries.append(_summarize(label, n, np.asarray(vals, float), truth))
+        for label in (s.label for s in plan.methods if s.label not in failed):
+            vals = np.asarray([r[label] for r in results], float)
+            summaries.append(_summarize(label, n, vals, truth))
     return summaries
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (  # noqa: F401  (affine_map is re-exported for callers of this module)
     EstimateResult,
-    HPDivError,
     JointSet,
     KCollision,
     KTooLarge,
@@ -49,8 +48,9 @@ def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) ->
     return {k: int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
-def _checked_ranks(ranks, pooled: int) -> np.ndarray:
-    """The ranks of one estimator method, distinct and inside [1, |Z| - 1]."""
+def checked_ranks(ranks, pooled: int) -> np.ndarray:
+    """The ranks of one estimator method as an int64 array, once they are
+    known, distinct and inside [1, pooled - 1]; else the HPDivError."""
     if ranks is None:
         raise UnresolvedSchedule("schedule has no resolved k_values; call resolve_schedule")
     k = np.asarray(ranks, dtype=np.int64)
@@ -64,33 +64,22 @@ def _checked_ranks(ranks, pooled: int) -> np.ndarray:
 
 def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
     """sum_l weights[l] |E_ranks[l]| for each ``key: (ranks, weights)`` of
-    sums, from one neighbor pass over the union of the valid ranks.
-
-    An entry whose ranks fail their check maps to that HPDivError and the
-    others still run. The sum keeps the entry's order, and stays an int
-    for integer weights.
+    sums, from one neighbor pass over the union of the ranks, which
+    ``checked_ranks`` has passed for |z| points. The sum keeps the entry's
+    order, and stays an int for integer weights.
     """
-    checked = {}
-    for key, (ranks, _) in sums.items():
-        try:
-            checked[key] = _checked_ranks(ranks, len(z))
-        except HPDivError as exc:
-            checked[key] = exc
-    ks = {int(k) for r in checked.values() if not isinstance(r, HPDivError) for k in r}
+    ks = {int(k) for ranks, _ in sums.values() for k in ranks}
     counts = dichotomous_counts(z, build_index(z), ks, workers) if ks else {}
     return {
-        key: r if isinstance(r, HPDivError)
-        else sum(w * counts[int(k)] for w, k in zip(sums[key][1], r))
-        for key, r in checked.items()
+        key: sum(w * counts[int(k)] for w, k in zip(weights, ranks))
+        for key, (ranks, weights) in sums.items()
     }
 
 
 def _statistic(z: JointSet, ranks, weights):
     """One weighted count on all the threads HPDIV_THREADS allows."""
-    stat = neighbor_statistics(z, {0: (ranks, weights)}, worker_count())[0]
-    if isinstance(stat, HPDivError):
-        raise stat
-    return stat
+    sums = {0: (checked_ranks(ranks, len(z)), weights)}
+    return neighbor_statistics(z, sums, worker_count())[0]
 
 
 def knn_estimate(

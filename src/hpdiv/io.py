@@ -123,7 +123,7 @@ def _c_reader(data: bytes) -> np.ndarray | None:
         return None
 
 
-def load_points(path, dim: int | None = None) -> PointCloud:
+def load_points(path) -> PointCloud:
     """Read a point cloud from CSV; every row must have the same width."""
     data = Path(path).read_bytes()
     points = _c_reader(data)
@@ -132,10 +132,7 @@ def load_points(path, dim: int | None = None) -> PointCloud:
         if not rows:
             raise EmptyCloud(f"no data rows in {path}")
         points = np.asarray(rows, dtype=np.float64)
-    cloud = PointCloud(points)
-    if dim is not None and cloud.dim != dim:
-        raise HPDivError(f"expected dimension {dim}, file has {cloud.dim}")
-    return cloud
+    return PointCloud(points)
 
 
 def save_points(path, cloud: PointCloud) -> None:
@@ -145,24 +142,19 @@ def save_points(path, cloud: PointCloud) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_labeled(path, label_column: int = -1) -> LabeledDataset:
-    """Read a labeled dataset: numeric feature columns plus a class token.
-
-    The label column defaults to the last one. Rows must agree in width.
+def load_labeled(path) -> LabeledDataset:
+    """Read a labeled dataset: numeric feature columns, then a class token
+    in the last column. Rows must agree in width.
     """
     feats = []
     labels = []
     for lineno, cells in _rows(_text(Path(path).read_bytes())):
-        width = len(cells)
-        if width < 2:
+        if len(cells) < 2:
             raise LabelMissing(f"row {lineno}: need at least one feature and a label")
-        li = label_column if label_column >= 0 else width + label_column
-        if not (0 <= li < width):
-            raise LabelMissing(f"label column {label_column} out of range")
-        label = cells[li].strip()
+        label = cells[-1].strip()
         if not label:
             raise LabelMissing(f"row {lineno}: empty label")
-        feats.append(_floats(lineno, [c for i, c in enumerate(cells) if i != li]))
+        feats.append(_floats(lineno, cells[:-1]))
         labels.append(label)
     if not feats:
         raise EmptyCloud(f"no data rows in {path}")

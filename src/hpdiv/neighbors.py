@@ -54,9 +54,6 @@ class NeighborIndex:
     tree: cKDTree
     source: JointSet
 
-    def __len__(self) -> int:
-        return len(self.source)
-
 
 def build_index(z: JointSet) -> NeighborIndex:
     """Build a KD-tree index over the pooled points."""
@@ -193,14 +190,3 @@ def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
 def neighbor_table(idx: NeighborIndex, k_max: int) -> np.ndarray:
     """(n, k_max) table: entry [i, r-1] is the rank-r neighbor of point i."""
     return neighbor_ranks(idx, np.arange(1, k_max + 1))
-
-
-def kth_neighbor(idx: NeighborIndex, i: int, k: int) -> int:
-    """Index of the k-th nearest neighbor of point i, self excluded.
-
-    Ties resolve by (distance, global index) ascending.
-    """
-    n = len(idx)
-    if not (0 <= i < n):
-        raise HPDivError(f"point index {i} out of range for {n} points")
-    return int(_ranked_rows(idx, np.asarray([i]), np.asarray([k]))[0, 0])

@@ -13,8 +13,8 @@ The integrand comes from per-axis factors: each slab is an open mesh of
 1-D node arrays, the box mask a product of per-axis masks and a diagonal
 Gaussian's exponent the broadcast sum, in axis order, of (x_j - mu_j)^2/s2_j.
 Each grid value is the same operations on the same operands, in the same
-order, as on a materialized (points, d) array, so its bytes are too. A full
-covariance is not separable and still builds points, one piece at a time.
+order, as on a materialized (points, d) array, so its bytes are too.
+Truncated normals are per-axis (diagonal covariance) only.
 
 Slabs fix the order of the sums: a grid is reduced one slab of whole planes
 along the first axis at a time, each slab by one matrix-vector product,
@@ -72,16 +72,15 @@ class RefinementCapWarning(UserWarning):
 class DistributionSpec:
     """Analytic density on an axis-aligned box: truncated normal or uniform.
 
-    Truncated normals renormalize the Gaussian mass inside the box; the
-    normalizer is computed by the same trapezoid quadrature the divergence
-    integral uses (per-axis products for diagonal covariance, a full grid
-    otherwise).
+    Truncated normals have a diagonal covariance and renormalize the
+    Gaussian mass inside the box; the normalizer is the product of per-axis
+    masses, each by the trapezoid quadrature the divergence integral uses.
     """
 
     kind: str
     box: np.ndarray                 # (d, 2) finite bounds, lower < upper
     mean: np.ndarray | None = None  # (d,), tnorm only
-    cov: np.ndarray | None = None   # (d,) diagonal or (d, d) full, tnorm only
+    cov: np.ndarray | None = None   # (d,) per-axis variances, tnorm only
 
     def __post_init__(self):
         box = np.array(self.box, dtype=np.float64)
@@ -100,16 +99,10 @@ class DistributionSpec:
                 raise HPDivError("mean length must match box dimension")
             if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
                 raise HPDivError("mean and covariance must be finite")
-            if cov.ndim == 1:
-                if cov.size != mean.size or (cov <= 0).any():
-                    raise HPDivError("diagonal covariance must be positive")
-            elif cov.ndim == 2:
-                if cov.shape != (mean.size, mean.size):
-                    raise HPDivError("covariance must be (d, d)")
-                if np.linalg.eigvalsh(cov).min() <= 0:
-                    raise HPDivError("covariance must be positive definite")
-            else:
-                raise HPDivError("covariance must be a scalar, vector, or matrix")
+            if cov.ndim != 1:
+                raise HPDivError("covariance must be a scalar or per-axis variances")
+            if cov.size != mean.size or (cov <= 0).any():
+                raise HPDivError("diagonal covariance must be positive")
             mean.flags.writeable = False
             cov.flags.writeable = False
             object.__setattr__(self, "mean", mean)
@@ -134,48 +127,32 @@ class DistributionSpec:
             return True
         return (
             np.array_equal(self.mean, other.mean)
-            and self.cov.shape == other.cov.shape
             and np.array_equal(self.cov, other.cov)
         )
 
     def _gauss_unnormalized(self, axes) -> np.ndarray:
         """Gaussian density without the truncation renormalizer, at the
         broadcast of the per-axis coordinate arrays ``axes``."""
-        if self.cov.ndim == 1:
-            # added in axis order, as numpy sums the last axis of a points array
-            quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, self.mean, self.cov))
-            norm = math.sqrt((2 * math.pi) ** self.dim * float(np.prod(self.cov)))
-        else:
-            grid = np.broadcast_arrays(*axes)
-            diff = np.stack(grid, axis=-1).reshape(-1, self.dim) - self.mean
-            inv = np.linalg.inv(self.cov)
-            quad = np.einsum("...i,ij,...j->...", diff, inv, diff).reshape(grid[0].shape)
-            norm = math.sqrt(
-                (2 * math.pi) ** self.dim * float(np.linalg.det(self.cov))
-            )
+        # added in axis order, as numpy sums the last axis of a points array
+        quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, self.mean, self.cov))
+        norm = math.sqrt((2 * math.pi) ** self.dim * float(np.prod(self.cov)))
         return np.exp(-0.5 * quad) / norm
 
     def _truncated_mass(self) -> float:
         if self.kind == KIND_UNIFORM:
             return 1.0
-        if self.cov.ndim == 1:
-            mass = 1.0
-            for j in range(self.dim):
-                mu, s2 = float(self.mean[j]), float(self.cov[j])
-                lo, hi = self.box[j]
+        mass = 1.0
+        for j in range(self.dim):
+            mu, s2 = float(self.mean[j]), float(self.cov[j])
+            lo, hi = self.box[j]
 
-                def axis_pdf(t, mu=mu, s2=s2):
-                    return np.exp(-0.5 * (t[0] - mu) ** 2 / s2) / math.sqrt(
-                        2 * math.pi * s2
-                    )
+            def axis_pdf(t, mu=mu, s2=s2):
+                return np.exp(-0.5 * (t[0] - mu) ** 2 / s2) / math.sqrt(
+                    2 * math.pi * s2
+                )
 
-                mass *= _refined_trapezoid(axis_pdf, np.array([[lo, hi]]), 1)
-            return mass
-        if self.dim > 3:
-            raise DimTooHigh(
-                "full-covariance truncation needs a tensor grid; dim <= 3 only"
-            )
-        return _refined_trapezoid(self._gauss_unnormalized, self.box, self.dim)
+            mass *= _refined_trapezoid(axis_pdf, np.array([[lo, hi]]), 1)
+        return mass
 
 
 def truncated_normal(mean, cov, box) -> DistributionSpec:
@@ -275,8 +252,8 @@ def _fill_pieces(f, out: np.ndarray, axes) -> None:
             out[lead][a : a + run] = piece.reshape(-1, block)
 
 
-def _refined_trapezoid(f, box: np.ndarray, dim: int, n: int | None = None) -> float:
-    n = _GRID_START[dim] if n is None else n
+def _refined_trapezoid(f, box: np.ndarray, dim: int) -> float:
+    n = _GRID_START[dim]
     prev = _tensor_trapezoid(f, box, n)
     change = None
     while 2 * (n - 1) + 1 <= _GRID_CAP[dim]:
@@ -296,12 +273,7 @@ def _refined_trapezoid(f, box: np.ndarray, dim: int, n: int | None = None) -> fl
     return prev
 
 
-def true_divergence(
-    fx: DistributionSpec,
-    fy: DistributionSpec,
-    p: float,
-    grid: int | None = None,
-) -> float:
+def true_divergence(fx: DistributionSpec, fy: DistributionSpec, p: float) -> float:
     """Quadrature value of D_p between two analytic specs (dims <= 3)."""
     if fx.dim != fy.dim:
         raise HPDivError("specs must share an ambient dimension")
@@ -310,8 +282,6 @@ def true_divergence(
         raise DimTooHigh(f"quadrature supports dim <= 3, got {dim}")
     prior = MixtureParam(p)  # raises InvalidP
     p, q = prior.p, prior.q
-    if grid is not None and grid < 2:
-        raise HPDivError("grid must have at least 2 nodes per axis")
     box = fx.box
     if not np.array_equal(fx.box, fy.box):
         warnings.warn(
@@ -333,7 +303,7 @@ def true_divergence(
         den = p * a + q * b
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
-    value = _refined_trapezoid(integrand, box, dim, grid)
+    value = _refined_trapezoid(integrand, box, dim)
     return float(min(1.0, max(0.0, 1.0 - value)))
 
 

@@ -1,8 +1,11 @@
 """Seeded synthetic samplers for the benchmark scenarios.
 
 Streams are counter-based (Philox), so identical (spec, seed) pairs
-reproduce bit-identical samples and parallel trials can own disjoint
-streams derived as base_seed XOR trial_index without coordination.
+reproduce bit-identical samples, and parallel trials key their own streams
+from ``trial_seed(base_seed, trial_index, role)`` without coordination.
+Those keys are distinct within one base seed, but not across bases: the
+set {base_seed XOR t : t < T} is the same for many bases, so nearby base
+seeds draw largely the same trials.
 
 Truncated normals are drawn by rejection from the untruncated Gaussian:
 the benchmark boxes sit at several standard deviations, so acceptance is
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HPDivError, PointCloud
-from .oracle import DistributionSpec, KIND_TRUNC_NORMAL, KIND_UNIFORM
+from .oracle import DistributionSpec, KIND_UNIFORM
 
 # Rejection sampling gives up when fewer than this fraction of a probe
 # batch lands inside the box.
@@ -37,9 +40,14 @@ class SamplerState:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise HPDivError("seed must be a nonnegative integer")
-        self._rng = np.random.Generator(np.random.Philox(key=self.seed))
+        self._rng = seeded_rng(self.seed)
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """A Philox stream keyed by ``seed``, a key in [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise HPDivError(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def make_state(spec: DistributionSpec, seed: int) -> SamplerState:
@@ -47,8 +55,8 @@ def make_state(spec: DistributionSpec, seed: int) -> SamplerState:
 
 
 def trial_seed(base_seed: int, trial_index: int, role: int = 0) -> int:
-    """Disjoint stream seed for one trial; role separates paired streams
-    (0 for the X sample, 1 for Y) within the same trial."""
+    """Stream seed for one trial, distinct across the trials of one base
+    seed; role separates paired streams (0 for the X sample, 1 for Y)."""
     return ((int(base_seed) ^ int(trial_index)) << 1) | (role & 1)
 
 
@@ -62,22 +70,12 @@ def sample(state: SamplerState, n: int) -> PointCloud:
     if spec.kind == KIND_UNIFORM:
         pts = rng.uniform(lo, hi, size=(n, spec.dim))
         return PointCloud(pts)
-    if spec.kind != KIND_TRUNC_NORMAL:
-        raise HPDivError(f"cannot sample from kind {spec.kind!r}")
-
-    if spec.cov.ndim == 1:
-        scale = np.sqrt(spec.cov)
-        draw = lambda size: spec.mean + scale * rng.standard_normal((size, spec.dim))
-    else:
-        chol = np.linalg.cholesky(spec.cov)
-        draw = lambda size: spec.mean + rng.standard_normal((size, spec.dim)) @ chol.T
-
+    scale = np.sqrt(spec.cov)
+    draw = lambda size: spec.mean + scale * rng.standard_normal((size, spec.dim))
     inside = lambda pts: pts[((pts >= lo) & (pts <= hi)).all(axis=1)]
     # The probe is drawn head first, so a small n stops after the head; the
-    # bytes match one full-probe draw. A full covariance goes through BLAS,
-    # whose rows may round differently in a shorter matrix, so it draws the
-    # whole probe at once.
-    head = min(_PROBE, int(1.2 * n) + 64) if spec.cov.ndim == 1 else _PROBE
+    # bytes match one full-probe draw.
+    head = min(_PROBE, int(1.2 * n) + 64)
     accepted = inside(draw(head))
     if len(accepted) >= max(n, _MIN_ACCEPT_RATE * _PROBE):
         return PointCloud(accepted[:n])

@@ -138,13 +138,8 @@ def quad_bayes_error_1d(fx, fy, lo: float, hi: float, p: float = 0.5) -> float:
 
 def _points_gauss(spec, x):
     diff = x - spec.mean
-    if spec.cov.ndim == 1:
-        quad = ((diff * diff) / spec.cov).sum(axis=-1)
-        norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.prod(spec.cov)))
-    else:
-        inv = np.linalg.inv(spec.cov)
-        quad = np.einsum("...i,ij,...j->...", diff, inv, diff)
-        norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.linalg.det(spec.cov)))
+    quad = ((diff * diff) / spec.cov).sum(axis=-1)
+    norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.prod(spec.cov)))
     return np.exp(-0.5 * quad) / norm
 
 
@@ -180,8 +175,8 @@ def _points_trapezoid(f, box, n_nodes):
     return total
 
 
-def _points_refined(f, box, dim, n=None):
-    n = oracle._GRID_START[dim] if n is None else n
+def _points_refined(f, box, dim):
+    n = oracle._GRID_START[dim]
     prev = _points_trapezoid(f, box, n)
     while 2 * (n - 1) + 1 <= oracle._GRID_CAP[dim]:
         n = 2 * (n - 1) + 1
@@ -196,8 +191,6 @@ def points_mass(spec) -> float:
     """Truncation mass of a spec, from point arrays."""
     if spec.kind == "uniform":
         return 1.0
-    if spec.cov.ndim == 2:
-        return _points_refined(lambda x: _points_gauss(spec, x), spec.box, spec.dim)
     mass = 1.0
     for (lo, hi), mu, s2 in zip(spec.box, spec.mean, spec.cov):
         mu, s2 = float(mu), float(s2)
@@ -218,7 +211,7 @@ def points_density(spec, pts, mass: float):
     return np.where(inside, _points_gauss(spec, pts) / mass, 0.0)
 
 
-def points_divergence(fx, fy, p: float, grid: int | None = None) -> float:
+def points_divergence(fx, fy, p: float) -> float:
     """D_p by the tensor trapezoid over (points, d) arrays, on the union box."""
     box = np.column_stack(
         [np.minimum(fx.box[:, 0], fy.box[:, 0]), np.maximum(fx.box[:, 1], fy.box[:, 1])]
@@ -231,5 +224,5 @@ def points_divergence(fx, fy, p: float, grid: int | None = None) -> float:
         den = p * a + (1 - p) * b
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
-    value = _points_refined(integrand, box, fx.dim, grid)
+    value = _points_refined(integrand, box, fx.dim)
     return float(min(1.0, max(0.0, 1.0 - value)))

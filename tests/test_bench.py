@@ -18,6 +18,7 @@ from hpdiv.bench import (
 from hpdiv.core import HPDivError, InvalidP
 from hpdiv.oracle import RefinementCapWarning
 from hpdiv.io import load_points, save_points
+from hpdiv.weights import default_l_values, resolve_schedule
 from hpdiv import PointCloud
 
 
@@ -242,18 +243,38 @@ class TestRunPlan:
         )
         specs = scenario_specs(plan)
         clouds = (load_points(xp), load_points(yp)) if scenario == "csv" else None
-        schedules = bench._resolve_schedules(plan)
+        sums = bench._neighbor_cells(plan, 160, 2)
         t = 3
-        got = bench._run_trial(plan, specs, clouds, schedules, 160, t)
+        got = bench._run_trial(plan, specs, clouds, sums, 160, t)
         x, y = bench._draw_pair(plan, specs, clouds, 160, t)
+        schedule = resolve_schedule(default_l_values(2), 2, 160)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the csv pair is off the balanced ratio
             want = {
                 "knn:5": knn_estimate(x, y, 5, plan.p).value,
-                "wnn": wnn_estimate(x, y, schedules[160], plan.p).value,
+                "wnn": wnn_estimate(x, y, schedule, plan.p).value,
                 "mst": mst_estimate(x, y, plan.p).value,
             }
         assert got == want
+
+    def test_neighbor_pass_sees_only_passing_cells(self, monkeypatch):
+        # Ranks must fit |Z| - 1 = 63 at n=32 and 127 at n=64: knn:100 runs at
+        # n=64 only, as does wnn:1|12 with K(l) = (5, 67), then (8, 96).
+        seen = []
+        real = bench.neighbor_statistics
+
+        def spy(z, sums, *args):
+            seen.append((len(z), sorted(sums)))
+            return real(z, sums, *args)
+
+        monkeypatch.setattr(bench, "neighbor_statistics", spy)
+        plan = small_plan(methods=tuple(parse_methods("knn:3,knn:100,wnn:1|12,mst")), trials=3)
+        with pytest.warns(CellErrorWarning):
+            out = run_plan(plan)
+        assert seen == [(64, ["knn:3"])] * 3 + [(128, ["knn:100", "knn:3", "wnn"])] * 3
+        assert {(s.method, s.n) for s in out} == {
+            ("knn:3", 32), ("mst", 32), ("knn:3", 64), ("knn:100", 64), ("wnn", 64), ("mst", 64)
+        }
 
     def test_malformed_thread_count(self, monkeypatch):
         monkeypatch.setenv("HPDIV_THREADS", "x")

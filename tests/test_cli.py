@@ -262,6 +262,8 @@ class TestGen:
         (["--dist", "tnorm", "--dim", "2", "--mean", "0,inf"], "finite"),
         (["--dist", "tnorm", "--dim", "2", "--sigma", "inf"], "finite"),
         (["--dist", "tnorm", "--dim", "1", "--sigma", "nan"], "finite"),
+        (["--dist", "tnorm", "--dim", "1", "--seed", str(2**128)], "2**128"),
+        (["--dist", "uniform", "--dim", "1", "--seed", "-1"], "2**128"),
     ])
     def test_degenerate_spec_exit_2(self, capsys, tmp_path, flags, match):
         out = tmp_path / "never.csv"
@@ -316,6 +318,10 @@ class TestBench:
         ("--shift", "nan", "finite"),
         ("--shift", "inf", "finite"),
         ("--shift", "-inf", "finite"),
+        ("--truth", "nan", "finite"),
+        ("--truth", "inf", "finite"),
+        ("--seed", str(2**127), "2**127"),
+        ("--seed", "-1", "2**127"),
     ])
     def test_degenerate_plan_exit_2(self, capsys, tmp_path, bench_argv, flag, value, match):
         argv = bench_argv[:]
@@ -325,6 +331,31 @@ class TestBench:
             argv += [f"{flag}={value}"]
         assert_usage_error(capsys, argv, match)
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.fixture
+    def csv_files(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(x, rng.normal(size=(300, 2)), delimiter=",")
+        np.savetxt(y, rng.normal(0.5, 1.0, size=(300, 2)), delimiter=",")
+        return ["--scenario", "csv", "--x", str(x), "--y", str(y)]
+
+    def test_csv_negative_seed_exit_2(self, capsys, tmp_path, csv_files):
+        out = tmp_path / "r.csv"
+        argv = ["bench", *csv_files, "--seed", "-1", "--n-grid", "50", "--trials", "2",
+                "--methods", "knn:1", "--out", str(out)]
+        assert_usage_error(capsys, argv, "2**127")
+        assert not out.exists()
+
+    def test_csv_wnn_ignores_dims(self, capsys, tmp_path, csv_files):
+        # --dims sets the synthetic scenarios only: a csv plan solves its wnn
+        # weights at the dimension of its files.
+        outs = [tmp_path / f"r{d}.csv" for d in (1, 2)]
+        for d, out in zip((1, 2), outs):
+            assert main(["bench", *csv_files, "--dims", str(d), "--n-grid", "200",
+                         "--trials", "3", "--methods", "wnn,knn:4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_duplicate_labels_exit_2(self, capsys, bench_argv):
         argv = bench_argv[:]

@@ -18,7 +18,7 @@ from hpdiv import (
     wnn_estimate,
 )
 
-from hpdiv.estimators import dichotomous_counts, neighbor_statistics
+from hpdiv.estimators import checked_ranks, dichotomous_counts, neighbor_statistics
 
 from conftest import tie_free
 
@@ -61,9 +61,10 @@ class TestCountDichotomous:
     def test_empty_ranks_fail_only_their_entry(self, hand_pair):
         x, y = hand_pair
         z = validate_pair(x, y, 0.5)
-        stats = neighbor_statistics(z, {0: ([], []), 1: ([1], [1])})
-        assert isinstance(stats[0], KTooLarge)
-        assert str(stats[0]) == "ranks must lie in [1, 3], got 0..0"
+        with pytest.raises(KTooLarge) as exc:
+            checked_ranks([], len(z))
+        assert str(exc.value) == "ranks must lie in [1, 3], got 0..0"
+        stats = neighbor_statistics(z, {1: (checked_ranks([1], len(z)), [1])})
         assert stats[1] == dichotomous_counts(z, build_index(z), [1])[1] == 4
 
 

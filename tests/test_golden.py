@@ -1,0 +1,88 @@
+"""Pinned output bytes: bench CSVs, estimate stdout, gen files and truths.
+
+Every kept output must stay byte-identical across refactors and speedups.
+A change that alters outputs on purpose updates these pins and says so in
+CHANGES.md.
+"""
+
+import hashlib
+import warnings
+
+import pytest
+
+from hpdiv import bench, true_divergence
+from hpdiv.cli import main
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli(capsys, argv) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.fixture
+def gen_files(tmp_path, capsys):
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    cli(capsys, ["gen", "--dist", "tnorm", "--dim", "2", "--n", "300", "--seed", "3",
+                 "--out", str(x)])
+    cli(capsys, ["gen", "--dist", "tnorm", "--dim", "2", "--n", "300", "--seed", "4",
+                 "--mean", "0.5,0", "--sigma", "1,1.5", "--out", str(y)])
+    return str(x), str(y)
+
+
+GEN_X = "dc2e66f304d971da2458f6c86d08a707711957a86ca17de8e473a5444e510dc8"
+BENCH_ABORTS = [
+    "cell wnn @ n=64 aborted: K(l)=floor(l*sqrt(N)) must be >= 1; l=0.1 gives 0 at N=64",
+    "cell knn:300 @ n=64 aborted: ranks must lie in [1, 127], got 300..300",
+    "cell knn:300 @ n=128 aborted: ranks must lie in [1, 255], got 300..300",
+]
+BENCH_CSV = "317b0e21eb27dd60a514dc81b16cf0416dd20dfa197571deac30e95183622dfa"
+ESTIMATE = {
+    "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
+    "wnn": "fbe1653e1efd4fe8b56656b65c8051caa39c2c329446e948e04d20e220140eab",
+    "mst": "eda006f65270953251c204ae5770120ddc1ea556206eda9689faa1cba6c41e0b",
+}
+TRUTH = {1: "0.2040420024018691", 2: "0.20404200273407191", 3: "0.20404201037693492"}
+
+
+def test_gen_file(gen_files):
+    with open(gen_files[0], "rb") as fh:
+        assert sha256(fh.read()) == GEN_X
+
+
+@pytest.mark.parametrize("method", ["knn", "wnn", "mst"])
+def test_estimate_stdout(capsys, gen_files, method):
+    x, y = gen_files
+    extra = ["--k", "4"] if method == "knn" else []
+    out = cli(capsys, ["estimate", "--method", method, *extra, "--x", x, "--y", y])
+    assert sha256(out.encode()) == ESTIMATE[method]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_csv(tmp_path, capsys, monkeypatch, threads):
+    # The default d=2 wnn grid floors K(0.1) to 0 at n=64, and knn:300 runs
+    # only where |Z| - 1 >= 300, so three cells abort.
+    monkeypatch.setenv("HPDIV_THREADS", threads)
+    out = tmp_path / "bench.csv"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["bench", "--scenario", "gauss-shift", "--dims", "2",
+                     "--n-grid", "64,128,256", "--trials", "4", "--seed", "5",
+                     "--methods", "knn:5,wnn,mst,const:0.5,knn:300",
+                     "--out", str(out)]) == 0
+    assert [str(w.message) for w in seen] == BENCH_ABORTS
+    assert all(w.category is bench.CellErrorWarning for w in seen)
+    assert sha256(out.read_bytes()) == BENCH_CSV
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gauss_shift_truth(d):
+    plan = bench.ExperimentPlan(
+        bench.SCENARIO_GAUSS_SHIFT, d, (100,), tuple(bench.parse_methods("knn:1")), 2
+    )
+    assert repr(true_divergence(*bench.scenario_specs(plan), 0.5)) == TRUTH[d]

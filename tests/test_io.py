@@ -66,13 +66,6 @@ class TestLoadPoints:
             load_labeled(f)
         assert exc.value.row == row
 
-    def test_dim_validation(self, tmp_path):
-        f = tmp_path / "pts.csv"
-        f.write_text("0,0\n1,1\n")
-        load_points(f, dim=2)
-        with pytest.raises(Exception):
-            load_points(f, dim=3)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip_value_identical(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
@@ -196,13 +189,6 @@ class TestLoadLabeled:
         with pytest.raises(ParseError) as exc:
             load_labeled(f)
         assert exc.value.row == 2
-
-    def test_label_column_override(self, tmp_path):
-        f = tmp_path / "d.csv"
-        f.write_text("a,0,0\nb,1,1\n")
-        ds = load_labeled(f, label_column=0)
-        assert ds.class_counts == {"a": 1, "b": 1}
-        assert ds.features.dim == 2
 
     def test_too_narrow(self, tmp_path):
         f = tmp_path / "d.csv"

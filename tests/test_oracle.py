@@ -113,31 +113,22 @@ class TestTrueDivergence:
         with pytest.raises(DimTooHigh):
             true_divergence(f, f, 0.5)
 
-    def test_3d_identical_and_disjoint(self):
+    def test_3d_identical_and_disjoint(self, coarse_grids):
         f = truncated_normal(np.zeros(3), 1.0, (-3, 3))
-        # Doubling from 41 nodes stops at 321 (the 3-D cap is 401), short of
+        # Doubling from 11 nodes stops at the coarse 3-D cap of 81, short of
         # _REFINE_TOL.
-        with pytest.warns(RefinementCapWarning, match="cap of 321 nodes"):
-            assert true_divergence(f, f, 0.5, grid=41) == pytest.approx(0.0, abs=5e-4)
+        with pytest.warns(RefinementCapWarning, match="cap of 81 nodes"):
+            assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=5e-4)
         a = uniform_box([(0.0, 1.0)] * 3)
         b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
         with pytest.warns(NonOverlappingSupportWarning):
-            assert true_divergence(a, b, 0.5, grid=11) == 1.0
+            assert true_divergence(a, b, 0.5) == 1.0
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_rejects_p_outside_unit_interval(self, p):
         f = truncated_normal([0.0], 1.0, (-5, 5))
         with pytest.raises(InvalidP):
             true_divergence(f, f, p)
-
-    def test_bad_grid_raises_before_the_union_warning(self):
-        a = uniform_box((0.0, 1.0))
-        b = uniform_box((2.0, 3.0))
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            with pytest.raises(HPDivError, match="grid"):
-                true_divergence(a, b, 0.5, grid=1)
-        assert seen == []
 
 
 class TestSpecValidation:
@@ -162,17 +153,19 @@ class TestSpecValidation:
             with pytest.raises(HPDivError, match="finite"):
                 truncated_normal(mean, cov, (-5, 5))
 
+    def test_rejects_full_covariance(self):
+        with pytest.raises(HPDivError, match="per-axis variances"):
+            truncated_normal([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], (-5, 5))
+
 
 def _specs(d: int) -> dict:
-    """Diagonal, full-covariance and uniform specs on equal and unequal boxes."""
+    """Truncated normal and uniform specs on equal and unequal boxes."""
     return {
         "diag": truncated_normal(np.zeros(d), 1.0, (-5, 5)),
         "diag2": truncated_normal(
             np.arange(d) * 0.3 + 0.5, np.linspace(0.7, 2.0, d), (-4, 4.5)
         ),
-        "full": truncated_normal(
-            np.full(d, 0.1), np.full((d, d), 0.3) + 0.9 * np.eye(d), (-4, 4)
-        ),
+        "own": truncated_normal(np.full(d, 0.1), np.linspace(1.2, 0.9, d), (-4, 4)),
         "odd": truncated_normal(
             np.full(d, 0.2),
             np.linspace(1.3, 0.6, d),
@@ -183,8 +176,8 @@ def _specs(d: int) -> dict:
     }
 
 
-# equal-box, full-covariance and union-box pairs
-_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("full", "odd"), ("unif", "disj")]
+# equal-box pairs, then union boxes of odd and disjoint boxes
+_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("own", "odd"), ("unif", "disj")]
 
 
 # The coarse caps stop many refinements short of _REFINE_TOL; the tests
@@ -238,10 +231,10 @@ class TestMatchesPointArrays:
     @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_many_slabs(self, coarse_grids, monkeypatch, d):
-        whole = true_divergence(_specs(d)["diag"], _specs(d)["full"], 0.4)
+        whole = true_divergence(_specs(d)["diag"], _specs(d)["own"], 0.4)
         monkeypatch.setattr(oracle, "_SLAB", 1000)  # 2 to 41 slabs per grid
         specs = _specs(d)  # masses on the same slabs as the reference's
-        fx, fy = specs["diag"], specs["full"]
+        fx, fy = specs["diag"], specs["own"]
         got = true_divergence(fx, fy, 0.4)
         assert got == points_divergence(fx, fy, 0.4)
         assert got == pytest.approx(whole, abs=1e-12)
@@ -263,7 +256,7 @@ class TestMatchesPointArrays:
         if slab is not None:
             monkeypatch.setattr(oracle, "_SLAB", slab)
         specs = _specs(d)
-        for a, b in [("diag", "full"), *_PAIRS]:
+        for a, b in [("diag", "own"), *_PAIRS]:
             fx, fy = specs[a], specs[b]
             assert true_divergence(fx, fy, 0.4) == points_divergence(fx, fy, 0.4), (a, b)
 
