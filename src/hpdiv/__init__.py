@@ -40,7 +40,6 @@ from .oracle import (
 from .synth import RejectionStall, SamplerState, make_state, sample, trial_seed
 from .weights import (
     SingularConstraints,
-    UnresolvedSchedule,
     WeightSchedule,
     default_l_values,
     resolve_schedule,
@@ -72,7 +71,6 @@ __all__ = [
     "SingularConstraints",
     "SpanningTree",
     "TooFewPoints",
-    "UnresolvedSchedule",
     "WeightSchedule",
     "bayes_bounds",
     "build_emst",

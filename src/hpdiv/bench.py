@@ -10,11 +10,12 @@ results are identical whether trials run serially or in the thread pool
 (HPDIV_THREADS caps the pool; 0 or unset means auto).
 
 Every draw at one n pools the same number of points, so the ranks of each
-knn and wnn (method, n) cell are resolved and checked once, before its
-trials. A rank or schedule error (an HPDivError) aborts only its own cell:
-the error is reported as a CellErrorWarning, the cell runs no trial and
-the remaining cells still run. Any other exception is a bug and
-propagates out of run_plan.
+knn and wnn (method, n) cell are resolved, and checked by
+``neighbors.checked_ranks``, once, before its trials. A rank or schedule
+error (an HPDivError) aborts only its own cell: the error is reported as a
+CellErrorWarning, the cell runs no trial and the remaining cells still
+run; an n whose every cell aborted draws no sample. Any other exception is
+a bug and propagates out of run_plan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +38,10 @@ from .core import (
     pool_pair,
     worker_count,
 )
-from .estimators import checked_ranks, neighbor_statistics
+from .estimators import neighbor_statistics
 from .io import load_points
 from .mst import build_emst, dichotomous_edge_count
+from .neighbors import checked_ranks
 from .oracle import DimTooHigh, DistributionSpec, true_divergence, truncated_normal, uniform_box
 from .synth import make_state, sample, seeded_rng, trial_seed
 from .weights import default_l_values, resolve_schedule
@@ -276,6 +277,8 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
         for label, err in failed.items():
             warnings.warn(f"cell {label} @ n={n} aborted: {err}", CellErrorWarning, stacklevel=2)
             del sums[label]
+        if len(failed) == len(plan.methods):
+            continue
         trial = partial(_run_trial, plan, specs, clouds, sums, n)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -337,29 +340,3 @@ def summarize_csv(results: list[TrialSummary], path) -> None:
                 )
                 + "\n"
             )
-
-
-def load_summaries(path) -> list[TrialSummary]:
-    """Parse a summarize_csv file back into TrialSummary rows."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise HPDivError(f"{path} is not a bench summary file")
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        out.append(
-            TrialSummary(
-                method=cells[0],
-                n=int(cells[1]),
-                mean_est=float(cells[2]),
-                bias=float(cells[3]) if cells[3] else None,
-                variance=float(cells[4]),
-                mse=float(cells[5]) if cells[5] else None,
-                ci_low=float(cells[6]),
-                ci_high=float(cells[7]),
-                trials=int(cells[8]),
-            )
-        )
-    return out

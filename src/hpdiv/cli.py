@@ -130,6 +130,8 @@ def cmd_gen(args) -> int:
             sigma = sigma * args.dim
         if len(sigma) != args.dim:
             raise HPDivError(f"--sigma needs 1 or {args.dim} values")
+        if min(sigma) <= 0:  # squaring would hide the sign
+            raise HPDivError(f"--sigma values must be positive, got {args.sigma}")
         cov = np.asarray(sigma, dtype=float) ** 2
         spec = truncated_normal(mean, cov, box)
     cloud = sample(make_state(spec, args.seed), args.n)

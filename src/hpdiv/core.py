@@ -107,11 +107,10 @@ class JointSet:
 
 @dataclass(frozen=True)
 class MixtureParam:
-    """Mixture prior p with its complement q = 1 - p and the ratio eta = p/q."""
+    """Mixture prior p with its complement q = 1 - p."""
 
     p: float
     q: float = field(init=False)
-    eta: float = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)
@@ -119,7 +118,6 @@ class MixtureParam:
             raise InvalidP(f"p must lie in (0, 1), got {p!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", 1.0 - p)
-        object.__setattr__(self, "eta", p / (1.0 - p))
 
 
 METHOD_KNN = "knn"

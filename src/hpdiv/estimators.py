@@ -24,8 +24,6 @@ import numpy as np
 from .core import (  # noqa: F401  (affine_map is re-exported for callers of this module)
     EstimateResult,
     JointSet,
-    KCollision,
-    KTooLarge,
     METHOD_KNN,
     METHOD_WNN,
     PointCloud,
@@ -34,8 +32,8 @@ from .core import (  # noqa: F401  (affine_map is re-exported for callers of thi
     validate_pair,
     worker_count,
 )
-from .neighbors import NeighborIndex, build_index, neighbor_ranks
-from .weights import UnresolvedSchedule, WeightSchedule
+from .neighbors import NeighborIndex, build_index, checked_ranks, neighbor_ranks
+from .weights import WeightSchedule
 
 
 def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) -> dict[int, int]:
@@ -48,25 +46,11 @@ def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) ->
     return {k: int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
-def checked_ranks(ranks, pooled: int) -> np.ndarray:
-    """The ranks of one estimator method as an int64 array, once they are
-    known, distinct and inside [1, pooled - 1]; else the HPDivError."""
-    if ranks is None:
-        raise UnresolvedSchedule("schedule has no resolved k_values; call resolve_schedule")
-    k = np.asarray(ranks, dtype=np.int64)
-    if len(np.unique(k)) != k.size:
-        raise KCollision(f"ranks contain duplicates: {k.tolist()}")
-    lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
-    if not 1 <= lo <= hi <= pooled - 1:
-        raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {lo}..{hi}")
-    return k
-
-
 def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
     """sum_l weights[l] |E_ranks[l]| for each ``key: (ranks, weights)`` of
     sums, from one neighbor pass over the union of the ranks, which
-    ``checked_ranks`` has passed for |z| points. The sum keeps the entry's
-    order, and stays an int for integer weights.
+    ``neighbors.checked_ranks`` has passed for |z| points. The sum keeps the
+    entry's order, and stays an int for integer weights.
     """
     ks = {int(k) for ranks, _ in sums.values() for k in ranks}
     counts = dichotomous_counts(z, build_index(z), ks, workers) if ks else {}

@@ -44,10 +44,6 @@ class SpanningTree:
     lengths: np.ndarray  # (m,) float64
     algorithm: str       # "path", "delaunay" or "prim"
 
-    @property
-    def total_length(self) -> float:
-        return float(self.lengths.sum())
-
     def __len__(self) -> int:
         return self.edges.shape[0]
 

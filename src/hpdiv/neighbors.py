@@ -6,19 +6,22 @@ k (self excluded). Ranks are defined by lexicographic order on
 deterministic even in the presence of duplicate points or exact distance
 ties.
 
-Only the ranks a caller reads are certified, in one block loop over rows
-in the tree's leaf order on ``workers`` threads. For each read rank r a
+``neighbor_ranks`` is the whole pass. It checks the ranks once, then
+certifies only the ranks a caller reads, in one block loop over rows in
+the tree's leaf order on ``workers`` threads. For each read rank r a
 block takes candidates r-1, r and r+1 from a scipy cKDTree query, or for
 deep ranks from a sort of whole rows of packed int64 keys (a squared
 distance's bits, the low bits holding the point's index). Candidate r is
 the rank-r neighbor when its distance, recomputed by one formula, lies
 strictly between the other two and its key bucket (the bits above the
 index) differs from theirs: one bucket orders by index, which can hide a
-gap between subnormal distances. A row with a read rank on a tie is
-re-ranked from its k_max + 1 + _TIE_PAD nearest candidates sorted by
-(distance, index), a window that doubles until the ties end inside it or
-it holds every point. Each block's rows fit one byte budget, _BLOCK_BYTES.
-Results match a brute-force scan at any thread count.
+gap between subnormal distances. The block then re-ranks its rows with a
+read rank on a tie, on its own thread, from their k_max + 1 + _TIE_PAD
+nearest candidates sorted by (distance, index): a window that doubles
+until the ties end inside it or it holds every point. Every kd block, row
+sort and tie piece fits one thread's share of the byte budget,
+_BLOCK_BYTES // workers. Results match a brute-force scan at any thread
+count.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import HPDivError, JointSet, KTooLarge
+from .core import HPDivError, JointSet, KCollision, KTooLarge
 
 # Relative gap a certified rank's distance keeps from the ranks beside it.
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
-# Bytes a block holds over all threads: per row, 8 n in a row sort (keys
-# made and sorted in place), _entry_bytes per column in a kd block or per
-# window entry on the tie path. 2 MiB holds 2^18 sort keys.
+# Bytes the blocks hold over all threads, each thread a 1/workers share:
+# per row, 8 n in a row sort (keys made and sorted in place), _entry_bytes
+# per column in a kd block or per window entry on the tie path. 2 MiB
+# holds 2^18 sort keys.
 _BLOCK_BYTES = 1 << 21
 # A kd query costs about k_max per row and a row sort about n, so rows are
 # sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread (d = 1..4,
@@ -76,25 +80,25 @@ def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sorted_rows(
-    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, hi: int, workers: int
+    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, share: int
 ) -> np.ndarray:
     """Ranks for rows with ties, from candidates sorted by (distance, index).
     A row is done once every read rank's distance sits strictly inside the
     last candidate's, or its window holds all n points; the other rows go
-    round again with twice the window, in blocks of at most _BLOCK_BYTES."""
+    round again with twice the window, in pieces of at most ``share`` bytes."""
     points = idx.source.points
     out = np.empty((len(rows), len(ranks)), dtype=np.int64)
-    work = [(np.arange(len(rows)), hi + 1 + _TIE_PAD)]
+    work = [(np.arange(len(rows)), int(ranks.max()) + 1 + _TIE_PAD)]
     while work:
         pos, k = work.pop()
         k = min(len(points), k)
-        step = max(1, _BLOCK_BYTES // (k * _entry_bytes(points.shape[1])))
+        step = max(1, share // (k * _entry_bytes(points.shape[1])))
         if pos.size > step:
             work.append((pos[step:], k))
             pos = pos[:step]
         row = rows[pos, None]
         # The whole window needs no tree, which leaves out overflowed distances.
-        cand = (idx.tree.query(points[rows[pos]], k=k, workers=workers)[1] if k < len(points)
+        cand = (idx.tree.query(points[rows[pos]], k=k, workers=1)[1] if k < len(points)
                 else np.broadcast_to(np.arange(k), (len(pos), k)))
         d2 = _sq_dists(points, cand, row)
         horizon = d2[:, -1:] * (1.0 - _TIE_RTOL)
@@ -127,63 +131,64 @@ def _sorted_columns(
     return keys & ((1 << bits) - 1), keys >> bits
 
 
-def _ranked_rows(
-    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, workers: int = 1
-) -> np.ndarray:
-    """(len(rows), len(ranks)) neighbor indices at the given ranks. Column r
-    (0 is the nearest) is rank r when its distance sits strictly inside
-    those of columns r-1 and r+1 (+inf past the last point) and its bucket
-    differs from theirs: columns 0..r-1 are then the r points nearer."""
+def checked_ranks(ranks, pooled: int) -> np.ndarray:
+    """The ranks as an int64 array, once they are distinct and inside
+    [1, pooled - 1]; else KCollision or KTooLarge."""
+    k = np.asarray(ranks, dtype=np.int64)
+    if len(np.unique(k)) != k.size:
+        raise KCollision(f"ranks contain duplicates: {k.tolist()}")
+    lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
+    if not 1 <= lo <= hi <= pooled - 1:
+        raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {lo}..{hi}")
+    return k
+
+
+def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
+    """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of
+    point i, the same at any count of ``workers`` threads. In a block's
+    candidates, column r (0 is the nearest) is rank r when its distance
+    sits strictly inside those of columns r-1 and r+1 (+inf past the last
+    point) and its bucket differs from theirs: columns 0..r-1 are then the
+    r points nearer. The block re-ranks its other rows by _sorted_rows."""
     points = idx.source.points
     n = points.shape[0]
-    lo, hi = (int(ranks.min()), int(ranks.max())) if ranks.size else (0, 0)
-    if not 1 <= lo <= hi <= n - 1:
-        raise KTooLarge(f"ranks must lie in [1, {n - 1}], got {lo}..{hi}")
-
+    ranks = checked_ranks(ranks, n)
+    rows = idx.tree.indices  # leaf order: a block's rows lie close together
     cols = np.unique(np.concatenate([ranks - 1, ranks, ranks + 1]))
     cols = cols[cols < n]
     at = np.searchsorted(cols, ranks)
-    sort = _SORT_DEPTH * (hi + 2) >= n
-    row_bytes = 8 * n if sort else len(cols) * _entry_bytes(points.shape[1])
-    step = max(1, _BLOCK_BYTES // (row_bytes * workers))
-    blocks = -(-len(rows) // step)
-    step = -(-len(rows) // (blocks + -blocks % workers))  # as many blocks per thread
-    out = np.empty((len(rows), len(ranks)), dtype=np.int64)
-    sure = np.empty(len(rows), dtype=bool)
+    sort = _SORT_DEPTH * (int(ranks.max()) + 2) >= n
+    share = _BLOCK_BYTES // workers  # what one thread's block may hold
+    step = max(1, share // (8 * n if sort else len(cols) * _entry_bytes(points.shape[1])))
+    blocks = -(-n // step)
+    step = -(-n // (blocks + -blocks % workers))  # as many blocks per thread
+    out = np.empty((n, len(ranks)), dtype=np.int64)
 
     def block(start: int) -> None:
         here = rows[start:start + step]
         if sort:
             cand, bucket = _sorted_columns(points, here, cols)
         else:  # the tree orders by distance alone: each column is its own bucket
-            _, cand = idx.tree.query(points[here], k=(cols + 1).tolist(), workers=1)
+            cand = idx.tree.query(points[here], k=(cols + 1).tolist(), workers=1)[1]
             bucket = cols[None]
         d2 = _sq_dists(points, cand, here[:, None])
         apart = np.ones(cand.shape, dtype=bool)  # column j sits below column j+1
         apart[:, :-1] = d2[:, :-1] < d2[:, 1:] * (1.0 - _TIE_RTOL)
         apart[:, :-1] &= bucket[:, :-1] != bucket[:, 1:]
-        out[start:start + step] = cand[:, at]
-        sure[start:start + step] = (apart[:, at - 1] & apart[:, at]).all(axis=1)
+        got = cand[:, at]
+        tied = ~(apart[:, at - 1] & apart[:, at]).all(axis=1)
+        del cand, bucket, d2, apart  # the tie path needs none of them
+        if tied.any():
+            got[tied] = _sorted_rows(idx, here[tied], ranks, share)
+        out[here] = got
 
-    starts = range(0, len(rows), step)
+    starts = range(0, n, step)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, starts))
     else:
         for start in starts:
             block(start)
-    tied = np.flatnonzero(~sure)
-    if tied.size:
-        out[tied] = _sorted_rows(idx, rows[tied], ranks, hi, workers)
-    return out
-
-
-def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
-    """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of
-    point i, the same at any count of ``workers`` threads."""
-    leaf = idx.tree.indices  # a block's rows then lie close together
-    out = np.empty((len(leaf), np.size(ranks)), dtype=np.int64)
-    out[leaf] = _ranked_rows(idx, leaf, np.asarray(ranks, dtype=np.int64), workers)
     return out
 
 

@@ -52,34 +52,24 @@ class SingularConstraints(HPDivError):
     or fewer than d+1 of them."""
 
 
-class UnresolvedSchedule(HPDivError):
-    """A schedule was used before resolve_schedule assigned its ranks."""
-
-
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Index values, solved weights, and (once N is known) neighbor ranks."""
+    """Index values, solved weights, and their neighbor ranks at size n."""
 
     l_values: np.ndarray
     d: int
     w: np.ndarray
-    k_values: np.ndarray | None = None
+    k_values: np.ndarray
     n: int | None = None
 
     def __post_init__(self):
         for name in ("l_values", "w", "k_values"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.array(arr)
+            arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        shapes = {a.shape for a in (self.l_values, self.w, self.k_values) if a is not None}
+        shapes = {a.shape for a in (self.l_values, self.w, self.k_values)}
         if shapes != {(self.l_values.size,)} or not self.l_values.size:
             raise HPDivError(f"l_values, w and k_values need one nonempty length: {sorted(shapes)}")
-
-    def __len__(self) -> int:
-        return len(self.l_values)
 
 
 def constraint_matrix(l_values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ from hpdiv.bench import (
     CellErrorWarning,
     ExperimentPlan,
     MethodSpec,
-    load_summaries,
     parse_methods,
     resolve_truth,
     run_plan,
@@ -58,6 +58,11 @@ class TestParseMethods:
         with pytest.raises(HPDivError):
             parse_methods(text)
 
+    @pytest.mark.parametrize("text, match", [("knn", "needs a rank"), (", ,,", "no methods")])
+    def test_rankless_or_empty_list(self, text, match):
+        with pytest.raises(HPDivError, match=match):
+            parse_methods(text)
+
     @pytest.mark.parametrize("text", ["wnn,wnn:1|2", "knn:5,mst,knn:5"])
     def test_duplicate_labels_rejected(self, text):
         with pytest.raises(HPDivError, match="duplicate"):
@@ -68,6 +73,10 @@ class TestPlanValidation:
     def test_trials_floor(self):
         with pytest.raises(HPDivError):
             small_plan(trials=1)
+
+    def test_unknown_scenario(self):
+        with pytest.raises(HPDivError, match="unknown scenario 'nope'"):
+            small_plan(scenario="nope")
 
     def test_grid_increasing(self):
         with pytest.raises(HPDivError):
@@ -276,6 +285,33 @@ class TestRunPlan:
             ("knn:3", 32), ("mst", 32), ("knn:3", 64), ("knn:100", 64), ("wnn", 64), ("mst", 64)
         }
 
+    @pytest.mark.parametrize("methods, warned, drawn", [
+        ("knn:500", [
+            "cell knn:500 @ n=32 aborted: ranks must lie in [1, 63], got 500..500",
+            "cell knn:500 @ n=64 aborted: ranks must lie in [1, 127], got 500..500",
+        ], []),
+        ("knn:100,wnn:1|12", [
+            "cell knn:100 @ n=32 aborted: ranks must lie in [1, 63], got 100..100",
+            "cell wnn @ n=32 aborted: K=67 exceeds the pooled bound N+M-1=63",
+        ], [64] * 5),
+    ])
+    def test_n_with_no_method_left_draws_nothing(self, monkeypatch, methods, warned, drawn):
+        # Every cell at n=32 aborts (and at n=64 too for knn:500): such an n
+        # warns as before but draws no sample.
+        draws = []
+        real = bench._draw_pair
+
+        def spy(plan, specs, clouds, n, t):
+            draws.append(n)
+            return real(plan, specs, clouds, n, t)
+
+        monkeypatch.setattr(bench, "_draw_pair", spy)
+        with pytest.warns(CellErrorWarning) as caught:
+            out = run_plan(small_plan(methods=tuple(parse_methods(methods))))
+        assert [str(w.message) for w in caught] == warned
+        assert draws == drawn
+        assert {s.n for s in out} == set(drawn)
+
     def test_malformed_thread_count(self, monkeypatch):
         monkeypatch.setenv("HPDIV_THREADS", "x")
         with pytest.raises(HPDivError, match="HPDIV_THREADS"):
@@ -317,13 +353,27 @@ class TestRunPlan:
         assert np.isfinite(s.mean_est) and np.isfinite(s.variance)
 
 
+def csv_cells(path):
+    """The cells of a summary file below its header, numbers read by float()
+    and empty cells as None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert ",".join(header) == bench.CSV_HEADER
+    return [[row[0], *(float(c) if c else None for c in row[1:])] for row in rows]
+
+
+def summary_cells(summaries):
+    return [[s.method, s.n, s.mean_est, s.bias, s.variance, s.mse, s.ci_low, s.ci_high, s.trials]
+            for s in summaries]
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         plan = small_plan(methods=tuple(parse_methods("knn:3")), trials=4)
         out = run_plan(plan)
         path = tmp_path / "r.csv"
         summarize_csv(out, path)
-        assert load_summaries(path) == out
+        assert csv_cells(path) == summary_cells(out)
 
     def test_round_trip_with_missing_truth(self, tmp_path):
         plan = small_plan(dims=10, trials=4)  # no truth in 10-D
@@ -331,7 +381,7 @@ class TestCsvRoundTrip:
         assert out[0].bias is None
         path = tmp_path / "r.csv"
         summarize_csv(out, path)
-        assert load_summaries(path) == out
+        assert csv_cells(path) == summary_cells(out)
 
     def test_single_summary_two_lines(self, tmp_path):
         plan = small_plan(n_grid=(32,), trials=4)

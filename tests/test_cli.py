@@ -117,6 +117,18 @@ class TestEstimate:
             main(["estimate", "--method", "mst", "--x", x, "--y", y, "--data", str(data)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode", ["x-only", "no-class-b"])
+    def test_incomplete_mode_rejected(self, capsys, hand_files, mode):
+        x, _ = hand_files
+        flags = ["--x", x] if mode == "x-only" else ["--data", x, "--class-a", "a"]
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--method", "mst", *flags])
+        assert exc.value.code == 2
+
+    def test_knn_without_k_exit_2(self, capsys, hand_files):
+        x, y = hand_files
+        assert_usage_error(capsys, ["estimate", "--method", "knn", "--x", x, "--y", y], "--k")
+
     def test_missing_inputs_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--method", "mst"])
@@ -264,6 +276,11 @@ class TestGen:
         (["--dist", "tnorm", "--dim", "1", "--sigma", "nan"], "finite"),
         (["--dist", "tnorm", "--dim", "1", "--seed", str(2**128)], "2**128"),
         (["--dist", "uniform", "--dim", "1", "--seed", "-1"], "2**128"),
+        (["--dist", "tnorm", "--dim", "1", "--sigma", "-1"], "positive"),
+        (["--dist", "tnorm", "--dim", "2", "--sigma", "1,-2"], "positive"),
+        (["--dist", "tnorm", "--dim", "1", "--box=1,2,3"], "LO,HI"),
+        (["--dist", "tnorm", "--dim", "2", "--mean", "0"], "--mean needs 2"),
+        (["--dist", "tnorm", "--dim", "3", "--sigma", "1,2"], "--sigma needs 1 or 3"),
     ])
     def test_degenerate_spec_exit_2(self, capsys, tmp_path, flags, match):
         out = tmp_path / "never.csv"

@@ -40,6 +40,10 @@ class TestPointCloud:
         with pytest.raises(EmptyCloud):
             PointCloud(np.empty((0, 2)))
 
+    def test_3d_rejected(self):
+        with pytest.raises(HPDivError, match="2-D"):
+            PointCloud(np.zeros((2, 2, 2)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(HPDivError):
             PointCloud([[0.0, np.nan]])
@@ -52,12 +56,21 @@ class TestPointCloud:
             c.points[0, 0] = 5.0
 
 
+class TestJointSet:
+    @pytest.mark.parametrize("labels, n_x, n_y, match", [
+        (np.zeros(2), 2, 1, "one-to-one"),
+        (np.zeros(3), 2, 2, "n_x \\+ n_y"),
+    ])
+    def test_shape_rejected(self, labels, n_x, n_y, match):
+        with pytest.raises(HPDivError, match=match):
+            JointSet(cloud=PointCloud(np.zeros((3, 1))), labels=labels, n_x=n_x, n_y=n_y)
+
+
 class TestMixtureParam:
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
     def test_identities(self, p):
         m = MixtureParam(p)
         assert m.p + m.q == pytest.approx(1.0, abs=1e-15)
-        assert m.eta == pytest.approx(p / (1 - p), rel=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0, float("nan")])
     def test_invalid(self, p):

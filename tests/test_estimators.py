@@ -9,7 +9,6 @@ from hpdiv import (
     KCollision,
     KTooLarge,
     PointCloud,
-    UnresolvedSchedule,
     WeightSchedule,
     build_index,
     knn_estimate,
@@ -18,7 +17,8 @@ from hpdiv import (
     wnn_estimate,
 )
 
-from hpdiv.estimators import checked_ranks, dichotomous_counts, neighbor_statistics
+from hpdiv.estimators import dichotomous_counts, neighbor_statistics
+from hpdiv.neighbors import checked_ranks
 
 from conftest import tie_free
 
@@ -119,12 +119,6 @@ class TestWnnEstimate:
             k_values=np.array([1, 1]), n=2,
         )
         with pytest.raises(KCollision):
-            wnn_estimate(x, y, sched, 0.5)
-
-    def test_unresolved_schedule_rejected(self, hand_pair):
-        x, y = hand_pair
-        sched = WeightSchedule(l_values=np.array([1.0, 2.0]), d=1, w=np.array([2.0, -1.0]))
-        with pytest.raises(UnresolvedSchedule):
             wnn_estimate(x, y, sched, 0.5)
 
     def test_rank_bound_rejected(self, hand_pair):

@@ -190,6 +190,16 @@ class TestLoadLabeled:
             load_labeled(f)
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("text, error, match", [
+        ("0,a\n1, \n", LabelMissing, "row 2: empty label"),
+        ("\n\n", EmptyCloud, "no data rows"),
+    ])
+    def test_empty_label_or_file(self, tmp_path, text, error, match):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(error, match=match):
+            load_labeled(f)
+
     def test_too_narrow(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a\nb\n")

@@ -29,7 +29,7 @@ class TestBuildEmst:
     def test_forced_path(self):
         tree = build_emst(PointCloud([[0.0], [1.0], [2.0]]))
         assert sorted(map(tuple, tree.edges.tolist())) == [(0, 1), (1, 2)]
-        assert tree.total_length == pytest.approx(2.0)
+        assert tree.lengths.sum() == pytest.approx(2.0)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -47,7 +47,7 @@ class TestBuildEmst:
         np.testing.assert_array_equal(
             sorted_sq_lengths(pts, tree.edges), sorted_sq_lengths(pts, oracle_edges)
         )
-        assert tree.total_length == pytest.approx(
+        assert tree.lengths.sum() == pytest.approx(
             np.sqrt(sorted_sq_lengths(pts, oracle_edges)).sum(), rel=1e-12
         )
 

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpdiv import JointSet, KTooLarge, PointCloud, build_index, neighbor_table, validate_pair
+from hpdiv import HPDivError, JointSet, KCollision, KTooLarge, PointCloud, build_index, neighbor_table, validate_pair
 from hpdiv import neighbors
 from hpdiv.core import pool_pair
 from hpdiv.estimators import dichotomous_counts
@@ -51,6 +53,10 @@ class TestHandCases:
         idx = build_index(z)
         assert kth_neighbor(idx, 1, 1) == 0
         assert kth_neighbor(idx, 1, 2) == 2
+
+    def test_index_needs_a_joint_set(self):
+        with pytest.raises(HPDivError, match="JointSet"):
+            build_index(PointCloud([[0.0], [1.0]]))
 
     def test_k_too_large(self):
         z = make_joint([[0.0], [1.0], [3.0]])
@@ -135,17 +141,24 @@ def scan_columns(z, ks):
 
 
 class RecordingTree:
-    """A kd tree that records the rows and the k of each query."""
+    """A kd tree that records the rows, the k, the calling thread and the
+    ``workers`` of each query; ``delay`` seconds of sleep slow each one."""
 
-    def __init__(self, tree):
+    def __init__(self, tree, delay=0.0):
         self.tree = tree
         self.indices = tree.indices
+        self.delay = delay
         self.ks = []
         self.rows = []
+        self.threads = []
+        self.workers = []
 
     def query(self, x, k, **kwargs):
         self.ks.append(k)
         self.rows.append(len(x))
+        self.threads.append(threading.get_ident())
+        self.workers.append(kwargs.get("workers"))
+        time.sleep(self.delay)
         return self.tree.query(x, k=k, **kwargs)
 
 
@@ -220,6 +233,21 @@ class TestSelectedRanks:
         assert len(set(windows)) > 1
         assert max(windows) < len(z)
 
+    def test_tie_windows_run_on_the_block_threads(self):
+        # At two threads the copied lattice splits into two blocks, nearly
+        # every row of them tied; a short sleep in each query keeps one
+        # thread from taking both blocks. Each block re-ranks its own tied
+        # rows with single-threaded queries.
+        z = make_joint(copied_lattice(5, 3, 4))
+        ks = [5, 20]
+        tree = RecordingTree(build_index(z).tree, delay=0.02)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
+        np.testing.assert_array_equal(got, scan_columns(z, ks))
+        ties = [(thread, workers) for k, thread, workers
+                in zip(tree.ks, tree.threads, tree.workers) if isinstance(k, int)]
+        assert len({thread for thread, _ in ties}) >= 2
+        assert {workers for _, workers in ties} == {1}
+
     def test_tied_rows_split_into_blocks(self, monkeypatch):
         # A small byte budget, 100 window entries, sorts a few rows at a
         # time, in every round.
@@ -250,6 +278,11 @@ class TestSelectedRanks:
         z = make_joint(np.arange(40.0)[:, None])
         with pytest.raises(KTooLarge):
             neighbor_ranks(build_index(z), ks)
+
+    def test_duplicate_ranks_collide(self):
+        z = make_joint(np.arange(40.0)[:, None])
+        with pytest.raises(KCollision, match="duplicates"):
+            neighbor_ranks(build_index(z), [3, 3])
 
 
 class TestNarrowFetch:
@@ -426,7 +459,8 @@ def estimate_files_pair(dim, n, seed=0):
 
 
 class TestBlockBudget:
-    """Every candidate block, kd, row sort or tie window, fits _BLOCK_BYTES."""
+    """Every candidate block, kd, row sort or tie window, fits one thread's
+    share of _BLOCK_BYTES."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["random", "copied_lattice"])
@@ -450,7 +484,7 @@ class TestBlockBudget:
         ties = [(rows, k) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, int)]
         assert sum(rows for rows, _ in kd) == len(z) and len(kd) > 2
         assert all(rows * cols * entry * workers <= budget for rows, cols in kd)
-        assert all(rows * k * entry <= budget for rows, k in ties)
+        assert all(rows * k * entry * workers <= budget for rows, k in ties)
         assert len(ties) > 2 if kind == "copied_lattice" else not ties
 
     def test_small_ranks_take_one_kd_query(self):

@@ -42,6 +42,10 @@ def tnorm_pdf(mu, s2, lo, hi):
 
 
 class TestDensity:
+    def test_rejects_points_of_another_dimension(self):
+        with pytest.raises(HPDivError, match="dimension 2"):
+            density(uniform_box([[0.0, 1.0]] * 2), [[0.5, 0.5, 0.5]])
+
     def test_uniform_volume(self):
         u = uniform_box([(-5, 5), (-5, 5)])
         assert density(u, [0.0, 0.0]) == pytest.approx(1 / 100)
@@ -76,6 +80,10 @@ class TestDensity:
 
 
 class TestTrueDivergence:
+    def test_rejects_specs_of_two_dimensions(self):
+        with pytest.raises(HPDivError, match="ambient dimension"):
+            true_divergence(uniform_box((0.0, 1.0)), uniform_box([[0.0, 1.0]] * 2), 0.5)
+
     def test_identical_specs_zero(self):
         f = truncated_normal([0.0], 1.0, (-5, 5))
         assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=2e-6)
@@ -152,6 +160,23 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             with pytest.raises(HPDivError, match="finite"):
                 truncated_normal(mean, cov, (-5, 5))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: uniform_box([[0.0, 1.0], [2.0, 2.0]]), "lower < upper"),
+        (lambda: uniform_box([[1.0, 0.0]]), "lower < upper"),
+        (lambda: truncated_normal([0.0, 0.0, 0.0], 1.0, [[-5.0, 5.0]] * 2), "mean length"),
+        (lambda: truncated_normal([0.0, 0.0], [1.0, 0.0], (-5, 5)), "covariance must be positive"),
+        (lambda: oracle.DistributionSpec("cauchy", [[0.0, 1.0]]), "unknown distribution kind"),
+    ])
+    def test_rejects_malformed_spec(self, make, match):
+        with pytest.raises(HPDivError, match=match):
+            make()
+
+    def test_equality(self):
+        box = uniform_box([[0.0, 1.0], [0.0, 2.0]])
+        assert box == uniform_box([[0.0, 1.0], [0.0, 2.0]])
+        assert box != uniform_box([[0.0, 1.0], [0.0, 3.0]])
+        assert box.__eq__("box") is NotImplemented and box != "box"
 
     def test_rejects_full_covariance(self):
         with pytest.raises(HPDivError, match="per-axis variances"):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 from hpdiv.synth import _MIN_ACCEPT_RATE, _PROBE
-from hpdiv import RejectionStall, make_state, sample, trial_seed, truncated_normal, uniform_box
+from hpdiv import HPDivError, RejectionStall, make_state, sample, trial_seed, truncated_normal, uniform_box
 
 
 class TestDeterminism:
@@ -44,6 +44,10 @@ class TestSupport:
         spec = truncated_normal([0.0], 1.0, (-0.1, 0.1))
         pts = sample(make_state(spec, 11), 200).points
         assert (np.abs(pts) <= 0.1).all()
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(HPDivError, match="sample size must be >= 1, got 0"):
+            sample(make_state(uniform_box((0.0, 1.0)), 1), 0)
 
     def test_rejection_stall(self):
         spec = truncated_normal([0.0], 1.0, (50.0, 51.0))

@@ -72,6 +72,8 @@ class TestSolveWeights:
             solve_weights([-1.0, 2.0, 3.0], 1)  # nonpositive
         with pytest.raises(HPDivError):
             solve_weights([1.0, 2.0], 0)
+        with pytest.raises(HPDivError, match="1-D"):
+            solve_weights([[1.0, 2.0], [3.0, 4.0]], 1)
 
 
 class TestDefaultLValues:
@@ -95,6 +97,10 @@ class TestDefaultLValues:
             a, b = constraint_matrix(ls, d)
             assert np.abs(a @ w - b).max() <= 1e-9
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(HPDivError, match="d must be >= 1"):
+            default_l_values(0)
+
     def test_beyond_d5_defaults_rejected(self):
         with pytest.raises(SingularConstraints):
             solve_weights(default_l_values(7), 7)
@@ -115,6 +121,10 @@ class TestResolveSchedule:
         assert s.k_values.tolist() == [1, 2, 4]
         with pytest.raises(KTooLarge):
             resolve_schedule([1.0, 2.0, 3.0], 1, 2, m=1)  # pooled bound 2
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(HPDivError, match="n must be >= 1, got 0"):
+            resolve_schedule([1.0, 2.0], 1, 0)
 
     def test_rank_zero_rejected(self):
         with pytest.raises(KTooLarge):
