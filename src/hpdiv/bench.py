@@ -6,11 +6,11 @@ requested method on the same draw (common random numbers). knn and wnn go
 through one ``estimators.neighbor_statistics`` call per trial, the engine
 of the public estimators, so one neighbor pass serves all their ranks.
 Each trial keys its own counter-based streams from (base seed, trial), so
-results are identical whether trials run serially or in the thread pool
-(HPDIV_THREADS caps the pool; 0 or unset means auto).
+results are identical whether ``core.thread_map`` runs the trials serially
+or on its pool (HPDIV_THREADS caps the pool; 0 or unset means auto).
 
-Every draw at one n pools the same number of points, so the ranks of each
-knn and wnn (method, n) cell are resolved, and checked by
+Every draw at one n pools n + ``_draw_m(plan, n)`` points, so the ranks of
+each knn and wnn (method, n) cell are resolved, and checked by
 ``neighbors.checked_ranks``, once, before its trials. A rank or schedule
 error (an HPDivError) aborts only its own cell: the error is reported as a
 CellErrorWarning, the cell runs no trial and the remaining cells still
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,6 +35,7 @@ from .core import (
     expected_m,
     parse_number,
     pool_pair,
+    thread_map,
     worker_count,
 )
 from .estimators import neighbor_statistics
@@ -191,17 +191,16 @@ def scenario_specs(plan: ExperimentPlan) -> tuple[DistributionSpec, Distribution
 _TRUTHS: dict[tuple, float | None] = {}
 
 
-def resolve_truth(plan: ExperimentPlan, specs=None) -> float | None:
+def resolve_truth(plan: ExperimentPlan) -> float | None:
     """True divergence for the plan: user-supplied, analytic, or None. The
-    quadrature, and any warning it gives, comes once per key and process;
-    ``specs`` saves rebuilding ``scenario_specs(plan)`` when the caller has it."""
+    quadrature, and any warning it gives, comes once per key and process."""
     if plan.truth is not None:
         return float(plan.truth)
     if plan.scenario == SCENARIO_CSV:
         return None
     key = (plan.scenario, plan.dims, plan.shift, plan.p)
     if key not in _TRUTHS:
-        fx, fy = specs or scenario_specs(plan)
+        fx, fy = scenario_specs(plan)
         try:
             _TRUTHS[key] = 0.0 if fx == fy else true_divergence(fx, fy, plan.p)
         except DimTooHigh:
@@ -209,26 +208,29 @@ def resolve_truth(plan: ExperimentPlan, specs=None) -> float | None:
     return _TRUTHS[key]
 
 
+def _draw_m(plan: ExperimentPlan, n: int) -> int:
+    """Size m of the second sample of every draw at n: n for csv,
+    max(expected_m(n, p), 1) otherwise."""
+    return n if plan.scenario == SCENARIO_CSV else max(expected_m(n, plan.p), 1)
+
+
 def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
-    if plan.scenario == SCENARIO_CSV:
-        pair = []
-        for role, cloud in enumerate(clouds):
-            rng = seeded_rng(trial_seed(plan.base_seed, t, role))
-            pair.append(PointCloud(cloud.points[rng.integers(0, len(cloud), size=n)]))
-        return tuple(pair)
-    fx, fy = specs
-    m = expected_m(n, plan.p)
-    x = sample(make_state(fx, trial_seed(plan.base_seed, t, 0)), n)
-    y = sample(make_state(fy, trial_seed(plan.base_seed, t, 1)), max(m, 1))
-    return x, y
+    pair = []
+    for role, size in enumerate((n, _draw_m(plan, n))):
+        key = trial_seed(plan.base_seed, t, role)
+        if clouds:  # csv: resample the files' rows
+            rows = seeded_rng(key).integers(0, len(clouds[role]), size=size)
+            pair.append(PointCloud(clouds[role].points[rows]))
+        else:
+            pair.append(sample(make_state(specs[role], key), size))
+    return tuple(pair)
 
 
 def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> dict:
     """label -> (checked ranks, weights) for each knn and wnn method of the
     plan at sample size n on ``dim``-dimensional data, or the HPDivError
-    that aborts the cell. Every draw at n pools n + m points: m = n for
-    csv, max(expected_m(n, p), 1) otherwise."""
-    m = n if plan.scenario == SCENARIO_CSV else max(expected_m(n, plan.p), 1)
+    that aborts the cell. Every draw at n pools n + _draw_m(plan, n) points."""
+    m = _draw_m(plan, n)
     out = {}
     for spec in plan.methods:
         try:
@@ -268,7 +270,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     clouds = None
     if plan.scenario == SCENARIO_CSV:
         clouds = (load_points(plan.x_path), load_points(plan.y_path))
-    truth = resolve_truth(plan, specs)
+    truth = resolve_truth(plan)
     dim = clouds[0].dim if clouds else plan.dims
     summaries: list[TrialSummary] = []
     for n in plan.n_grid:
@@ -280,11 +282,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
         if len(failed) == len(plan.methods):
             continue
         trial = partial(_run_trial, plan, specs, clouds, sums, n)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(trial, range(plan.trials)))
-        else:
-            results = [trial(t) for t in range(plan.trials)]
+        results = thread_map(trial, range(plan.trials), workers)
         for label in (s.label for s in plan.methods if s.label not in failed):
             vals = np.asarray([r[label] for r in results], float)
             summaries.append(_summarize(label, n, vals, truth))

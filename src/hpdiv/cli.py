@@ -92,18 +92,20 @@ def cmd_estimate(args) -> int:
 
 def cmd_weights(args) -> int:
     ls = _l_values(args.l_values, args.d)
-    w = solve_weights(ls, args.d)
+    k_values = None
+    if args.n is None:
+        w = solve_weights(ls, args.d)
+    else:
+        sched = resolve_schedule(ls, args.d, args.n)
+        w, k_values = sched.w, sched.k_values.tolist()
     a, b = constraint_matrix(ls, args.d)
-    out = {
+    _emit({
         "d": args.d,
         "l_values": ls.tolist(),
         "weights": w.tolist(),
         "residual": float(np.abs(a @ w - b).max()),
-        "k_values": None,
-    }
-    if args.n is not None:
-        out["k_values"] = resolve_schedule(ls, args.d, args.n).k_values.tolist()
-    _emit(out)
+        "k_values": k_values,
+    })
     return 0
 
 

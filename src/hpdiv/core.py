@@ -1,5 +1,6 @@
 """Core domain types shared by every estimator: point clouds, the pooled
-two-sample set, mixture parameters, and estimate results.
+two-sample set, mixture parameters, and estimate results; and
+``thread_map``, the one thread fan-out.
 
 All types are immutable after construction and safe to share across
 threads. Distances throughout the package are Euclidean.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -74,27 +76,24 @@ class PointCloud:
         return self.points.shape[0]
 
 
-# Label conventions for the pooled set: X points first, then Y points.
-LABEL_X = 0
-LABEL_Y = 1
-
-
 @dataclass(frozen=True)
 class JointSet:
-    """The pooled sample Z with per-point labels (X points first, then Y)."""
+    """The pooled sample Z: its first n_x points are X, the rest Y. ``n_y``
+    and the read-only int8 ``labels`` (0 for X, 1 for Y) derive from n_x."""
 
     cloud: PointCloud
-    labels: np.ndarray
     n_x: int
-    n_y: int
+    n_y: int = field(init=False)
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int8)
-        if labels.shape != (len(self.cloud),):
-            raise HPDivError("labels must align one-to-one with points")
-        if self.n_x + self.n_y != len(self.cloud):
-            raise HPDivError("n_x + n_y must equal the pooled point count")
+        n = len(self.cloud)
+        if not 0 <= self.n_x <= n:
+            raise HPDivError(f"n_x must lie in [0, {n}], got {self.n_x}")
+        labels = np.ones(n, dtype=np.int8)
+        labels[:self.n_x] = 0
         labels.flags.writeable = False
+        object.__setattr__(self, "n_y", n - self.n_x)
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -180,12 +179,7 @@ def pool_pair(x: PointCloud, y: PointCloud) -> JointSet:
     ratio warning (so threads need not touch the warning filters)."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"x has dim {x.dim} but y has dim {y.dim}")
-    n, m = len(x), len(y)
-    pooled = PointCloud(np.vstack([x.points, y.points]))
-    labels = np.concatenate(
-        [np.full(n, LABEL_X, np.int8), np.full(m, LABEL_Y, np.int8)]
-    )
-    return JointSet(cloud=pooled, labels=labels, n_x=n, n_y=m)
+    return JointSet(cloud=PointCloud(np.vstack([x.points, y.points])), n_x=len(x))
 
 
 def affine_map(count: float, n: int, m: int) -> float:
@@ -228,3 +222,13 @@ def worker_count() -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     auto = min(cpus or 1, 8)
     return min(cap, auto) if cap > 0 else auto
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], in order: on a pool of ``workers`` threads when
+    workers > 1 and there is more than one item, else on the calling thread."""
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]

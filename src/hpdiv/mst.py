@@ -3,14 +3,16 @@ dichotomous-edge count statistic R, mapped like the neighbor counts:
 value = 1 - R (N+M)/(2NM).
 
 The tree is exact and unique under the edge order (squared length, min
-endpoint, max endpoint). The dimension picks the construction: d = 1 joins
-sorted neighbors ("path"); d = 2 takes the MST of the Delaunay edges, which
-hold the EMST (Shamos & Hoey 1975; "delaunay"); d >= 3 runs an O(n^2) Prim
-("prim"). The first two handle about 10^5 points. One guard sends a 1-D or
-2-D input to Prim where the fast path cannot prove it holds the tree:
-duplicate points, rounding ties between sorted neighbors, or points qhull
-cannot triangulate in full (all collinear). Every construction lists its
-edges in the order above, with lengths from one formula.
+endpoint, max endpoint). The dimension picks the candidate edges: d = 1
+joins sorted neighbors ("path"); d = 2 and 3 take the Delaunay edges, which
+hold the EMST, ties included, as each tree edge's closed diametral ball
+holds no other point ("delaunay"); d >= 4 runs an O(n^2) Prim ("prim"),
+where qhull is slower. One guard sends a 1-D to 3-D input to Prim where
+the fast path cannot prove it holds the tree: duplicate points, rounding
+ties between sorted neighbors, or points qhull cannot triangulate in full
+(collinear or coplanar). ``build_emst`` sorts the candidates once in the
+order above, lengths from one formula, and runs Kruskal only on more than
+n - 1 of them.
 """
 
 from __future__ import annotations
@@ -63,13 +65,10 @@ def _path_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """MST edges of the Delaunay graph in 2-D, or None when qhull fails or
-    leaves a point out (duplicates and near-duplicates)."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
+    """Every edge of the Delaunay graph, or None when qhull fails or leaves a
+    point out (duplicates and near-duplicates)."""
     from scipy.spatial import Delaunay, QhullError
 
-    n = points.shape[0]
     try:
         tri = Delaunay(points)
     except QhullError:
@@ -77,17 +76,9 @@ def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if tri.coplanar.size:
         return None
     indptr, nbrs = tri.vertex_neighbor_vertices
-    lo = np.repeat(np.arange(n), np.diff(indptr))
+    lo = np.repeat(np.arange(points.shape[0]), np.diff(indptr))
     keep = lo < nbrs
-    lo, hi = lo[keep], nbrs[keep].astype(np.int64)
-    # Distinct weights make the MST unique; csgraph drops zero weights, so
-    # rank the edges in the total order starting from 1.
-    order = np.lexsort((hi, lo, _sq_dists(points, lo, hi)))
-    rank = np.empty(len(order), dtype=np.float64)
-    rank[order] = np.arange(1, len(order) + 1)
-    mst = minimum_spanning_tree(coo_matrix((rank, (lo, hi)), shape=(n, n)))
-    picked = order[mst.tocoo().data.astype(np.int64) - 1]
-    return lo[picked], hi[picked]
+    return lo[keep], nbrs[keep]
 
 
 def _pair_key(a, b, n: int) -> np.ndarray:
@@ -127,7 +118,7 @@ def _prim_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_emst(z: JointSet | PointCloud) -> SpanningTree:
     """Exact Euclidean MST of the pooled points under the
     (length, min endpoint, max endpoint) order, built by dimension."""
-    points = z.points if isinstance(z, (JointSet, PointCloud)) else PointCloud(z).points
+    points = z.points
     n, d = points.shape
     if n < 2:
         raise TooFewPoints("an MST needs at least 2 points")
@@ -135,7 +126,7 @@ def build_emst(z: JointSet | PointCloud) -> SpanningTree:
     uv = None
     if d == 1:
         uv, algorithm = _path_edges(points), "path"
-    elif d == 2:
+    elif d <= 3:
         uv, algorithm = _delaunay_edges(points), "delaunay"
     if uv is None:
         uv, algorithm = _prim_edges(points), "prim"
@@ -144,6 +135,16 @@ def build_emst(z: JointSet | PointCloud) -> SpanningTree:
     hi = np.maximum(*uv).astype(np.int64)
     len2 = _sq_dists(points, lo, hi)
     order = np.lexsort((hi, lo, len2))
+    if len(order) > n - 1:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        # Distinct weights make the MST unique; csgraph drops zero weights,
+        # so rank the edges in the total order starting from 1.
+        rank = np.empty(len(order), dtype=np.float64)
+        rank[order] = np.arange(1, len(order) + 1)
+        mst = minimum_spanning_tree(coo_matrix((rank, (lo, hi)), shape=(n, n)))
+        order = order[np.sort(mst.tocoo().data).astype(np.int64) - 1]
     return SpanningTree(
         edges=np.column_stack([lo[order], hi[order]]),
         lengths=np.sqrt(len2[order]),

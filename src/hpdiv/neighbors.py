@@ -26,14 +26,13 @@ count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import HPDivError, JointSet, KCollision, KTooLarge
+from .core import HPDivError, JointSet, KCollision, KTooLarge, thread_map
 
 # Relative gap a certified rank's distance keeps from the ranks beside it.
 _TIE_RTOL = 1e-9
@@ -182,13 +181,7 @@ def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
             got[tied] = _sorted_rows(idx, here[tied], ranks, share)
         out[here] = got
 
-    starts = range(0, n, step)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
-    else:
-        for start in starts:
-            block(start)
+    thread_map(block, range(0, n, step), workers)
     return out
 
 

@@ -54,13 +54,11 @@ class SingularConstraints(HPDivError):
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Index values, solved weights, and their neighbor ranks at size n."""
+    """Index values, solved weights, and their neighbor ranks."""
 
     l_values: np.ndarray
-    d: int
     w: np.ndarray
     k_values: np.ndarray
-    n: int | None = None
 
     def __post_init__(self):
         for name in ("l_values", "w", "k_values"):
@@ -160,4 +158,4 @@ def resolve_schedule(l_values, d: int, n: int, m: int | None = None) -> WeightSc
         raise KTooLarge(
             f"K={k.max()} exceeds the pooled bound N+M-1={n + m - 1}"
         )
-    return WeightSchedule(l_values=ls, d=d, w=w, k_values=k, n=n)
+    return WeightSchedule(l_values=ls, w=w, k_values=k)

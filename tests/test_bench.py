@@ -124,7 +124,8 @@ class TestTruth:
 
     def test_truth_once_per_process(self, monkeypatch):
         # Plans that share scenario, dims, shift and p share one quadrature,
-        # in resolve_truth and in run_plan alike; run_plan builds the specs once.
+        # in resolve_truth and in run_plan alike. run_plan builds the specs
+        # for its draws, and resolve_truth builds them again only to compute.
         calls, built = [], []
         real, real_specs = bench.true_divergence, bench.scenario_specs
 
@@ -139,7 +140,9 @@ class TestTruth:
         monkeypatch.setattr(bench, "true_divergence", counting)
         monkeypatch.setattr(bench, "scenario_specs", counting_specs)
         rows = run_plan(small_plan(shift=0.75, base_seed=2, trials=2))
-        assert len(calls) == 1 and len(built) == 1
+        assert len(calls) == 1 and len(built) == 2
+        run_plan(small_plan(shift=0.75, base_seed=3, trials=2))
+        assert len(calls) == 1 and len(built) == 3
         truth = resolve_truth(small_plan(shift=0.75, base_seed=1))
         assert truth == real(*real_specs(small_plan(shift=0.75)), 0.5)  # the unmemoised value
         assert all(r.bias == r.mean_est - truth for r in rows)

@@ -195,6 +195,26 @@ class TestWeights:
         )
         assert json.loads(out)["k_values"] == [10, 20]
 
+    def test_with_n_solves_once(self, capsys, monkeypatch):
+        # --n reads the weights off the schedule: one solve, the same bytes.
+        from hpdiv import cli, weights
+
+        code, plain, _ = run_cli(capsys, ["weights", "--d", "2"])
+        calls = []
+        real = weights.solve_weights
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(weights, "solve_weights", counting)
+        monkeypatch.setattr(cli, "solve_weights", counting)
+        code, out, _ = run_cli(capsys, ["weights", "--d", "2", "--n", "4000"])
+        assert code == 0 and len(calls) == 1
+        with_n, plain = json.loads(out), json.loads(plain)
+        assert len(with_n.pop("k_values")) == 28 and plain.pop("k_values") is None
+        assert with_n == plain
+
     def test_malformed_l_values_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["weights", "--d", "1", "--l-values", "1,x"])
         assert code == 2 and out == ""

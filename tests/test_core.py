@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +16,12 @@ from hpdiv import (
     validate_pair,
 )
 from hpdiv.core import (
-    LABEL_X,
-    LABEL_Y,
     JointSet,
     estimate_result,
     expected_m,
     parse_number,
     pool_pair,
+    thread_map,
     worker_count,
 )
 from hpdiv.oracle import KIND_TRUNC_NORMAL, KIND_UNIFORM, DistributionSpec, uniform_box
@@ -57,13 +58,26 @@ class TestPointCloud:
 
 
 class TestJointSet:
-    @pytest.mark.parametrize("labels, n_x, n_y, match", [
-        (np.zeros(2), 2, 1, "one-to-one"),
-        (np.zeros(3), 2, 2, "n_x \\+ n_y"),
-    ])
-    def test_shape_rejected(self, labels, n_x, n_y, match):
-        with pytest.raises(HPDivError, match=match):
-            JointSet(cloud=PointCloud(np.zeros((3, 1))), labels=labels, n_x=n_x, n_y=n_y)
+    @pytest.mark.parametrize("n_x", [-1, 4])
+    def test_n_x_outside_the_cloud_rejected(self, n_x):
+        with pytest.raises(HPDivError, match="n_x must lie in \\[0, 3\\]"):
+            JointSet(cloud=PointCloud(np.zeros((3, 1))), n_x=n_x)
+
+    @pytest.mark.parametrize("n_x", [0, 1, 3])
+    def test_split_derives_from_n_x(self, n_x):
+        z = JointSet(cloud=PointCloud(np.zeros((3, 1))), n_x=n_x)
+        assert z.n_y == 3 - n_x and len(z) == 3
+        assert z.labels.dtype == np.int8
+        assert z.labels.tolist() == [0] * n_x + [1] * (3 - n_x)
+
+    def test_derived_fields_read_only(self):
+        z = JointSet(cloud=PointCloud(np.zeros((3, 1))), n_x=1)
+        with pytest.raises(ValueError):
+            z.labels[0] = 1
+        with pytest.raises(AttributeError):
+            z.n_y = 0
+        with pytest.raises(TypeError):
+            JointSet(cloud=z.cloud, n_x=1, n_y=2)
 
 
 class TestMixtureParam:
@@ -93,7 +107,7 @@ class TestValidatePair:
         y = PointCloud([[5.0], [6.0], [7.0], [8.0]])
         with pytest.warns(SampleRatioWarning):
             z = validate_pair(x, y, 0.5)
-        assert list(z.labels) == [LABEL_X] * 2 + [LABEL_Y] * 4
+        assert list(z.labels) == [0] * 2 + [1] * 4
         np.testing.assert_array_equal(z.points[:2], x.points)
         np.testing.assert_array_equal(z.points[2:], y.points)
 
@@ -217,6 +231,27 @@ class TestWorkerCount:
             worker_count()
 
 
+class TestThreadMap:
+    def test_keeps_order_on_the_pool(self):
+        # Early items sleep longest, so a pool finishes them last.
+        seen = set()
+
+        def slow(i):
+            time.sleep(0.002 * (8 - i))
+            seen.add(threading.get_ident())
+            return i * i
+
+        assert thread_map(slow, range(8), 4) == [i * i for i in range(8)]
+        assert threading.get_ident() not in seen
+
+    @pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [3]), (4, [])])
+    def test_serial_on_the_callers_thread(self, workers, items):
+        seen = []
+        out = thread_map(lambda i: seen.append(threading.get_ident()) or -i, items, workers)
+        assert out == [-i for i in items]
+        assert seen == [threading.get_ident()] * len(out)
+
+
 def _tnorm(**arrays):
     spec = {"box": [[-3.0, 3.0], [-3.0, 3.0]], "mean": [0.0, 0.0], "cov": [1.0, 2.0]}
     return DistributionSpec(kind=KIND_TRUNC_NORMAL, **{**spec, **arrays})
@@ -227,11 +262,6 @@ def _tnorm(**arrays):
     [
         (np.zeros((3, 2)), PointCloud, lambda o: o.points),
         (np.zeros(3), PointCloud, lambda o: o.points),
-        (
-            np.zeros(3, np.int8),
-            lambda a: JointSet(cloud=PointCloud(np.zeros((3, 1))), labels=a, n_x=3, n_y=0),
-            lambda o: o.labels,
-        ),
         (np.array([1.0, 2.0]), lambda a: resolve_schedule(a, 1, 100), lambda o: o.l_values),
         (np.array([[0.0, 1.0]]), lambda a: DistributionSpec(KIND_UNIFORM, a), lambda o: o.box),
         (np.array([[-3.0, 3.0]] * 2), lambda a: _tnorm(box=a), lambda o: o.box),
@@ -240,7 +270,7 @@ def _tnorm(**arrays):
         (np.array([0.0, 1.0]), uniform_box, lambda o: o.box),
     ],
     ids=[
-        "cloud", "cloud-1d", "labels", "schedule", "uniform", "tnorm-box",
+        "cloud", "cloud-1d", "schedule", "uniform", "tnorm-box",
         "tnorm-cov", "tnorm-mean", "uniform_box",
     ],
 )

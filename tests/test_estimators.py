@@ -102,8 +102,8 @@ class TestWnnEstimate:
         x = PointCloud(rng.normal(size=(10, 2)))
         y = PointCloud(rng.normal(size=(10, 2)))
         sched = WeightSchedule(
-            l_values=np.array([1.0]), d=2, w=np.array([1.0]),
-            k_values=np.array([3]), n=10,
+            l_values=np.array([1.0]), w=np.array([1.0]),
+            k_values=np.array([3]),
         )
         assert wnn_estimate(x, y, sched, 0.5).value == knn_estimate(x, y, 3, 0.5).value
 
@@ -115,8 +115,8 @@ class TestWnnEstimate:
     def test_collision_rejected(self, hand_pair):
         x, y = hand_pair
         sched = WeightSchedule(
-            l_values=np.array([1.0, 1.1]), d=1, w=np.array([2.0, -1.0]),
-            k_values=np.array([1, 1]), n=2,
+            l_values=np.array([1.0, 1.1]), w=np.array([2.0, -1.0]),
+            k_values=np.array([1, 1]),
         )
         with pytest.raises(KCollision):
             wnn_estimate(x, y, sched, 0.5)
@@ -124,8 +124,8 @@ class TestWnnEstimate:
     def test_rank_bound_rejected(self, hand_pair):
         x, y = hand_pair
         sched = WeightSchedule(
-            l_values=np.array([1.0, 2.0]), d=1, w=np.array([2.0, -1.0]),
-            k_values=np.array([1, 9]), n=2,
+            l_values=np.array([1.0, 2.0]), w=np.array([2.0, -1.0]),
+            k_values=np.array([1, 9]),
         )
         with pytest.raises(KTooLarge):
             wnn_estimate(x, y, sched, 0.5)

@@ -25,14 +25,20 @@ def cli(capsys, argv) -> str:
     return capsys.readouterr().out
 
 
+def gen_pair(tmp_path, capsys, dim):
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    zeros = ",0" * (dim - 1)
+    cli(capsys, ["gen", "--dist", "tnorm", "--dim", str(dim), "--n", "300", "--seed", "3",
+                 "--out", str(x)])
+    cli(capsys, ["gen", "--dist", "tnorm", "--dim", str(dim), "--n", "300", "--seed", "4",
+                 "--mean", "0.5" + zeros, "--sigma", "1,1.5" + ",1" * (dim - 2),
+                 "--out", str(y)])
+    return str(x), str(y)
+
+
 @pytest.fixture
 def gen_files(tmp_path, capsys):
-    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
-    cli(capsys, ["gen", "--dist", "tnorm", "--dim", "2", "--n", "300", "--seed", "3",
-                 "--out", str(x)])
-    cli(capsys, ["gen", "--dist", "tnorm", "--dim", "2", "--n", "300", "--seed", "4",
-                 "--mean", "0.5,0", "--sigma", "1,1.5", "--out", str(y)])
-    return str(x), str(y)
+    return gen_pair(tmp_path, capsys, 2)
 
 
 GEN_X = "dc2e66f304d971da2458f6c86d08a707711957a86ca17de8e473a5444e510dc8"
@@ -47,6 +53,8 @@ ESTIMATE = {
     "wnn": "fbe1653e1efd4fe8b56656b65c8051caa39c2c329446e948e04d20e220140eab",
     "mst": "eda006f65270953251c204ae5770120ddc1ea556206eda9689faa1cba6c41e0b",
 }
+# mst on the 3-D files, taken while d = 3 still ran Prim.
+ESTIMATE_MST_3D = "35954bad85fb09937bf33862c84d06c27e9e0e93fd09e3039f20ce3ebd69a157"
 TRUTH = {1: "0.2040420024018691", 2: "0.20404200273407191", 3: "0.20404201037693492"}
 
 
@@ -56,11 +64,19 @@ def test_gen_file(gen_files):
 
 
 @pytest.mark.parametrize("method", ["knn", "wnn", "mst"])
-def test_estimate_stdout(capsys, gen_files, method):
+def test_estimate_stdout(capsys, monkeypatch, gen_files, method):
     x, y = gen_files
     extra = ["--k", "4"] if method == "knn" else []
-    out = cli(capsys, ["estimate", "--method", method, *extra, "--x", x, "--y", y])
-    assert sha256(out.encode()) == ESTIMATE[method]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HPDIV_THREADS", threads)
+        out = cli(capsys, ["estimate", "--method", method, *extra, "--x", x, "--y", y])
+        assert sha256(out.encode()) == ESTIMATE[method], f"HPDIV_THREADS={threads}"
+
+
+def test_estimate_mst_3d_stdout(tmp_path, capsys):
+    x, y = gen_pair(tmp_path, capsys, 3)
+    out = cli(capsys, ["estimate", "--method", "mst", "--x", x, "--y", y])
+    assert sha256(out.encode()) == ESTIMATE_MST_3D
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -111,6 +111,11 @@ def lattice(m):
     return np.column_stack([xs.ravel(), ys.ravel()])
 
 
+def cube(m):
+    axes = np.meshgrid(*[np.arange(float(m))] * 3)
+    return np.column_stack([a.ravel() for a in axes])
+
+
 class TestEdgeSets:
     """build_emst equals the Kruskal oracle edge for edge (same tie key),
     whichever construction the dimension picks."""
@@ -157,10 +162,24 @@ class TestEdgeSets:
     @pytest.mark.parametrize("seed", range(3))
     def test_d3_random(self, seed):
         pts = np.random.default_rng(seed).normal(size=(100, 3))
-        self.check(pts, "prim")
+        self.check(pts, "delaunay")
+
+    def test_d3_lattice(self):
+        self.check(cube(5), "delaunay")
+
+    def test_d3_duplicates(self):
+        pts = np.random.default_rng(4).normal(size=(60, 3))
+        self.check(np.vstack([pts, pts[[0, 7, 7, 30]]]), "prim")
+
+    def test_d3_coplanar(self):
+        xy = np.random.default_rng(5).normal(size=(50, 2))
+        self.check(np.column_stack([xy, np.zeros(50)]), "prim")
+
+    def test_d4_random(self):
+        self.check(np.random.default_rng(6).normal(size=(60, 4)), "prim")
 
     @given(
-        st.integers(1, 2),
+        st.integers(1, 3),
         st.integers(2, 40),
         st.integers(2, 30),
         st.integers(0, 2**32 - 1),
@@ -173,16 +192,46 @@ class TestEdgeSets:
         assert edge_set(tree.edges) == edge_set(oracle_edges)
 
     def test_tree_does_not_depend_on_path(self):
-        pts = np.random.default_rng(11).normal(size=(200, 2))
-        fast = build_emst(PointCloud(pts))
-        slow_edges = np.column_stack(_prim_edges(PointCloud(pts).points))
-        assert fast.algorithm == "delaunay"
-        assert edge_set(fast.edges) == edge_set(slow_edges)
-        lo, hi = fast.edges[:, 0], fast.edges[:, 1]
-        assert (lo < hi).all()
-        diff = pts[lo] - pts[hi]
-        key = np.lexsort((hi, lo, np.einsum("ij,ij->i", diff, diff)))
-        np.testing.assert_array_equal(key, np.arange(len(fast)))
+        for dim in (2, 3):
+            pts = np.random.default_rng(11).normal(size=(200, dim))
+            fast = build_emst(PointCloud(pts))
+            slow_edges = np.column_stack(_prim_edges(PointCloud(pts).points))
+            assert fast.algorithm == "delaunay"
+            assert edge_set(fast.edges) == edge_set(slow_edges)
+            lo, hi = fast.edges[:, 0], fast.edges[:, 1]
+            assert (lo < hi).all()
+            diff = pts[lo] - pts[hi]
+            key = np.lexsort((hi, lo, np.einsum("ij,ij->i", diff, diff)))
+            np.testing.assert_array_equal(key, np.arange(len(fast)))
+
+
+class TestOneSort:
+    """build_emst sorts its candidate edges once, and runs Kruskal only on
+    more than n - 1 of them (the Delaunay graph)."""
+
+    @pytest.mark.parametrize("pts, algorithm, kruskal", [
+        (np.arange(30.0)[:, None] ** 1.5, "path", 0),
+        (lattice(6), "delaunay", 1),
+        (cube(4), "delaunay", 1),
+        (np.random.default_rng(2).normal(size=(40, 4)), "prim", 0),
+    ], ids=["path", "delaunay-2d", "delaunay-3d", "prim"])
+    def test_sorts_once(self, monkeypatch, pts, algorithm, kruskal):
+        import scipy.sparse.csgraph as csgraph
+
+        calls = {"lexsort": 0, "kruskal": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "lexsort", counting("lexsort", np.lexsort))
+        monkeypatch.setattr(csgraph, "minimum_spanning_tree",
+                            counting("kruskal", csgraph.minimum_spanning_tree))
+        tree = build_emst(PointCloud(pts))
+        assert tree.algorithm == algorithm
+        assert calls == {"lexsort": 1, "kruskal": kruskal}
 
 
 class TestMstEstimate:

@@ -24,7 +24,7 @@ def make_joint(points):
     """Wrap raw points as a JointSet (labels irrelevant for neighbor queries)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 1:
-        return JointSet(cloud=PointCloud(pts), labels=np.zeros(1, np.int8), n_x=1, n_y=0)
+        return JointSet(cloud=PointCloud(pts), n_x=1)
     half = max(1, len(pts) // 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -369,6 +369,12 @@ class TestBayesBounds:
         with pytest.raises(HPDivError, match="nan"):
             bayes_bounds(float("nan"), 0.5)
 
+    @pytest.mark.parametrize("lower, upper", [(0.3, 0.2), (0.0, 0.6)])
+    def test_direct_construction_checked(self, lower, upper):
+        # Upper below lower, or above min(p, 1 - p).
+        with pytest.raises(HPDivError, match="invalid bounds"):
+            oracle.BayesBounds(lower=lower, upper=upper, p=0.5)
+
     def test_infinite_divergence_clamps(self):
         assert bayes_bounds(float("inf"), 0.5) == bayes_bounds(1.0, 0.5)
         assert bayes_bounds(float("-inf"), 0.5) == bayes_bounds(0.0, 0.5)

@@ -110,7 +110,6 @@ class TestResolveSchedule:
     def test_simple(self):
         s = resolve_schedule([1.0, 2.0], 1, 100)
         assert s.k_values.tolist() == [10, 20]
-        assert s.n == 100 and s.d == 1
 
     def test_collision(self):
         with pytest.raises(KCollision):
@@ -144,8 +143,8 @@ class TestWeightSchedule:
     def test_lengths_must_match_l_values(self, w, k_values):
         # A short w would let the weighted sum drop rank 2 through zip.
         with pytest.raises(HPDivError, match="one nonempty length"):
-            WeightSchedule(l_values=[1.0, 2.0], d=1, w=w, k_values=k_values)
+            WeightSchedule(l_values=[1.0, 2.0], w=w, k_values=k_values)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(HPDivError, match="one nonempty length"):
-            WeightSchedule(l_values=[], d=1, w=[], k_values=[])
+            WeightSchedule(l_values=[], w=[], k_values=[])
