@@ -29,10 +29,8 @@ from .oracle import (
     BayesBounds,
     DimTooHigh,
     DistributionSpec,
-    NonOverlappingSupportWarning,
     RefinementCapWarning,
     bayes_bounds,
-    density,
     true_divergence,
     truncated_normal,
     uniform_box,
@@ -62,7 +60,6 @@ __all__ = [
     "KTooLarge",
     "MixtureParam",
     "NeighborIndex",
-    "NonOverlappingSupportWarning",
     "PointCloud",
     "RefinementCapWarning",
     "RejectionStall",
@@ -75,7 +72,6 @@ __all__ = [
     "bayes_bounds",
     "build_emst",
     "build_index",
-    "density",
     "default_l_values",
     "knn_estimate",
     "make_state",

@@ -150,6 +150,8 @@ class ExperimentPlan:
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise HPDivError("n_grid must be nonempty and strictly increasing")
+        if grid[0] < 1:
+            raise HPDivError(f"n_grid entries must be >= 1, got {grid[0]}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
         _check_labels(self.methods)
@@ -226,12 +228,13 @@ def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
     return tuple(pair)
 
 
-def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> dict:
-    """label -> (checked ranks, weights) for each knn and wnn method of the
-    plan at sample size n on ``dim``-dimensional data, or the HPDivError
-    that aborts the cell. Every draw at n pools n + _draw_m(plan, n) points."""
+def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> tuple[dict, set]:
+    """(label -> (checked ranks, weights) for each knn and wnn cell of the
+    plan that runs at sample size n on ``dim``-dimensional data, labels of
+    the cells that abort). Each HPDivError that aborts a cell is warned as a
+    CellErrorWarning. Every draw at n pools n + _draw_m(plan, n) points."""
     m = _draw_m(plan, n)
-    out = {}
+    cells, failed = {}, set()
     for spec in plan.methods:
         try:
             if spec.kind == "knn":
@@ -242,10 +245,12 @@ def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> dict:
                 ranks, weights = schedule.k_values, schedule.w
             else:
                 continue
-            out[spec.label] = (checked_ranks(ranks, n + m), weights)
+            cells[spec.label] = (checked_ranks(ranks, n + m), weights)
         except HPDivError as exc:
-            out[spec.label] = exc
-    return out
+            msg = f"cell {spec.label} @ n={n} aborted: {exc}"
+            warnings.warn(msg, CellErrorWarning, stacklevel=3)
+            failed.add(spec.label)
+    return cells, failed
 
 
 def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
@@ -274,11 +279,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     dim = clouds[0].dim if clouds else plan.dims
     summaries: list[TrialSummary] = []
     for n in plan.n_grid:
-        sums = _neighbor_cells(plan, n, dim)
-        failed = {label: c for label, c in sums.items() if isinstance(c, HPDivError)}
-        for label, err in failed.items():
-            warnings.warn(f"cell {label} @ n={n} aborted: {err}", CellErrorWarning, stacklevel=2)
-            del sums[label]
+        sums, failed = _neighbor_cells(plan, n, dim)
         if len(failed) == len(plan.methods):
             continue
         trial = partial(_run_trial, plan, specs, clouds, sums, n)

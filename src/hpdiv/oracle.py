@@ -9,12 +9,15 @@ evaluated on tensor-product trapezoid grids (dims <= 3), refined by node
 doubling until successive values agree to 1e-6. Deterministic quadrature
 keeps regression values stable, which Monte Carlo would not.
 
-The integrand comes from per-axis factors: each slab is an open mesh of
-1-D node arrays, the box mask a product of per-axis masks and a diagonal
-Gaussian's exponent the broadcast sum, in axis order, of (x_j - mu_j)^2/s2_j.
-Each grid value is the same operations on the same operands, in the same
-order, as on a materialized (points, d) array, so its bytes are too.
-Truncated normals are per-axis (diagonal covariance) only.
+Both specs must carry one box, the grid's; specs on different boxes raise
+HPDivError. Every grid node lies in that box, so the integrand evaluates
+each density with no box mask: a uniform is 1/volume everywhere, and a
+truncated normal is its Gaussian over its truncation mass. The integrand
+comes from per-axis factors: each slab is an open mesh of 1-D node arrays,
+and a diagonal Gaussian's exponent is the broadcast sum, in axis order, of
+(x_j - mu_j)^2/s2_j. Each grid value is the same operations on the same
+operands, in the same order, as on a materialized (points, d) array, so
+its bytes are too. Truncated normals are per-axis (diagonal covariance) only.
 
 Slabs fix the order of the sums: a grid is reduced one slab of whole planes
 along the first axis at a time, each slab by one matrix-vector product,
@@ -58,10 +61,6 @@ _PIECE = 1 << 15  # max grid points per integrand call
 
 class DimTooHigh(HPDivError):
     """Tensor-grid quadrature only supports up to 3 dimensions."""
-
-
-class NonOverlappingSupportWarning(UserWarning):
-    """The two specs carry different boxes; integrating over the union."""
 
 
 class RefinementCapWarning(UserWarning):
@@ -130,6 +129,14 @@ class DistributionSpec:
             and np.array_equal(self.cov, other.cov)
         )
 
+    def _on_grid(self, axes) -> np.ndarray:
+        """Normalized density at the broadcast of the per-axis coordinate
+        arrays ``axes``, every node inside the box."""
+        if self.kind == KIND_UNIFORM:
+            volume = float(np.prod(self.box[:, 1] - self.box[:, 0]))
+            return np.full(np.broadcast(*axes).shape, 1.0 / volume)
+        return self._gauss_unnormalized(axes) / self._mass
+
     def _gauss_unnormalized(self, axes) -> np.ndarray:
         """Gaussian density without the truncation renormalizer, at the
         broadcast of the per-axis coordinate arrays ``axes``."""
@@ -175,29 +182,6 @@ def _as_box(box, dim: int) -> np.ndarray:
     if box.ndim == 1 and box.size == 2:
         box = np.tile(box, (dim, 1))
     return box
-
-
-def density(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Normalized density of the spec at point(s) x; zero outside the box."""
-    pts = np.asarray(x, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != spec.dim:
-        raise HPDivError(f"points must have dimension {spec.dim}")
-    vals = _density_on(spec, pts.T)
-    return float(vals[0]) if scalar else vals
-
-
-def _density_on(spec: DistributionSpec, axes) -> np.ndarray:
-    """Normalized density at the broadcast of the per-axis coordinate arrays
-    ``axes`` (the columns of a point array, or an open tensor grid)."""
-    inside = True
-    for x, (lo, hi) in zip(axes, spec.box):
-        inside = inside & (x >= lo) & (x <= hi)
-    if spec.kind == KIND_UNIFORM:
-        volume = float(np.prod(spec.box[:, 1] - spec.box[:, 0]))
-        return np.where(inside, 1.0 / volume, 0.0)
-    return np.where(inside, spec._gauss_unnormalized(axes) / spec._mass, 0.0)
 
 
 def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
@@ -274,36 +258,23 @@ def _refined_trapezoid(f, box: np.ndarray, dim: int) -> float:
 
 
 def true_divergence(fx: DistributionSpec, fy: DistributionSpec, p: float) -> float:
-    """Quadrature value of D_p between two analytic specs (dims <= 3)."""
+    """Quadrature value of D_p between two analytic specs on one box (dims <= 3)."""
     if fx.dim != fy.dim:
         raise HPDivError("specs must share an ambient dimension")
-    dim = fx.dim
-    if dim > 3:
-        raise DimTooHigh(f"quadrature supports dim <= 3, got {dim}")
+    if fx.dim not in _GRID_START:
+        raise DimTooHigh(f"quadrature supports dim <= {max(_GRID_START)}, got {fx.dim}")
+    if not np.array_equal(fx.box, fy.box):
+        raise HPDivError("specs must share one box")
     prior = MixtureParam(p)  # raises InvalidP
     p, q = prior.p, prior.q
-    box = fx.box
-    if not np.array_equal(fx.box, fy.box):
-        warnings.warn(
-            "specs carry different boxes; integrating over the union "
-            "(densities vanish outside their own box)",
-            NonOverlappingSupportWarning,
-            stacklevel=2,
-        )
-        box = np.column_stack(
-            [
-                np.minimum(fx.box[:, 0], fy.box[:, 0]),
-                np.maximum(fx.box[:, 1], fy.box[:, 1]),
-            ]
-        )
 
     def integrand(axes):
-        a = _density_on(fx, axes)
-        b = _density_on(fy, axes)
-        den = p * a + q * b
+        a = fx._on_grid(axes)
+        b = fy._on_grid(axes)
+        den = p * a + q * b  # 0 where both Gaussians underflow
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
-    value = _refined_trapezoid(integrand, box, dim)
+    value = _refined_trapezoid(integrand, fx.box, fx.dim)
     return float(min(1.0, max(0.0, 1.0 - value)))
 
 

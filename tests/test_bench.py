@@ -82,6 +82,11 @@ class TestPlanValidation:
         with pytest.raises(HPDivError):
             small_plan(n_grid=(64, 64))
 
+    @pytest.mark.parametrize("grid", [(0, 64), (-3,)])
+    def test_grid_floor(self, grid):
+        with pytest.raises(HPDivError, match=">= 1"):
+            small_plan(n_grid=grid)
+
     def test_csv_needs_paths(self):
         with pytest.raises(HPDivError):
             small_plan(scenario="csv")
@@ -255,7 +260,8 @@ class TestRunPlan:
         )
         specs = scenario_specs(plan)
         clouds = (load_points(xp), load_points(yp)) if scenario == "csv" else None
-        sums = bench._neighbor_cells(plan, 160, 2)
+        sums, failed = bench._neighbor_cells(plan, 160, 2)
+        assert failed == set()
         t = 3
         got = bench._run_trial(plan, specs, clouds, sums, 160, t)
         x, y = bench._draw_pair(plan, specs, clouds, 160, t)
@@ -287,6 +293,20 @@ class TestRunPlan:
         assert {(s.method, s.n) for s in out} == {
             ("knn:3", 32), ("mst", 32), ("knn:3", 64), ("knn:100", 64), ("wnn", 64), ("mst", 64)
         }
+
+    def test_cells_fail_where_checked(self):
+        # knn:100 needs |Z| - 1 >= 100: it aborts at n=32 and runs at n=64.
+        plan = small_plan(methods=tuple(parse_methods("knn:3,knn:100,mst")))
+        with pytest.warns(CellErrorWarning, match=r"^cell knn:100 @ n=32 aborted") as caught:
+            cells, failed = bench._neighbor_cells(plan, 32, 1)
+        assert (sorted(cells), failed, len(caught)) == (["knn:3"], {"knn:100"}, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cells, failed = bench._neighbor_cells(plan, 64, 1)
+        assert (sorted(cells), failed, caught) == (["knn:100", "knn:3"], set(), [])
+        with pytest.warns(CellErrorWarning) as caught:
+            run_plan(plan)
+        assert [w.filename for w in caught] == [__file__]  # blamed on run_plan's caller
 
     @pytest.mark.parametrize("methods, warned, drawn", [
         ("knn:500", [

@@ -369,6 +369,15 @@ class TestBench:
         assert_usage_error(capsys, argv, match)
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("methods", ["knn:5", "mst"])
+    def test_zero_sample_size_exit_2(self, capsys, tmp_path, bench_argv, methods):
+        # Every method fails the same way, before any draw.
+        argv = bench_argv[:]
+        argv[argv.index("--n-grid") + 1] = "0,64"
+        argv[argv.index("--methods") + 1] = methods
+        assert_usage_error(capsys, argv, "n_grid entries must be >= 1, got 0")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.fixture
     def csv_files(self, tmp_path):
         rng = np.random.default_rng(6)

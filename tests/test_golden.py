@@ -55,7 +55,12 @@ ESTIMATE = {
 }
 # mst on the 3-D files, taken while d = 3 still ran Prim.
 ESTIMATE_MST_3D = "35954bad85fb09937bf33862c84d06c27e9e0e93fd09e3039f20ce3ebd69a157"
-TRUTH = {1: "0.2040420024018691", 2: "0.20404200273407191", 3: "0.20404201037693492"}
+# repr of the d = 1, 2, 3 truths of each synthetic bench scenario at p = 1/2
+TRUTH = {
+    bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691", "0.20404200273407191", "0.20404201037693492"),
+    bench.SCENARIO_GAUSS_SCALE: ("0.17104674355342386", "0.21147652829467667", "0.24919362827990654"),
+    bench.SCENARIO_GAUSS_VS_UNIFORM: ("0.3994379200255387", "0.6445962916096035", "0.7843918387080235"),
+}
 
 
 def test_gen_file(gen_files):
@@ -96,9 +101,17 @@ def test_bench_csv(tmp_path, capsys, monkeypatch, threads):
     assert sha256(out.read_bytes()) == BENCH_CSV
 
 
+def truth_repr(scenario, d):
+    plan = bench.ExperimentPlan(scenario, d, (100,), tuple(bench.parse_methods("knn:1")), 2)
+    return repr(true_divergence(*bench.scenario_specs(plan), 0.5))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gauss_shift_truth(d):
-    plan = bench.ExperimentPlan(
-        bench.SCENARIO_GAUSS_SHIFT, d, (100,), tuple(bench.parse_methods("knn:1")), 2
-    )
-    assert repr(true_divergence(*bench.scenario_specs(plan), 0.5)) == TRUTH[d]
+    assert truth_repr(bench.SCENARIO_GAUSS_SHIFT, d) == TRUTH[bench.SCENARIO_GAUSS_SHIFT][d - 1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scenario", [bench.SCENARIO_GAUSS_SCALE, bench.SCENARIO_GAUSS_VS_UNIFORM])
+def test_scale_and_uniform_truths(scenario, d):
+    assert truth_repr(scenario, d) == TRUTH[scenario][d - 1]

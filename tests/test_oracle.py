@@ -10,11 +10,9 @@ from hpdiv import (
     DimTooHigh,
     HPDivError,
     InvalidP,
-    NonOverlappingSupportWarning,
     RefinementCapWarning,
     bayes_bounds,
     bench,
-    density,
     true_divergence,
     truncated_normal,
     oracle,
@@ -42,41 +40,25 @@ def tnorm_pdf(mu, s2, lo, hi):
 
 
 class TestDensity:
-    def test_rejects_points_of_another_dimension(self):
-        with pytest.raises(HPDivError, match="dimension 2"):
-            density(uniform_box([[0.0, 1.0]] * 2), [[0.5, 0.5, 0.5]])
+    """The integrand's per-spec density, on nodes inside the box."""
 
     def test_uniform_volume(self):
         u = uniform_box([(-5, 5), (-5, 5)])
-        assert density(u, [0.0, 0.0]) == pytest.approx(1 / 100)
-
-    def test_outside_box_zero(self):
-        u = uniform_box([(-5, 5), (-5, 5)])
-        assert density(u, [6.0, 0.0]) == 0.0
-        f = truncated_normal([0.0], 1.0, (-5, 5))
-        assert density(f, [5.5]) == 0.0
+        assert u._on_grid(np.ix_([0.0, 1.0], [0.0, 2.0, 3.0])).tolist() == [[1 / 100] * 3] * 2
 
     def test_gaussian_ratio_cancels_normalizer(self):
         f = truncated_normal([0.0], 1.0, (-5, 5))
-        ratio = density(f, [0.0]) / density(f, [1.0])
-        assert ratio == pytest.approx(math.exp(0.5), rel=1e-12)
+        at_0, at_1 = f._on_grid((np.array([0.0, 1.0]),))
+        assert at_0 / at_1 == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_integrates_to_one(self):
         f = truncated_normal([0.0, 0.5], [1.0, 2.0], (-4, 4))
         grid = np.linspace(-4, 4, 501)
-        xx, yy = np.meshgrid(grid, grid, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = density(f, pts).reshape(501, 501)
+        vals = f._on_grid(np.ix_(grid, grid))
         h = grid[1] - grid[0]
         w = np.full(501, h)
         w[0] = w[-1] = h / 2
         assert w @ vals @ w == pytest.approx(1.0, abs=1e-6)
-
-    def test_vectorized_matches_scalar(self):
-        f = truncated_normal([0.0, 0.0], 1.0, (-5, 5))
-        pts = np.array([[0.0, 0.0], [1.0, -1.0], [9.0, 0.0]])
-        vec = density(f, pts)
-        assert vec.tolist() == [density(f, p) for p in pts]
 
 
 class TestTrueDivergence:
@@ -88,11 +70,22 @@ class TestTrueDivergence:
         f = truncated_normal([0.0], 1.0, (-5, 5))
         assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=2e-6)
 
-    def test_disjoint_boxes_one(self):
-        a = uniform_box((0.0, 1.0))
-        b = uniform_box((2.0, 3.0))
-        with pytest.warns(NonOverlappingSupportWarning):
-            assert true_divergence(a, b, 0.5) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("fx, fy", [
+        (uniform_box((0.0, 1.0)), uniform_box((2.0, 3.0))),
+        (
+            truncated_normal(np.zeros(3), 1.0, (-5, 5)),
+            uniform_box([(-5.0, 5.0), (-5.0, 5.0), (-5.0, 4.0)]),
+        ),
+    ], ids=["1d-disjoint", "3d"])
+    def test_rejects_specs_on_two_boxes(self, fx, fy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HPDivError, match="specs must share one box"):
+                true_divergence(fx, fy, 0.5)
+
+    def test_identical_uniforms_zero(self):
+        u = uniform_box([(-1.0, 2.0), (0.5, 4.0)])
+        assert true_divergence(u, u, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_shift_value(self):
         fx = truncated_normal([0.0], 1.0, (-5, 5))
@@ -129,8 +122,8 @@ class TestTrueDivergence:
             assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=5e-4)
         a = uniform_box([(0.0, 1.0)] * 3)
         b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
-        with pytest.warns(NonOverlappingSupportWarning):
-            assert true_divergence(a, b, 0.5) == 1.0
+        with pytest.raises(HPDivError, match="one box"):
+            true_divergence(a, b, 0.5)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_rejects_p_outside_unit_interval(self, p):
@@ -184,25 +177,21 @@ class TestSpecValidation:
 
 
 def _specs(d: int) -> dict:
-    """Truncated normal and uniform specs on equal and unequal boxes."""
+    """Truncated normal and uniform specs; "odd" and "odd_unif" share an
+    asymmetric box, every other spec the box (-5, 5) per axis."""
+    odd_box = np.column_stack([np.linspace(-3, -2, d), np.linspace(2.5, 4, d)])
     return {
         "diag": truncated_normal(np.zeros(d), 1.0, (-5, 5)),
-        "diag2": truncated_normal(
-            np.arange(d) * 0.3 + 0.5, np.linspace(0.7, 2.0, d), (-4, 4.5)
-        ),
-        "own": truncated_normal(np.full(d, 0.1), np.linspace(1.2, 0.9, d), (-4, 4)),
-        "odd": truncated_normal(
-            np.full(d, 0.2),
-            np.linspace(1.3, 0.6, d),
-            np.column_stack([np.linspace(-3, -2, d), np.linspace(2.5, 4, d)]),
-        ),
-        "unif": uniform_box(np.tile([-3.0, 3.5], (d, 1))),
-        "disj": uniform_box(np.tile([6.0, 7.0], (d, 1))),
+        "diag2": truncated_normal(np.arange(d) * 0.3 + 0.5, np.linspace(0.7, 2.0, d), (-5, 5)),
+        "own": truncated_normal(np.full(d, 0.1), np.linspace(1.2, 0.9, d), (-5, 5)),
+        "unif": uniform_box(np.tile([-5.0, 5.0], (d, 1))),
+        "odd": truncated_normal(np.full(d, 0.2), np.linspace(1.3, 0.6, d), odd_box),
+        "odd_unif": uniform_box(odd_box),
     }
 
 
-# equal-box pairs, then union boxes of odd and disjoint boxes
-_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("own", "odd"), ("unif", "disj")]
+# normal x normal, normal x uniform, normal x uniform on the odd box, uniform x uniform
+_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("odd", "odd_unif"), ("unif", "unif")]
 
 
 # The coarse caps stop many refinements short of _REFINE_TOL; the tests
@@ -226,11 +215,12 @@ class TestMatchesPointArrays:
     @coarse_cap_warnings
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_masses_and_densities(self, coarse_grids, d):
-        pts = np.random.default_rng(d).uniform(-6, 6, size=(500, d))
+        rng = np.random.default_rng(d)
         for spec in _specs(d).values():
             assert spec._mass == points_mass(spec)
+            pts = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(500, d))
             np.testing.assert_array_equal(
-                density(spec, pts), points_density(spec, pts, spec._mass)
+                spec._on_grid(tuple(pts.T)), points_density(spec, pts, spec._mass)
             )
 
     @coarse_cap_warnings
@@ -240,12 +230,7 @@ class TestMatchesPointArrays:
     def test_true_divergence(self, coarse_grids, d, pair, p):
         specs = _specs(d)
         fx, fy = specs[pair[0]], specs[pair[1]]
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            got = true_divergence(fx, fy, p)
-        union = [w for w in seen if issubclass(w.category, NonOverlappingSupportWarning)]
-        assert bool(union) == (not np.array_equal(fx.box, fy.box))
-        assert got == points_divergence(fx, fy, p)
+        assert true_divergence(fx, fy, p) == points_divergence(fx, fy, p)
 
     def test_default_grids_on_the_bench_pair(self):
         fx = truncated_normal(np.zeros(2), 1.0, (-5, 5))
@@ -253,7 +238,6 @@ class TestMatchesPointArrays:
         assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
 
     @coarse_cap_warnings
-    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_many_slabs(self, coarse_grids, monkeypatch, d):
         whole = true_divergence(_specs(d)["diag"], _specs(d)["own"], 0.4)
@@ -265,7 +249,6 @@ class TestMatchesPointArrays:
         assert got == pytest.approx(whole, abs=1e-12)
 
     @coarse_cap_warnings
-    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("slab", [None, 1000])
     @pytest.mark.parametrize("piece", [1, 7, 5000])
@@ -305,16 +288,6 @@ class TestWorkingSet:
 
 class TestRefinementCap:
     """Refinement that reaches its grid cap unconverged says so."""
-
-    @pytest.mark.filterwarnings("ignore::hpdiv.NonOverlappingSupportWarning")
-    def test_unequal_boxes_warn_at_the_cap(self):
-        # The inner box's edges fall between grid nodes, so each doubling
-        # gains only first order and the cap comes first.
-        fx = truncated_normal([0.0], 1.0, (-5, 5))
-        fy = truncated_normal([0.3], 0.8, (-2.2, 3.1))
-        with pytest.warns(RefinementCapWarning, match=r"cap of 32001 nodes .* by \d"):
-            got = true_divergence(fx, fy, 0.5)
-        assert got == points_divergence(fx, fy, 0.5)  # still the finest grid's value
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize(
