@@ -1,8 +1,8 @@
 """CSV ingestion: plain point files and labeled datasets (features + class).
 
-Files are comma-separated, no quoting, one row per point, UTF-8 labels.
-Duplicate feature rows are kept as-is; downstream neighbor queries resolve
-the resulting distance ties deterministically.
+Files are UTF-8 with one optional leading byte order mark (as Excel's "CSV
+UTF-8" writes), comma-separated, no quoting, one row per point. Duplicate
+feature rows are kept as-is; neighbor queries break their distance ties.
 
 A point file of printable ASCII is read by numpy's C reader (loadtxt). Any
 other file, and one that reader rejects or reads as empty, goes to the line
@@ -15,6 +15,7 @@ take the line parser.
 from __future__ import annotations
 
 import warnings
+from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
@@ -125,7 +126,7 @@ def _c_reader(data: bytes) -> np.ndarray | None:
 
 def load_points(path) -> PointCloud:
     """Read a point cloud from CSV; every row must have the same width."""
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
     points = _c_reader(data)
     if points is None:
         rows = [_floats(lineno, cells) for lineno, cells in _rows(_text(data))]
@@ -148,7 +149,7 @@ def load_labeled(path) -> LabeledDataset:
     """
     feats = []
     labels = []
-    for lineno, cells in _rows(_text(Path(path).read_bytes())):
+    for lineno, cells in _rows(_text(Path(path).read_bytes().removeprefix(BOM_UTF8))):
         if len(cells) < 2:
             raise LabelMissing(f"row {lineno}: need at least one feature and a label")
         label = cells[-1].strip()

@@ -2,17 +2,10 @@
 dichotomous-edge count statistic R, mapped like the neighbor counts:
 value = 1 - R (N+M)/(2NM).
 
-The tree is exact and unique under the edge order (squared length, min
-endpoint, max endpoint). The dimension picks the candidate edges: d = 1
-joins sorted neighbors ("path"); d = 2 and 3 take the Delaunay edges, which
-hold the EMST, ties included, as each tree edge's closed diametral ball
-holds no other point ("delaunay"); d >= 4 runs an O(n^2) Prim ("prim"),
-where qhull is slower. One guard sends a 1-D to 3-D input to Prim where
-the fast path cannot prove it holds the tree: duplicate points, rounding
-ties between sorted neighbors, or points qhull cannot triangulate in full
-(collinear or coplanar). ``build_emst`` sorts the candidates once in the
-order above, lengths from one formula, and runs Kruskal only on more than
-n - 1 of them.
+The tree is exact and unique under the edge order (squared length, min endpoint,
+max endpoint). d = 1 joins sorted neighbors ("path") unless a tie could reroute the
+tree; any other input runs a kd-tree Boruvka ("boruvka"; March, Ram & Gray, KDD 2010).
+Either returns the n - 1 edges; ``build_emst`` sorts them once, lengths from one formula.
 """
 
 from __future__ import annotations
@@ -20,17 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .core import (
-    EstimateResult,
-    HPDivError,
-    JointSet,
-    METHOD_MST,
-    PointCloud,
-    estimate_result,
-    validate_pair,
-)
-from .neighbors import _sq_dists
+from .core import (EstimateResult, HPDivError, JointSet, METHOD_MST, PointCloud,
+                   estimate_result, validate_pair)
+from .neighbors import _BLOCK_BYTES, _TIE_RTOL, _entry_bytes, _sq_dists
+
+_WINDOW = 8  # points in a Boruvka window before it first grows, self included
 
 
 class TooFewPoints(HPDivError):
@@ -39,22 +28,20 @@ class TooFewPoints(HPDivError):
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edges (u, v) with u < v in (length, u, v) order, their Euclidean
-    lengths, and the construction that ran; |Z|-1 rows."""
+    """|Z| - 1 edges (u, v), u < v, in (length, u, v) order, their lengths and construction."""
 
     edges: np.ndarray    # (m, 2) int64
     lengths: np.ndarray  # (m,) float64
-    algorithm: str       # "path", "delaunay" or "prim"
+    algorithm: str       # "path" or "boruvka"
 
     def __len__(self) -> int:
         return self.edges.shape[0]
 
 
 def _path_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted-neighbor edges in 1-D, or None when a tie could reroute the
-    tree. Any non-adjacent pair is at least as long as a 2-step (i, i+2) it
-    spans; when each 2-step is strictly longer than its two gaps, every such
-    pair tops a cycle strictly and the path is the MST."""
+    """Sorted-neighbor edges in 1-D, or None when a tie could reroute the tree. A
+    non-adjacent pair is at least as long as a 2-step (i, i+2) it spans; when each
+    2-step beats its two gaps strictly, every such pair tops a cycle: the path is the MST."""
     order = np.argsort(points[:, 0], kind="stable")
     gap = _sq_dists(points, order[:-1], order[1:])
     if len(order) > 2:
@@ -64,103 +51,114 @@ def _path_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return order[:-1], order[1:]
 
 
-def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every edge of the Delaunay graph, or None when qhull fails or leaves a
-    point out (duplicates and near-duplicates)."""
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        tri = Delaunay(points)
-    except QhullError:
-        return None
-    if tri.coplanar.size:
-        return None
-    indptr, nbrs = tri.vertex_neighbor_vertices
-    lo = np.repeat(np.arange(points.shape[0]), np.diff(indptr))
-    keep = lo < nbrs
-    return lo[keep], nbrs[keep]
+def _joined(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least node each of nodes 0..size-1 reaches over edges (u, v)."""
+    lab, old = np.arange(size), None  # least-label propagation with pointer jumps
+    while old is None or (lab != old).any():
+        old, lab = lab, lab.copy()
+        np.minimum.at(lab, u, old[v])
+        np.minimum.at(lab, v, old[u])
+        lab = lab[lab]
+    return lab
 
 
-def _pair_key(a, b, n: int) -> np.ndarray:
-    """Integer key ordering endpoint pairs by (min, max)."""
-    return np.minimum(a, b) * n + np.maximum(a, b)
+def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n - 1 tree edges: exact copies starred, then Boruvka rounds in
+    which every component takes its least outgoing edge. A point's window
+    lists its nearest distinct points by (squared length, smallest index),
+    self included; no point outside the window comes before an entry below
+    its horizon (the last length less the tie tolerance). A component takes
+    its least edge once each point whose window does not prove its own has a
+    horizon above that edge's length; if none can, those windows double."""
+    n, d = points.shape
+    order = np.lexsort(points.T[::-1])  # stable: exact copies run in index order
+    new = np.r_[True, (np.diff(points[order], axis=0) != 0).any(axis=1)]
+    low = np.empty(n, dtype=np.int64)  # each point's first copy
+    low[order] = order[new][np.cumsum(new) - 1]
+    reps = np.flatnonzero(low == np.arange(n))
+    size = len(reps)
+    pts = points if size == n else points[reps]
+    tree = cKDTree(pts)
+    width, horizon, first = np.full(size, _WINDOW // 2), np.empty(size), np.empty(size, np.int64)
+    pieces = []  # (rows, their windows); a grown row's window lives in a later piece
 
+    def grow(rows: np.ndarray, domain: np.ndarray | None = None) -> None:
+        """Double the windows of ``rows``, over the points of ``domain`` (all)."""
+        near = tree if domain is None else cKDTree(pts[domain])
+        ids = np.append(np.arange(size) if domain is None else domain, size)  # a miss: size
+        width[rows] = k = min(2 * int(width[rows].max(initial=_WINDOW // 2)), len(ids) - 1)
+        for here in np.array_split(rows, len(rows) * k * _entry_bytes(d) // _BLOCK_BYTES + 1):
+            # A whole window skips the tree, whose misses (overflows) read as +inf.
+            cand = ids[near.query(pts[here], k=k, workers=1)[1] if k < len(ids) - 1
+                       else np.broadcast_to(np.arange(k), (len(here), k))]
+            d2 = _sq_dists(pts, cand, here[:, None])
+            horizon[here] = d2.max(axis=1) * (1.0 - _TIE_RTOL)
+            cand = np.take_along_axis(cand, np.lexsort((cand, d2), axis=1), axis=1)
+            first[here] = cand[:, 0]
+            pieces.append((here, np.where(cand < size, cand, here[:, None]).astype(np.int32)))
 
-def _prim_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense O(n^2) Prim with (length, min endpoint, max endpoint) ties."""
-    n = points.shape[0]
-    idx = np.arange(n)
-    in_tree = np.zeros(n, dtype=bool)
-    best_d2 = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    j = 0
-    for step in range(n - 1):
-        in_tree[j] = True
-        diff = points - points[j]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        closer = d2 < best_d2
-        eq = d2 == best_d2
-        if eq.any():
-            # equal-length edge into the same vertex: keep the smaller pair
-            closer |= eq & (_pair_key(j, idx, n) < _pair_key(best_from, idx, n))
-        closer &= ~in_tree
-        best_d2[closer] = d2[closer]
-        best_from[closer] = j
-        masked = np.where(in_tree, np.inf, best_d2)
-        ties = np.flatnonzero(masked == masked.min())
-        pick = 0 if len(ties) == 1 else np.argmin(_pair_key(best_from[ties], ties, n))
-        j = int(ties[pick])
-        edges[step] = best_from[j], j
-    return edges[:, 0], edges[:, 1]
+    grow(np.arange(size))
+    while (flat := np.flatnonzero((horizon == 0) & (width < size))).size:
+        grow(flat)  # until every point at distance 0 is in
+    # Each copy joins the smallest index at zero distance: its first copy, or an underflow.
+    hub = reps[first][np.searchsorted(reps, low)]
+    star = np.flatnonzero(hub != np.arange(n))
+    edges = [(hub[star], star)]
+    comp = _joined(size, np.arange(size), first)  # labelled by least member
+    while (comp != comp[0]).any():
+        live, found = [], [(np.empty(0, np.int64),) * 4]
+        for rows, cand in pieces:
+            out = comp[cand] != comp[rows, None]
+            has = out.any(axis=1) & (width[rows] == cand.shape[1])
+            if has.any():  # a window inside its component stays inside
+                live.append((rows, cand) if has.all() else (rows[has], cand[has]))
+                a, b = rows[has], cand[has, out[has].argmax(axis=1)].astype(np.int64)
+                found.append((a, b, _sq_dists(pts, b, a), comp[a]))
+        pieces[:] = live
+        a, b, d2, ca = map(np.concatenate, zip(*found))
+        cap = np.full(size, np.inf)  # each component's least candidate
+        np.minimum.at(cap, ca, d2)
+        pick = np.full(size, size * size)  # and at that length its least lo * size + hi
+        t = d2 == cap[ca]
+        np.minimum.at(pick, ca[t], np.minimum(a[t], b[t]) * size + np.maximum(a[t], b[t]))
+        open_ = horizon <= cap[comp]  # the points that could still beat or tie it
+        open_[a[(d2 < horizon[a]) | (width[a] == size)]] = False
+        done = (np.bincount(comp[open_], minlength=size) == 0) & (pick < size * size)
+        if not done.any():
+            # Windows inside their component query the rest once doubling would fetch n / 8.
+            inside = open_ & (np.bincount(a, minlength=size) == 0)
+            far = inside & (np.bincount(comp[inside], width[inside], size)[comp] >= size // 8)
+            grow(np.flatnonzero(open_ & ~far))
+            for c in np.unique(comp[far]):
+                grow(np.flatnonzero(far & (comp == c)), np.flatnonzero(comp != c))
+            continue
+        lo, hi = np.divmod(np.unique(pick[done]), size)  # two components may take one edge
+        edges.append((reps[lo], reps[hi]))
+        comp = _joined(size, comp[lo], comp[hi])[comp]
+    return tuple(np.concatenate(side) for side in zip(*edges))
 
 
 def build_emst(z: JointSet | PointCloud) -> SpanningTree:
     """Exact Euclidean MST of the pooled points under the
     (length, min endpoint, max endpoint) order, built by dimension."""
     points = z.points
-    n, d = points.shape
-    if n < 2:
+    if len(points) < 2:
         raise TooFewPoints("an MST needs at least 2 points")
-
-    uv = None
-    if d == 1:
-        uv, algorithm = _path_edges(points), "path"
-    elif d <= 3:
-        uv, algorithm = _delaunay_edges(points), "delaunay"
-    if uv is None:
-        uv, algorithm = _prim_edges(points), "prim"
-
-    lo = np.minimum(*uv).astype(np.int64)
-    hi = np.maximum(*uv).astype(np.int64)
+    uv = _path_edges(points) if points.shape[1] == 1 else None
+    algorithm, uv = ("path", uv) if uv is not None else ("boruvka", _boruvka_edges(points))
+    lo, hi = np.minimum(*uv), np.maximum(*uv)
     len2 = _sq_dists(points, lo, hi)
     order = np.lexsort((hi, lo, len2))
-    if len(order) > n - 1:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import minimum_spanning_tree
-
-        # Distinct weights make the MST unique; csgraph drops zero weights,
-        # so rank the edges in the total order starting from 1.
-        rank = np.empty(len(order), dtype=np.float64)
-        rank[order] = np.arange(1, len(order) + 1)
-        mst = minimum_spanning_tree(coo_matrix((rank, (lo, hi)), shape=(n, n)))
-        order = order[np.sort(mst.tocoo().data).astype(np.int64) - 1]
-    return SpanningTree(
-        edges=np.column_stack([lo[order], hi[order]]),
-        lengths=np.sqrt(len2[order]),
-        algorithm=algorithm,
-    )
+    return SpanningTree(edges=np.column_stack([lo[order], hi[order]]),
+                        lengths=np.sqrt(len2[order]), algorithm=algorithm)
 
 
 def dichotomous_edge_count(tree: SpanningTree, z: JointSet) -> int:
     """Number of MST edges joining an X point to a Y point."""
-    lab = z.labels
-    return int((lab[tree.edges[:, 0]] != lab[tree.edges[:, 1]]).sum())
+    return int((z.labels[tree.edges[:, 0]] != z.labels[tree.edges[:, 1]]).sum())
 
 
-def mst_estimate(
-    x: PointCloud, y: PointCloud, p: float, clamp: bool = False
-) -> EstimateResult:
+def mst_estimate(x: PointCloud, y: PointCloud, p: float, clamp: bool = False) -> EstimateResult:
     """Divergence estimate from the MST dichotomous-edge count."""
     z = validate_pair(x, y, p)
     r = dichotomous_edge_count(build_emst(z), z)

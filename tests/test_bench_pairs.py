@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py, on fixed records (no benchmark runs)."""
+"""The summaries of tools/bench_pairs.py on fixed records (no benchmark runs), and
+one EMST probe call on a small cloud."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -144,3 +146,41 @@ class TestSummariseFresh:
         assert not got["mst_d1"]["stdout_equal"] and got["wnn_d3"]["stdout_equal"]
         runs["change"]["mst_d1"] = [dict(fresh(16.0, 75, None), rc=2)] + [fresh(16.0, 75, None)] * 4
         assert not bench_pairs.summarise_fresh(runs)["mst_d1"]["stdout_equal"]
+
+
+def emst(wall, peak, digest="e", algorithm="boruvka"):
+    return {"wall_ms": wall, "peak_mb": peak, "points": 4096, "algorithm": algorithm,
+            "edges_sha256": digest}
+
+
+class TestSummariseEmst:
+    RUNS = {
+        "parent": {"d2_normal_4096": [emst(w, 1.1, algorithm="delaunay")
+                                      for w in (30.0, 35.0, 40.0, 45.0, 50.0)]},
+        "change": {"d2_normal_4096": [emst(w, 1.7) for w in (20.0, 22.0, 24.0, 26.0, 28.0)]},
+    }
+
+    def test_medians_ratio_and_constructions(self):
+        got = bench_pairs.summarise_emst(self.RUNS)["d2_normal_4096"]
+        assert got["runs"] == {"parent": 5, "change": 5} and got["points"] == 4096
+        # statistics.quantiles(exclusive) of 30..50 by 5: 32.5 and 47.5
+        assert got["wall_ms"]["parent"] == {"median": 40.0, "quartiles": [32.5, 47.5]}
+        assert got["wall_ms"]["change"]["median"] == 24.0
+        assert got["wall_ms"]["ratio"] == pytest.approx(0.6)
+        assert got["peak_mb"]["ratio"] == pytest.approx(1.7 / 1.1)
+        assert got["algorithm"] == {"parent": ["delaunay"], "change": ["boruvka"]}
+        assert got["edges_equal"]
+
+    def test_one_differing_edge_set_shows(self):
+        runs = {s: {c: list(r) for c, r in kinds.items()} for s, kinds in self.RUNS.items()}
+        runs["change"]["d2_normal_4096"][3] = emst(26.0, 1.7, digest="f")
+        assert not bench_pairs.summarise_emst(runs)["d2_normal_4096"]["edges_equal"]
+
+
+def test_emst_clouds_are_built_and_timed(tmp_path):
+    """The probe's fresh-interpreter call on this tree's sources, for one small cloud."""
+    repo = Path(__file__).resolve().parents[1]
+    record = json.loads(bench_pairs._python(repo, bench_pairs._EMST_CALL,
+                                            json.dumps(["lattice", 2, 100]), threads=1))
+    assert record["points"] == 600 and record["algorithm"] == "boruvka"
+    assert record["wall_ms"] > 0 and record["peak_mb"] > 0 and len(record["edges_sha256"]) == 64

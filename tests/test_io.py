@@ -77,8 +77,8 @@ class TestLoadPoints:
 
 
 def line_parser(path):
-    """The rows as the line parser alone reads them."""
-    rows = [hpio._floats(n, cells) for n, cells in hpio._rows(path.read_text(encoding="utf-8"))]
+    """The rows as the line parser alone reads them (after one leading BOM)."""
+    rows = [hpio._floats(n, cells) for n, cells in hpio._rows(path.read_text(encoding="utf-8-sig"))]
     if not rows:
         raise EmptyCloud(f"no data rows in {path}")
     return np.asarray(rows, dtype=np.float64)
@@ -150,8 +150,10 @@ class TestReadersAgree:
             ("1,2,\n3,4,\n", ParseError),
             ("1,2\r3,4\r", (2, 2)),
             ("1,\x0c2\n", ParseError),
-            ("\ufeff1,2\n", ParseError),
+            ("\ufeff1,2\n", (1, 2)),
             ("1_0,\u0663\n", (1, 2)),
+            ("\ufeff", EmptyCloud),
+            ("\ufeff\ufeff1,2\n", ParseError),
         ],
     )
     def test_edge_files(self, tmp_path, text, expected):
@@ -173,6 +175,60 @@ class TestReadersAgree:
 
         monkeypatch.setattr(hpio, "_rows", no_lines)
         np.testing.assert_array_equal(load_points(path).points, [[0.5, 1.0], [-2.0, 0.3]])
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 BOM, as Excel's "CSV UTF-8" export writes, is dropped."""
+
+    @pytest.mark.parametrize("text", ["0.5,1\r\n-2, 3e-1\n", "1_0,\u0663\n2,3\n"])
+    def test_same_points_with_and_without(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(load_points(marked).points, load_points(plain).points)
+
+    def test_same_labels_with_and_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("0,1,a\n2,3,b\n", encoding="utf-8")
+        marked.write_text("0,1,a\n2,3,b\n", encoding="utf-8-sig")
+        got, want = load_labeled(marked), load_labeled(plain)
+        np.testing.assert_array_equal(got.features.points, want.features.points)
+        assert got.labels == want.labels == ("a", "b")
+
+    def test_marked_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "marked.csv"
+        path.write_text("0.5,1\n-2,3\n", encoding="utf-8-sig")
+
+        def no_lines(*args):
+            raise AssertionError("a plain file reached the line parser")
+
+        monkeypatch.setattr(hpio, "_rows", no_lines)
+        np.testing.assert_array_equal(load_points(path).points, [[0.5, 1.0], [-2.0, 3.0]])
+
+    def test_mark_alone_is_empty(self, tmp_path):
+        path = tmp_path / "mark.csv"
+        path.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(EmptyCloud):
+            load_points(path)
+        with pytest.raises(EmptyCloud):
+            load_labeled(path)
+
+    @pytest.mark.parametrize("text, row, col", [
+        ("1,2\n\ufeff3,4\n", 2, 1),
+        ("1,\ufeff2\n", 1, 2),
+        ("\ufeff\ufeff1,2\n", 1, 1),
+    ])
+    def test_mark_anywhere_else_is_a_parse_error(self, tmp_path, text, row, col):
+        path = tmp_path / "marked.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_points(path)
+        assert (exc.value.row, exc.value.col) == (row, col)
+        path.write_text(text.replace("\n", ",a\n"), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_labeled(path)
+        assert (exc.value.row, exc.value.col) == (row, col)
 
 
 class TestLoadLabeled:

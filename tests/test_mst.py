@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdiv import PointCloud, TooFewPoints, build_emst, mst_estimate, validate_pair
-from hpdiv.mst import _prim_edges, dichotomous_edge_count
+from hpdiv import mst
+from hpdiv.mst import _boruvka_edges, _path_edges, dichotomous_edge_count
 
 from conftest import tie_free
 from oracles import kruskal_mst
@@ -123,7 +124,8 @@ class TestEdgeSets:
     def check(self, pts, algorithm):
         tree = build_emst(PointCloud(pts))
         assert tree.algorithm == algorithm
-        oracle_edges, _ = kruskal_mst(pts)
+        with np.errstate(over="ignore"):  # the oracle's lengths may overflow
+            oracle_edges, _ = kruskal_mst(pts)
         assert edge_set(tree.edges) == edge_set(oracle_edges)
         return tree
 
@@ -135,48 +137,114 @@ class TestEdgeSets:
     @pytest.mark.parametrize("seed", range(3))
     def test_d1_duplicates(self, seed):
         pts = np.random.default_rng(seed).integers(0, 20, size=(80, 1)).astype(float)
-        self.check(pts, "prim")
+        self.check(pts, "boruvka")
 
     def test_d1_rounding_tie(self):
         # |(-1e20) - 1| and |(-1e20) - 2| round to the same length, and the
         # (0, 1) pair wins that tie, so the sorted path is not the tree
-        self.check(np.array([[-1e20], [2.0], [1.0]]), "prim")
+        self.check(np.array([[-1e20], [2.0], [1.0]]), "boruvka")
+
+    def test_d1_eight_values(self):
+        # tie groups of about 250 copies: starred, not windowed one by one
+        pts = np.random.default_rng(12).integers(0, 8, size=(2000, 1)).astype(float)
+        self.check(pts, "boruvka")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_d2_random(self, seed):
         pts = np.random.default_rng(seed).normal(size=(150, 2))
-        self.check(pts, "delaunay")
+        self.check(pts, "boruvka")
 
     @pytest.mark.parametrize("m", [5, 10])
     def test_d2_lattice(self, m):
-        self.check(lattice(m), "delaunay")
+        self.check(lattice(m), "boruvka")
 
     def test_d2_duplicates(self):
         pts = lattice(4)
-        self.check(np.vstack([pts, pts[[0, 5, 5, 15]]]), "prim")
+        self.check(np.vstack([pts, pts[[0, 5, 5, 15]]]), "boruvka")
+
+    def test_d2_lattice_with_repeated_rows(self):
+        pts = lattice(30)
+        rows = np.random.default_rng(13).integers(0, len(pts), size=100)
+        self.check(np.vstack([pts, pts[rows]]), "boruvka")
 
     def test_d2_collinear(self):
         t = np.random.default_rng(3).normal(size=40)
-        self.check(np.column_stack([t, 2.0 * t]), "prim")
+        self.check(np.column_stack([t, 2.0 * t]), "boruvka")
+
+    def test_d2_far_clusters(self, monkeypatch):
+        # Components deep inside a cluster have every window inside them:
+        # they ask a tree of the points outside them for windows, rather than
+        # doubling them until they span the whole cluster.
+        built, ks = [], []
+
+        class Recording(mst.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+            def query(self, x, k=1, **kwargs):
+                ks.append(k)
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(mst, "cKDTree", Recording)
+        rng = np.random.default_rng(14)
+        pts = np.vstack([rng.normal(size=(600, 2)), rng.normal(size=(600, 2)) + 50.0])
+        self.check(pts, "boruvka")
+        assert built[0] == 1200 and 1 < len(built) and max(built[1:]) < 1200
+        assert max(ks) <= 32
 
     @pytest.mark.parametrize("seed", range(3))
     def test_d3_random(self, seed):
         pts = np.random.default_rng(seed).normal(size=(100, 3))
-        self.check(pts, "delaunay")
+        self.check(pts, "boruvka")
 
     def test_d3_lattice(self):
-        self.check(cube(5), "delaunay")
+        self.check(cube(5), "boruvka")
 
     def test_d3_duplicates(self):
         pts = np.random.default_rng(4).normal(size=(60, 3))
-        self.check(np.vstack([pts, pts[[0, 7, 7, 30]]]), "prim")
+        self.check(np.vstack([pts, pts[[0, 7, 7, 30]]]), "boruvka")
 
     def test_d3_coplanar(self):
         xy = np.random.default_rng(5).normal(size=(50, 2))
-        self.check(np.column_stack([xy, np.zeros(50)]), "prim")
+        self.check(np.column_stack([xy, np.zeros(50)]), "boruvka")
+
+    def test_d3_collinear(self):
+        t = np.random.default_rng(15).normal(size=60)
+        self.check(np.column_stack([t, 2.0 * t, -t]), "boruvka")
 
     def test_d4_random(self):
-        self.check(np.random.default_rng(6).normal(size=(60, 4)), "prim")
+        self.check(np.random.default_rng(6).normal(size=(60, 4)), "boruvka")
+
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    def test_high_dimensions(self, dim):
+        self.check(np.random.default_rng(dim).normal(size=(300, dim)), "boruvka")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowed_lengths(self, dim):
+        # lengths across the origin overflow to +inf and tie; the index order decides
+        pts = np.random.default_rng(16).choice([-1e155, 1e155, 0.0, 3e154], size=(40, dim))
+        self.check(pts, "boruvka")
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-160])
+    def test_subnormal_spacing(self, scale):
+        # 5e-324 steps: every length underflows to 0; 1e-160 steps: subnormal lengths
+        pts = np.random.default_rng(17).integers(0, 12, size=(80, 2)) * scale
+        self.check(pts, "boruvka")
+
+    def test_underflow_reaches_past_copies(self):
+        # 1 and 2 are copies, but 0 lies at length 0 from both (5e-324 squared
+        # underflows), so each joins 0 rather than the other
+        pts = np.array([[0.0], [5e-324], [5e-324], [1e-160], [3e-160], [2e-160]])
+        tree = self.check(pts, "boruvka")
+        assert edge_set(tree.edges)[:2] == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_smallest_clouds(self, n, dim):
+        self.check(np.random.default_rng(18).normal(size=(n, dim)), "boruvka")
+        self.check(np.zeros((n, dim)), "boruvka")
 
     @given(
         st.integers(1, 3),
@@ -188,50 +256,58 @@ class TestEdgeSets:
     def test_integer_lattice_clouds(self, dim, n, side, seed):
         pts = np.random.default_rng(seed).integers(0, side, size=(n, dim)).astype(float)
         tree = build_emst(PointCloud(pts))
+        assert tree.algorithm == "boruvka" or dim == 1
         oracle_edges, _ = kruskal_mst(pts)
         assert edge_set(tree.edges) == edge_set(oracle_edges)
 
     def test_tree_does_not_depend_on_path(self):
-        for dim in (2, 3):
+        pts = np.random.default_rng(11).normal(size=(200, 1))
+        path = _path_edges(pts)
+        assert path is not None
+        assert edge_set(np.column_stack(path)) == edge_set(np.column_stack(_boruvka_edges(pts)))
+        for dim in (1, 2, 3):
             pts = np.random.default_rng(11).normal(size=(200, dim))
-            fast = build_emst(PointCloud(pts))
-            slow_edges = np.column_stack(_prim_edges(PointCloud(pts).points))
-            assert fast.algorithm == "delaunay"
-            assert edge_set(fast.edges) == edge_set(slow_edges)
-            lo, hi = fast.edges[:, 0], fast.edges[:, 1]
+            tree = build_emst(PointCloud(pts))
+            lo, hi = tree.edges[:, 0], tree.edges[:, 1]
             assert (lo < hi).all()
             diff = pts[lo] - pts[hi]
             key = np.lexsort((hi, lo, np.einsum("ij,ij->i", diff, diff)))
-            np.testing.assert_array_equal(key, np.arange(len(fast)))
+            np.testing.assert_array_equal(key, np.arange(len(tree)))
 
 
 class TestOneSort:
-    """build_emst sorts its candidate edges once, and runs Kruskal only on
-    more than n - 1 of them (the Delaunay graph)."""
+    """Each construction returns exactly the n - 1 tree edges, so build_emst
+    sorts them once and runs no Kruskal."""
 
-    @pytest.mark.parametrize("pts, algorithm, kruskal", [
-        (np.arange(30.0)[:, None] ** 1.5, "path", 0),
-        (lattice(6), "delaunay", 1),
-        (cube(4), "delaunay", 1),
-        (np.random.default_rng(2).normal(size=(40, 4)), "prim", 0),
-    ], ids=["path", "delaunay-2d", "delaunay-3d", "prim"])
-    def test_sorts_once(self, monkeypatch, pts, algorithm, kruskal):
-        import scipy.sparse.csgraph as csgraph
+    @pytest.mark.parametrize("pts, algorithm", [
+        (np.arange(30.0)[:, None] ** 1.5, "path"),
+        (np.repeat(np.arange(6.0), 3)[:, None], "boruvka"),
+        (lattice(6), "boruvka"),
+        (cube(4), "boruvka"),
+        (np.random.default_rng(2).normal(size=(40, 4)), "boruvka"),
+    ], ids=["path", "copies-1d", "lattice-2d", "cube-3d", "normal-4d"])
+    def test_sorts_once(self, monkeypatch, pts, algorithm):
+        real_lexsort = np.lexsort
+        calls = {"lexsort": 0, "edges": []}
 
-        calls = {"lexsort": 0, "kruskal": 0}
+        def counting(*args, **kwargs):
+            calls["lexsort"] += 1
+            return real_lexsort(*args, **kwargs)
 
-        def counting(name, real):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
+        def recording(real):
+            def construct(points):
+                uv = real(points)
+                if uv is not None:  # sorts from here on are build_emst's
+                    calls["edges"].append(len(uv[0]))
+                    monkeypatch.setattr(np, "lexsort", counting)
+                return uv
+            return construct
 
-        monkeypatch.setattr(np, "lexsort", counting("lexsort", np.lexsort))
-        monkeypatch.setattr(csgraph, "minimum_spanning_tree",
-                            counting("kruskal", csgraph.minimum_spanning_tree))
+        for name in ("_path_edges", "_boruvka_edges"):
+            monkeypatch.setattr(mst, name, recording(getattr(mst, name)))
         tree = build_emst(PointCloud(pts))
         assert tree.algorithm == algorithm
-        assert calls == {"lexsort": 1, "kruskal": kruskal}
+        assert calls == {"lexsort": 1, "edges": [len(pts) - 1]}
 
 
 class TestMstEstimate:

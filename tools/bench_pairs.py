@@ -9,7 +9,7 @@ workload runs its pair i before any runs pair i+1. Run from anywhere:
     python3 tools/bench_pairs.py --parent P --change C \\
         --workload estimate-files --workload mc-shift-knn \\
         --pairs 10 --seed 1101 --seconds 45 --out BENCH_<date>_<name>.json \\
-        [--traced-seed S] [--tier1] [--fresh N] [--attach KEY=FILE.json]
+        [--traced-seed S] [--tier1] [--fresh N] [--emst N] [--attach KEY=FILE.json]
 
 The output holds the machine, the seeds, every run's end-to-end metrics,
 each side's median and quartiles, the pairs the change won and whether the
@@ -24,7 +24,11 @@ Each makes one ``hpdiv.cli.main(["estimate", ...])`` call and records its
 wall ms, its minor page faults (``ru_minflt``), the process's ``ru_maxrss``
 and the stdout digest, then repeats the call to take the tracemalloc peak
 of ``neighbor_ranks``; ``--pairs 0 --fresh N`` runs the probe alone.
-``--attach`` copies a JSON file in under KEY.
+``--emst N`` runs, per side, N fresh interpreters for each cloud of
+EMST_CLOUDS on one thread, alternating the side that goes first. Each times
+one ``build_emst`` call, repeats it to take its tracemalloc peak, and
+records the construction and a digest of the edges; ``--pairs 0 --emst N``
+runs it alone. ``--attach`` copies a JSON file in under KEY.
 """
 
 from __future__ import annotations
@@ -175,10 +179,112 @@ print(json.dumps({
 """
 
 
-def _python(tree: Path, code: str, *args: str) -> str:
+# Fixed-seed clouds of the EMST probe: name -> (kind, d, n). "normal" draws
+# N(0, I); "repeat" repeats row 0 once in place of the last row; "values"
+# takes 8 integer values; "lattice" is a sqrt(n)-square grid plus 500 rows
+# repeated; "flat" puts the last coordinate at twice the first (collinear
+# at d = 2, coplanar at d = 3).
+EMST_CLOUDS = {
+    "d2_normal_4096": ("normal", 2, 4096),
+    "d2_normal_10000": ("normal", 2, 10000),
+    "d2_normal_50000": ("normal", 2, 50000),
+    "d3_normal_4000": ("normal", 3, 4000),
+    "d3_normal_20000": ("normal", 3, 20000),
+    "d4_normal_3000": ("normal", 4, 3000),
+    "d4_normal_12000": ("normal", 4, 12000),
+    "d2_repeat_10000": ("repeat", 2, 10000),
+    "d2_lattice_10000": ("lattice", 2, 10000),
+    "d2_flat_4000": ("flat", 2, 4000),
+    "d3_flat_3000": ("flat", 3, 3000),
+    "d1_values_8000": ("values", 1, 8000),
+}
+
+_EMST_CALL = """
+import hashlib, json, sys, time, tracemalloc
+import numpy as np
+from hpdiv import PointCloud, build_emst
+kind, d, n = json.loads(sys.argv[1])
+rng = np.random.default_rng(20261019)
+if kind == "normal":
+    pts = rng.normal(size=(n, d))
+elif kind == "repeat":
+    pts = rng.normal(size=(n, d))
+    pts[-1] = pts[0]
+elif kind == "values":
+    pts = rng.integers(0, 8, size=(n, d)).astype(float)
+elif kind == "lattice":
+    axes = np.meshgrid(*[np.arange(float(round(n ** (1 / d))))] * d)
+    grid = np.column_stack([a.ravel() for a in axes])
+    pts = np.vstack([grid, grid[rng.integers(0, len(grid), size=500)]])
+elif kind == "flat":
+    free = rng.normal(size=(n, d - 1))
+    pts = np.column_stack([free, 2.0 * free[:, 0]])
+cloud = PointCloud(pts)
+t0 = time.perf_counter()
+tree = build_emst(cloud)
+wall_ms = (time.perf_counter() - t0) * 1e3
+tracemalloc.start()
+build_emst(cloud)
+peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+tracemalloc.stop()
+print(json.dumps({
+    "wall_ms": wall_ms, "peak_mb": peak_mb, "points": len(pts), "algorithm": tree.algorithm,
+    "edges_sha256": hashlib.sha256(tree.edges.tobytes()).hexdigest(),
+}))
+"""
+
+
+def summarise_emst(runs: dict[str, dict[str, list[dict]]]) -> dict:
+    """Per cloud, each side's median and quartiles of wall ms and traced
+    peak MB, the change/parent ratio of the medians, the constructions that
+    ran and whether every run of both sides built the same edges.
+
+    ``runs[side][cloud]`` lists one record per interpreter: ``{"wall_ms",
+    "peak_mb", "points", "algorithm", "edges_sha256"}``.
+    """
+    out = {}
+    for cloud in sorted(runs["change"]):
+        side = {s: runs[s][cloud] for s in SIDES}
+        entry: dict = {"runs": {s: len(side[s]) for s in SIDES}, "points": side["change"][0]["points"]}
+        for name in ("wall_ms", "peak_mb"):
+            entry[name] = {}
+            for s in SIDES:
+                q1, med, q3 = _quartiles([r[name] for r in side[s]])
+                entry[name][s] = {"median": med, "quartiles": [q1, q3]}
+            entry[name]["ratio"] = entry[name]["change"]["median"] / entry[name]["parent"]["median"]
+        entry["algorithm"] = {s: sorted({r["algorithm"] for r in side[s]}) for s in SIDES}
+        entry["edges_equal"] = len({r["edges_sha256"] for s in SIDES for r in side[s]}) == 1
+        out[cloud] = entry
+    return out
+
+
+_MACHINE = """
+import json, sys
+sys.path.insert(0, "hpbench")
+import run
+print(json.dumps(run._machine(0)))
+"""
+
+
+def _emst(trees: dict[str, Path], repeats: int) -> dict:
+    """``repeats`` fresh build_emst calls per side and cloud, summarised."""
+    runs: dict = {s: {c: [] for c in EMST_CLOUDS} for s in SIDES}
+    for i in range(repeats):
+        for cloud, spec in EMST_CLOUDS.items():
+            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                record = _python(trees[s], _EMST_CALL, json.dumps(spec), threads=1)
+                runs[s][cloud].append(json.loads(record))
+        print(f"emst repeat {i} done", flush=True)
+    return {"clouds": EMST_CLOUDS, "repeats": repeats, "threads": 1, "runs": runs,
+            "summary": summarise_emst(runs)}
+
+
+def _python(tree: Path, code: str, *args: str, threads: int = 2) -> str:
     """Stdout of ``code`` run by a fresh interpreter on the tree's sources,
-    with the thread cap hpbench/run.py sets."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), HPDIV_THREADS="2")
+    with the thread cap hpbench/run.py sets unless ``threads`` says else."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), HPDIV_THREADS=str(threads))
+    if threads == 1:
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=tree, env=env,
                           capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -270,7 +376,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
     parser.add_argument("--change", type=Path, required=True, help="changed source tree")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     parser.add_argument("--seconds", type=float, default=45.0)
@@ -279,6 +385,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", action="store_true", help="time the test suite in both trees")
     parser.add_argument("--fresh", type=int, default=0, metavar="N",
                         help="N fresh interpreters per side for each estimate-files call kind")
+    parser.add_argument("--emst", type=int, default=0, metavar="N",
+                        help="N fresh interpreters per side for each EMST probe cloud")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--title", default="parent vs change")
     parser.add_argument("--out", type=Path, required=True)
@@ -335,6 +443,11 @@ def main(argv=None) -> int:
         out["tier1"] = {s: _tier1(trees[s]) for s in SIDES}
     if args.fresh:
         out["fresh_process"] = _fresh(trees, args.seed, args.fresh)
+    if args.emst:
+        out["emst"] = _emst(trees, args.emst)
+        if out["machine"] is None:  # no workload ran: hpbench's record, at one thread
+            machine = json.loads(_python(trees["change"], _MACHINE, threads=1))
+            out["machine"] = {k: v for k, v in machine.items() if k not in ("git_commit", "seed")}
     write()
     return 0
 
