@@ -4,8 +4,8 @@ value = 1 - R (N+M)/(2NM).
 
 The tree is exact and unique under the edge order (squared length, min endpoint,
 max endpoint). d = 1 joins sorted neighbors ("path") unless a tie could reroute the
-tree; any other input runs a kd-tree Boruvka ("boruvka"; March, Ram & Gray, KDD 2010).
-Either returns the n - 1 edges; ``build_emst`` sorts them once, lengths from one formula.
+tree; any other input runs a kd-tree Boruvka ("boruvka"; March, Ram & Gray, KDD 2010)
+over ``neighbors.windows``. Each returns the n - 1 edges, sorted once by ``build_emst``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .core import (EstimateResult, HPDivError, JointSet, METHOD_MST, PointCloud,
                    estimate_result, validate_pair)
-from .neighbors import _BLOCK_BYTES, _TIE_RTOL, _entry_bytes, _sq_dists
+from .neighbors import _sq_dists, windows
 
 _WINDOW = 8  # points in a Boruvka window before it first grows, self included
 
@@ -70,7 +70,7 @@ def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its horizon (the last length less the tie tolerance). A component takes
     its least edge once each point whose window does not prove its own has a
     horizon above that edge's length; if none can, those windows double."""
-    n, d = points.shape
+    n = len(points)
     order = np.lexsort(points.T[::-1])  # stable: exact copies run in index order
     new = np.r_[True, (np.diff(points[order], axis=0) != 0).any(axis=1)]
     low = np.empty(n, dtype=np.int64)  # each point's first copy
@@ -85,15 +85,10 @@ def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     def grow(rows: np.ndarray, domain: np.ndarray | None = None) -> None:
         """Double the windows of ``rows``, over the points of ``domain`` (all)."""
         near = tree if domain is None else cKDTree(pts[domain])
-        ids = np.append(np.arange(size) if domain is None else domain, size)  # a miss: size
-        width[rows] = k = min(2 * int(width[rows].max(initial=_WINDOW // 2)), len(ids) - 1)
-        for here in np.array_split(rows, len(rows) * k * _entry_bytes(d) // _BLOCK_BYTES + 1):
-            # A whole window skips the tree, whose misses (overflows) read as +inf.
-            cand = ids[near.query(pts[here], k=k, workers=1)[1] if k < len(ids) - 1
-                       else np.broadcast_to(np.arange(k), (len(here), k))]
-            d2 = _sq_dists(pts, cand, here[:, None])
-            horizon[here] = d2.max(axis=1) * (1.0 - _TIE_RTOL)
-            cand = np.take_along_axis(cand, np.lexsort((cand, d2), axis=1), axis=1)
+        width[rows] = k = min(2 * int(width[rows].max(initial=_WINDOW // 2)), near.n)
+        for part, cand, h in windows(near, pts, rows, k, ids=domain):
+            here = rows[part]
+            horizon[here] = h
             first[here] = cand[:, 0]
             pieces.append((here, np.where(cand < size, cand, here[:, None]).astype(np.int32)))
 

@@ -12,16 +12,16 @@ the tree's leaf order on ``workers`` threads. For each read rank r a
 block takes candidates r-1, r and r+1 from a scipy cKDTree query, or for
 deep ranks from a sort of whole rows of packed int64 keys (a squared
 distance's bits, the low bits holding the point's index). Candidate r is
-the rank-r neighbor when its distance, recomputed by one formula, lies
-strictly between the other two and its key bucket (the bits above the
-index) differs from theirs: one bucket orders by index, which can hide a
-gap between subnormal distances. The block then re-ranks its rows with a
-read rank on a tie, on its own thread, from their k_max + 1 + _TIE_PAD
-nearest candidates sorted by (distance, index): a window that doubles
-until the ties end inside it or it holds every point. Every kd block, row
-sort and tie piece fits one thread's share of the byte budget,
-_BLOCK_BYTES // workers. Results match a brute-force scan at any thread
-count.
+the rank-r neighbor when its distance, recomputed by one formula (squares
+added in axis order), lies strictly between the other two and its key
+bucket (the bits above the index) differs from theirs: one bucket orders
+by index, which can hide a gap between subnormal distances. The block then
+re-ranks its rows with a read rank on a tie, on its own thread, from
+``windows`` (the EMST's too) of k_max + 1 + _TIE_PAD points sorted by
+(distance, index), self skipped by position, doubled until the ties end
+inside or they hold every point. Every kd block, row sort and window piece
+fits one thread's share of the byte budget, _BLOCK_BYTES // workers.
+Results match a brute-force scan at any thread count.
 """
 
 from __future__ import annotations
@@ -39,10 +39,14 @@ _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
 # Bytes the blocks hold over all threads, each thread a 1/workers share:
-# per row, 8 n in a row sort (keys made and sorted in place), _entry_bytes
+# per row, 8 n in a row sort (keys made and sorted in place), _ENTRY_BYTES
 # per column in a kd block or per window entry on the tie path. 2 MiB
 # holds 2^18 sort keys.
 _BLOCK_BYTES = 1 << 21
+# Bytes per candidate, whatever d: a query's index and distance, the mapped
+# index, _sq_dists' coordinate, square, sum and result, and the sort's order
+# (a tie window peaks near 40 traced).
+_ENTRY_BYTES = 8 * 8
 # A kd query costs about k_max per row and a row sort about n, so rows are
 # sorted once k_max + 2 reaches n / _SORT_DEPTH. At one thread (d = 1..4,
 # n = 1000..16384) kd took 0.02-0.58x the sort's time at k_max = 20,
@@ -65,48 +69,52 @@ def build_index(z: JointSet) -> NeighborIndex:
     return NeighborIndex(tree=cKDTree(z.points), source=z)
 
 
-def _entry_bytes(d: int) -> int:
-    """Bytes per candidate: a query's index and distance, _sq_dists' temporaries."""
-    return 8 * (2 * d + 4)
-
-
 def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances with one fixed summation order, so every
-    ranking of candidates agrees bit for bit. Index n, the tree's answer past
-    the last finite (not overflowed) distance, reads as +inf."""
-    diff = np.take(points, a, axis=0, mode="clip") - points[b]
-    return np.where(a < len(points), np.einsum("...i,...i->...", diff, diff), np.inf)
+    """Squared Euclidean distances summed one coordinate at a time in axis order, silent
+    on overflow, so every ranking of candidates agrees bit for bit. Index n, the tree's
+    answer past the last finite (not overflowed) distance, reads as +inf."""
+    d2 = 0.0
+    with np.errstate(over="ignore"):
+        for c in range(points.shape[1]):
+            diff = np.take(points[:, c], a, mode="clip") - points[b, c]
+            d2 += diff * diff
+    return np.where(a < len(points), d2, np.inf)
 
 
-def _sorted_rows(
-    idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, share: int
-) -> np.ndarray:
-    """Ranks for rows with ties, from candidates sorted by (distance, index).
-    A row is done once every read rank's distance sits strictly inside the
-    last candidate's, or its window holds all n points; the other rows go
-    round again with twice the window, in pieces of at most ``share`` bytes."""
+def windows(tree, points: np.ndarray, rows: np.ndarray, k: int, share=None, ids=None):
+    """Per piece of ``rows`` within ``share`` bytes (_BLOCK_BYTES): its slice, each row's k
+    nearest points of the tree (of ``ids``, all when None), self included, sorted by (d2,
+    index), and the row's horizon, the last d2 less _TIE_RTOL. A miss reads as len(points)
+    at +inf; a window of every point skips the tree."""
+    m = len(points) if ids is None else len(ids)
+    step = max(1, (share or _BLOCK_BYTES) // (k * _ENTRY_BYTES))
+    for start in range(0, len(rows), step):
+        here = rows[start:start + step]
+        cand = (tree.query(points[here], k=k, workers=1)[1] if k < m
+                else np.broadcast_to(np.arange(k), (len(here), k)))
+        cand = cand if ids is None else np.append(ids, len(points))[cand]
+        d2 = _sq_dists(points, cand, here[:, None])
+        cand = np.take_along_axis(cand, np.lexsort((cand, d2), axis=1), axis=1)
+        yield slice(start, start + step), cand, d2.max(axis=1) * (1.0 - _TIE_RTOL)
+
+
+def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, share: int) -> np.ndarray:
+    """Ranks for rows with ties from their windows, doubled until each read rank sits below
+    the horizon or a window holds all n points. Self leaves a window by position: rank r is
+    column r-1, or column r when self sits at or before column r-1."""
     points = idx.source.points
     out = np.empty((len(rows), len(ranks)), dtype=np.int64)
-    work = [(np.arange(len(rows)), int(ranks.max()) + 1 + _TIE_PAD)]
-    while work:
-        pos, k = work.pop()
+    pos, k = np.arange(len(rows)), int(ranks.max()) + 1 + _TIE_PAD
+    while pos.size:
         k = min(len(points), k)
-        step = max(1, share // (k * _entry_bytes(points.shape[1])))
-        if pos.size > step:
-            work.append((pos[step:], k))
-            pos = pos[:step]
-        row = rows[pos, None]
-        # The whole window needs no tree, which leaves out overflowed distances.
-        cand = (idx.tree.query(points[rows[pos]], k=k, workers=1)[1] if k < len(points)
-                else np.broadcast_to(np.arange(k), (len(pos), k)))
-        d2 = _sq_dists(points, cand, row)
-        horizon = d2[:, -1:] * (1.0 - _TIE_RTOL)
-        d2[cand == row] = np.inf  # exclude self
-        order = np.lexsort((cand, d2), axis=1)[:, ranks - 1]
-        out[pos] = np.take_along_axis(cand, order, axis=1)
-        sure = (np.take_along_axis(d2, order, axis=1) < horizon).all(axis=1)
-        if k < len(points) and not sure.all():
-            work.append((pos[~sure], 2 * k))
+        sure = np.full(len(pos), k == len(points))  # a window of every point is sure
+        for part, cand, horizon in windows(idx.tree, points, rows[pos], k, share):
+            here = rows[pos[part], None]
+            col = ranks - 1 + ((cand == here).argmax(axis=1)[:, None] < ranks)
+            out[pos[part]] = got = np.take_along_axis(cand, col, axis=1)
+            sure[part] |= (_sq_dists(points, got, here) < horizon[:, None]).all(axis=1)
+        pos = pos[~sure]
+        k *= 2
     return out
 
 
@@ -158,7 +166,7 @@ def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
     at = np.searchsorted(cols, ranks)
     sort = _SORT_DEPTH * (int(ranks.max()) + 2) >= n
     share = _BLOCK_BYTES // workers  # what one thread's block may hold
-    step = max(1, share // (8 * n if sort else len(cols) * _entry_bytes(points.shape[1])))
+    step = max(1, share // (8 * n if sort else len(cols) * _ENTRY_BYTES))
     blocks = -(-n // step)
     step = -(-n // (blocks + -blocks % workers))  # as many blocks per thread
     out = np.empty((n, len(ranks)), dtype=np.int64)

@@ -17,14 +17,14 @@ from scipy import integrate
 from hpdiv import oracle
 
 
-@np.errstate(over="ignore")  # squares past the float range read as +inf
 def scan_rank_table(points: np.ndarray, ranks=None) -> np.ndarray:
     """(n, n-1) neighbor ranks per point by a linear scan of every row, or
     only the columns of ``ranks`` (n, len(ranks)).
 
     Ordering key is (squared distance, index), identical to the package's
     documented tie-break but computed from one explicit distance row per
-    point.
+    point, summed one coordinate at a time; the point itself is taken out
+    of its row's order, so it never competes with distances that overflow.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -32,9 +32,8 @@ def scan_rank_table(points: np.ndarray, ranks=None) -> np.ndarray:
     idx = np.arange(n)
     table = np.empty((n, len(cols)), dtype=np.int64)
     for i in range(n):
-        d2 = ((pts[i] - pts) ** 2).sum(axis=1)
-        d2[i] = np.inf
-        table[i] = np.lexsort((idx, d2))[cols]
+        order = np.lexsort((idx, coordinate_sq_dists(pts[i:i + 1], pts)[0]))
+        table[i] = order[order != i][cols]
     return table
 
 
@@ -49,16 +48,17 @@ def coordinate_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def brute_kth(points, i: int, k: int) -> int:
-    """Pure-python k-th neighbor of point i with the documented tie-break."""
+    """Pure-python k-th neighbor of point i with the documented tie-break,
+    squares added in axis order (Python 3.12's ``sum`` would compensate)."""
     pts = [tuple(map(float, row)) for row in np.atleast_2d(points)]
-    ranked = sorted(
-        (
-            (sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])), j)
-            for j in range(len(pts))
-            if j != i
-        )
-    )
-    return ranked[k - 1][1]
+    ranked = []
+    for j in range(len(pts)):
+        if j != i:
+            d2 = 0.0
+            for a, b in zip(pts[i], pts[j]):
+                d2 += (a - b) * (a - b)
+            ranked.append((d2, j))
+    return sorted(ranked)[k - 1][1]
 
 
 class _UnionFind:
@@ -80,11 +80,12 @@ class _UnionFind:
 
 
 def kruskal_mst(points) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs Kruskal MST; returns (edges, lengths) sorted by insertion."""
+    """All-pairs Kruskal MST; returns (edges, lengths) sorted by insertion.
+    Squared lengths are summed one coordinate at a time, as the package's."""
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     iu, ju = np.triu_indices(n, k=1)
-    d2 = ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
+    d2 = coordinate_sq_dists(pts, pts)[iu, ju]
     order = np.lexsort((ju, iu, d2))
     uf = _UnionFind(n)
     edges, lengths = [], []

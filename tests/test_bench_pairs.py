@@ -1,11 +1,15 @@
 """The summaries of tools/bench_pairs.py on fixed records (no benchmark runs), and
 one EMST probe call on a small cloud."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from oracles import scan_rank_table
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -148,16 +152,17 @@ class TestSummariseFresh:
         assert not bench_pairs.summarise_fresh(runs)["mst_d1"]["stdout_equal"]
 
 
-def emst(wall, peak, digest="e", algorithm="boruvka"):
+def emst(wall, peak, digest="e", algorithm="boruvka", ranks_ms=5.0, ranks="r"):
     return {"wall_ms": wall, "peak_mb": peak, "points": 4096, "algorithm": algorithm,
-            "edges_sha256": digest}
+            "edges_sha256": digest, "ranks_ms": ranks_ms, "ranks_sha256": ranks}
 
 
 class TestSummariseEmst:
     RUNS = {
         "parent": {"d2_normal_4096": [emst(w, 1.1, algorithm="delaunay")
                                       for w in (30.0, 35.0, 40.0, 45.0, 50.0)]},
-        "change": {"d2_normal_4096": [emst(w, 1.7) for w in (20.0, 22.0, 24.0, 26.0, 28.0)]},
+        "change": {"d2_normal_4096": [emst(w, 1.7, ranks_ms=w / 10)
+                                      for w in (20.0, 22.0, 24.0, 26.0, 28.0)]},
     }
 
     def test_medians_ratio_and_constructions(self):
@@ -169,18 +174,35 @@ class TestSummariseEmst:
         assert got["wall_ms"]["ratio"] == pytest.approx(0.6)
         assert got["peak_mb"]["ratio"] == pytest.approx(1.7 / 1.1)
         assert got["algorithm"] == {"parent": ["delaunay"], "change": ["boruvka"]}
-        assert got["edges_equal"]
+        assert got["ranks_ms"]["parent"] == {"median": 5.0, "quartiles": [5.0, 5.0]}
+        assert got["ranks_ms"]["change"]["median"] == pytest.approx(2.4)
+        assert got["ranks_ms"]["ratio"] == pytest.approx(0.48)
+        assert got["edges_equal"] and got["ranks_equal"]
 
     def test_one_differing_edge_set_shows(self):
         runs = {s: {c: list(r) for c, r in kinds.items()} for s, kinds in self.RUNS.items()}
         runs["change"]["d2_normal_4096"][3] = emst(26.0, 1.7, digest="f")
-        assert not bench_pairs.summarise_emst(runs)["d2_normal_4096"]["edges_equal"]
+        got = bench_pairs.summarise_emst(runs)["d2_normal_4096"]
+        assert not got["edges_equal"] and got["ranks_equal"]
+
+    def test_one_differing_rank_table_shows(self):
+        runs = {s: {c: list(r) for c, r in kinds.items()} for s, kinds in self.RUNS.items()}
+        runs["parent"]["d2_normal_4096"][0] = emst(30.0, 1.1, algorithm="delaunay", ranks="q")
+        got = bench_pairs.summarise_emst(runs)["d2_normal_4096"]
+        assert got["edges_equal"] and not got["ranks_equal"]
 
 
 def test_emst_clouds_are_built_and_timed(tmp_path):
-    """The probe's fresh-interpreter call on this tree's sources, for one small cloud."""
+    """The probe's fresh-interpreter call on this tree's sources, for one small
+    cloud: its tree, then its ranks 1 and 5, which the digest pins."""
     repo = Path(__file__).resolve().parents[1]
     record = json.loads(bench_pairs._python(repo, bench_pairs._EMST_CALL,
                                             json.dumps(["lattice", 2, 100]), threads=1))
     assert record["points"] == 600 and record["algorithm"] == "boruvka"
     assert record["wall_ms"] > 0 and record["peak_mb"] > 0 and len(record["edges_sha256"]) == 64
+    rng = np.random.default_rng(20261019)
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(*[np.arange(10.0)] * 2)])
+    pts = np.vstack([grid, grid[rng.integers(0, len(grid), size=500)]])
+    ranks = scan_rank_table(pts, [1, 5])
+    assert record["ranks_ms"] > 0
+    assert record["ranks_sha256"] == hashlib.sha256(ranks.tobytes()).hexdigest()

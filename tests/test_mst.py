@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdiv import PointCloud, TooFewPoints, build_emst, mst_estimate, validate_pair
-from hpdiv import mst
+from hpdiv import mst, neighbors
 from hpdiv.mst import _boruvka_edges, _path_edges, dichotomous_edge_count
 
 from conftest import tie_free
-from oracles import kruskal_mst
+from oracles import coordinate_sq_dists, kruskal_mst
 
 
 def joint(x, y, p=0.5):
@@ -240,6 +240,34 @@ class TestEdgeSets:
         tree = self.check(pts, "boruvka")
         assert edge_set(tree.edges)[:2] == [(0, 1), (0, 2)]
 
+    @pytest.mark.parametrize("seed", [4, 10, 16])
+    def test_tiny_lattice_steps(self, seed):
+        # Integer steps of 1e-150 at d = 3..5: many lengths tie or nearly tie,
+        # and a sum in another order than the coordinate loop reorders them.
+        rng = np.random.default_rng(seed)
+        d = rng.integers(3, 6)
+        n = rng.integers(5, 60)
+        self.check(rng.integers(-3, 4, (n, d)) * 1e-150, "boruvka")
+
+    def test_windows_fit_a_patched_budget(self, monkeypatch):
+        # The Boruvka reads the byte budget at call time: with a small one
+        # every window piece fits it, and the tree does not change.
+        pts = np.random.default_rng(19).normal(size=(400, 2))
+        want = edge_set(build_emst(PointCloud(pts)).edges)
+        entries = []
+
+        class Recording(mst.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                entries.append(len(x) * k)
+                return super().query(x, k=k, **kwargs)
+
+        budget = 8192
+        monkeypatch.setattr(mst, "cKDTree", Recording)
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+        assert edge_set(self.check(pts, "boruvka").edges) == want
+        assert len(entries) >= len(pts) * 8 * neighbors._ENTRY_BYTES // budget  # 25 pieces
+        assert max(entries) * neighbors._ENTRY_BYTES <= budget
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_smallest_clouds(self, n, dim):
@@ -270,8 +298,7 @@ class TestEdgeSets:
             tree = build_emst(PointCloud(pts))
             lo, hi = tree.edges[:, 0], tree.edges[:, 1]
             assert (lo < hi).all()
-            diff = pts[lo] - pts[hi]
-            key = np.lexsort((hi, lo, np.einsum("ij,ij->i", diff, diff)))
+            key = np.lexsort((hi, lo, coordinate_sq_dists(pts, pts)[lo, hi]))
             np.testing.assert_array_equal(key, np.arange(len(tree)))
 
 

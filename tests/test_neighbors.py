@@ -112,6 +112,14 @@ class TestOracleEquivalence:
         k = int(rng.integers(1, n))
         assert kth_neighbor(idx, i, k) == brute_kth(z.points, i, k)
 
+    def test_scan_matches_pure_python_past_overflow(self):
+        # Squared distances across the origin overflow to +inf and tie there;
+        # the point itself must leave its row before the tie breaks by index.
+        pts = np.random.default_rng(3).choice([-1e155, 0.0, 3e154, 1e155], size=(30, 2))
+        table = scan_rank_table(pts)
+        for i in range(len(pts)):
+            assert table[i].tolist() == [brute_kth(pts, i, k) for k in range(1, len(pts))]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
@@ -251,7 +259,7 @@ class TestSelectedRanks:
     def test_tied_rows_split_into_blocks(self, monkeypatch):
         # A small byte budget, 100 window entries, sorts a few rows at a
         # time, in every round.
-        entry = neighbors._entry_bytes(3)
+        entry = neighbors._ENTRY_BYTES
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 100 * entry)
         z = make_joint(copied_lattice(4, 3, 5))
         ks = [5, 20]
@@ -469,8 +477,8 @@ class TestBlockBudget:
         # go through tie windows, several of them.
         budget = 20_000
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
-        entry = neighbors._entry_bytes(3)
-        assert entry >= 8 * (2 + 2 * 3)  # query index and distance, two (.., d) arrays
+        entry = neighbors._ENTRY_BYTES
+        assert entry >= 8 * 8  # query index and distance, recompute and sort temporaries
         pts, ks = {
             "random": (np.random.default_rng(8).normal(size=(600, 3)), [1, 7, 8, 40]),
             "copied_lattice": (copied_lattice(5, 3, 4), [5, 20]),
@@ -567,6 +575,16 @@ class TestPackedKeys:
         assert np.isinf(neighbors._sq_dists(z.points, np.arange(40), 0)).any()
         self.tied_rows(z, list(range(1, 40)), monkeypatch)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_self_is_not_ranked_among_overflows(self, monkeypatch):
+        # Every distance but a point's own overflows to +inf: self still
+        # leaves each row, and the infinite ones break by index.
+        z = make_joint([[0.0], [1e155], [-1e155], [2e155]])
+        assert self.tied_rows(z, [1, 2, 3], monkeypatch) == [4, 4, 4, 4]
+        np.testing.assert_array_equal(
+            scan_columns(z, [1, 2, 3]), [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        )
+
     def test_near_ties_inside_one_bucket(self, monkeypatch):
         # Each point has a twin moved by a relative 2^-45, so their distances
         # from the other points share a key bucket.
@@ -581,3 +599,20 @@ class TestPackedKeys:
         # so every row certifies and none may reach the tie path.
         pts = np.random.default_rng(n).normal(size=(n, 2))
         assert self.tied_rows(make_joint(pts), [1, 2, 3, 50], monkeypatch) == [0, 0, 0, 0]
+
+
+class TestDistanceFormula:
+    """_sq_dists adds squares one coordinate at a time in axis order, the order
+    of the oracles and of cdist on the tested scipy build."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e155])
+    def test_bits_match_the_coordinate_loop(self, dim, scale):
+        # normals, squares near the subnormal range, and overflows to +inf
+        pts = np.random.default_rng(dim).normal(size=(80, dim)) * scale
+        every = np.arange(len(pts))
+        got = neighbors._sq_dists(pts, every[None, :], every[:, None])
+        want = coordinate_sq_dists(pts, pts)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isinf(got).any() == (scale > 1e154)

@@ -27,8 +27,10 @@ of ``neighbor_ranks``; ``--pairs 0 --fresh N`` runs the probe alone.
 ``--emst N`` runs, per side, N fresh interpreters for each cloud of
 EMST_CLOUDS on one thread, alternating the side that goes first. Each times
 one ``build_emst`` call, repeats it to take its tracemalloc peak, and
-records the construction and a digest of the edges; ``--pairs 0 --emst N``
-runs it alone. ``--attach`` copies a JSON file in under KEY.
+records the construction and a digest of the edges; it then times one
+``neighbor_ranks(idx, [1, 5])`` call on the cloud and records a digest of
+the ranks. ``--pairs 0 --emst N`` runs it alone. ``--attach`` copies a
+JSON file in under KEY.
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ EMST_CLOUDS = {
 _EMST_CALL = """
 import hashlib, json, sys, time, tracemalloc
 import numpy as np
-from hpdiv import PointCloud, build_emst
+from hpdiv import JointSet, PointCloud, build_emst
+from hpdiv.neighbors import build_index, neighbor_ranks
 kind, d, n = json.loads(sys.argv[1])
 rng = np.random.default_rng(20261019)
 if kind == "normal":
@@ -227,26 +230,33 @@ tracemalloc.start()
 build_emst(cloud)
 peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
 tracemalloc.stop()
+idx = build_index(JointSet(cloud, len(pts)))
+t0 = time.perf_counter()
+ranks = neighbor_ranks(idx, [1, 5])
+ranks_ms = (time.perf_counter() - t0) * 1e3
 print(json.dumps({
     "wall_ms": wall_ms, "peak_mb": peak_mb, "points": len(pts), "algorithm": tree.algorithm,
     "edges_sha256": hashlib.sha256(tree.edges.tobytes()).hexdigest(),
+    "ranks_ms": ranks_ms, "ranks_sha256": hashlib.sha256(ranks.tobytes()).hexdigest(),
 }))
 """
 
 
 def summarise_emst(runs: dict[str, dict[str, list[dict]]]) -> dict:
-    """Per cloud, each side's median and quartiles of wall ms and traced
-    peak MB, the change/parent ratio of the medians, the constructions that
-    ran and whether every run of both sides built the same edges.
+    """Per cloud, each side's median and quartiles of the build_emst wall ms
+    and traced peak MB and of the neighbor_ranks ms, the change/parent ratio
+    of the medians, the constructions that ran and whether every run of both
+    sides built the same edges and ranks.
 
     ``runs[side][cloud]`` lists one record per interpreter: ``{"wall_ms",
-    "peak_mb", "points", "algorithm", "edges_sha256"}``.
+    "peak_mb", "points", "algorithm", "edges_sha256", "ranks_ms",
+    "ranks_sha256"}``.
     """
     out = {}
     for cloud in sorted(runs["change"]):
         side = {s: runs[s][cloud] for s in SIDES}
         entry: dict = {"runs": {s: len(side[s]) for s in SIDES}, "points": side["change"][0]["points"]}
-        for name in ("wall_ms", "peak_mb"):
+        for name in ("wall_ms", "peak_mb", "ranks_ms"):
             entry[name] = {}
             for s in SIDES:
                 q1, med, q3 = _quartiles([r[name] for r in side[s]])
@@ -254,6 +264,7 @@ def summarise_emst(runs: dict[str, dict[str, list[dict]]]) -> dict:
             entry[name]["ratio"] = entry[name]["change"]["median"] / entry[name]["parent"]["median"]
         entry["algorithm"] = {s: sorted({r["algorithm"] for r in side[s]}) for s in SIDES}
         entry["edges_equal"] = len({r["edges_sha256"] for s in SIDES for r in side[s]}) == 1
+        entry["ranks_equal"] = len({r["ranks_sha256"] for s in SIDES for r in side[s]}) == 1
         out[cloud] = entry
     return out
 
