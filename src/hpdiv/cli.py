@@ -2,8 +2,8 @@
 
 Primary output is machine-parsable (JSON on stdout, CSV files for tables)
 and deterministic for a fixed seed. Exit codes: 0 success, 2 usage or
-validation error, 3 numeric runtime failure. Errors are reported as a
-one-line JSON object on stderr.
+validation error, 3 numeric runtime failure. Every error, a usage error
+from argument parsing included, is reported as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -55,23 +55,20 @@ def _l_values(text: str | None, d: int) -> np.ndarray:
 
 
 def _load_pair(args) -> tuple[PointCloud, PointCloud]:
-    if args.x and args.y:
+    """The samples of --x/--y or of --data/--class-a/--class-b, one mode
+    given in full, checked before any file is read."""
+    points, labeled = (args.x, args.y), (args.data, args.class_a, args.class_b)
+    if any(points) and any(labeled):
+        raise HPDivError("point files (--x/--y) and labeled file (--data) are exclusive")
+    if any(points):
+        if not all(points):
+            raise HPDivError("point mode needs both --x and --y")
         return hpio.load_points(args.x), hpio.load_points(args.y)
-    ds = hpio.load_labeled(args.data)
-    return hpio.class_pair(ds, args.class_a, args.class_b)
-
-
-def _check_input_mode(parser, args) -> None:
-    point_mode = bool(args.x or args.y)
-    label_mode = bool(args.data or args.class_a or args.class_b)
-    if point_mode and label_mode:
-        parser.error("point files (--x/--y) and labeled file (--data) are exclusive")
-    if point_mode and not (args.x and args.y):
-        parser.error("point mode needs both --x and --y")
-    if label_mode and not (args.data and args.class_a and args.class_b):
-        parser.error("labeled mode needs --data, --class-a and --class-b")
-    if not point_mode and not label_mode:
-        parser.error("supply --x/--y or --data/--class-a/--class-b")
+    if not any(labeled):
+        raise HPDivError("supply --x/--y or --data/--class-a/--class-b")
+    if not all(labeled):
+        raise HPDivError("labeled mode needs --data, --class-a and --class-b")
+    return hpio.class_pair(hpio.load_labeled(args.data), args.class_a, args.class_b)
 
 
 def cmd_estimate(args) -> int:
@@ -162,14 +159,20 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error takes main's one error path
+        raise HPDivError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpdiv",
         description="Graph-based divergence estimation between two samples",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate divergence between two samples")
+    est.set_defaults(run=cmd_estimate)
     est.add_argument("--method", choices=["knn", "wnn", "mst"], required=True)
     est.add_argument("--k", type=int, help="neighbor rank for knn")
     est.add_argument("--l-values", help="comma-separated index values for wnn")
@@ -182,15 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--class-b")
 
     wts = sub.add_parser("weights", help="solve ensemble weights")
+    wts.set_defaults(run=cmd_weights)
     wts.add_argument("--d", type=int, required=True)
     wts.add_argument("--l-values")
     wts.add_argument("--n", type=int, help="resolve K(l) for this sample size")
 
     bnd = sub.add_parser("bounds", help="Bayes error bounds from a divergence")
+    bnd.set_defaults(run=cmd_bounds)
     bnd.add_argument("--divergence", type=float, required=True)
     bnd.add_argument("--p", type=float, default=0.5)
 
     gen = sub.add_parser("gen", help="generate a synthetic sample CSV")
+    gen.set_defaults(run=cmd_gen)
     gen.add_argument("--dist", choices=["tnorm", "uniform"], required=True)
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--mean", help="comma-separated mean vector (tnorm)")
@@ -201,11 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     ben = sub.add_parser("bench", help="run a Monte Carlo benchmark")
-    ben.add_argument(
-        "--scenario",
-        choices=bench_mod.SCENARIOS,
-        required=True,
-    )
+    ben.set_defaults(run=cmd_bench)
+    ben.add_argument("--scenario", choices=bench_mod.SCENARIOS, required=True)
     ben.add_argument("--dims", type=int, default=1)
     ben.add_argument("--n-grid", default="128,256,512,1024,2048")
     ben.add_argument("--trials", type=int, default=100)
@@ -220,22 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "estimate": cmd_estimate,
-    "weights": cmd_weights,
-    "bounds": cmd_bounds,
-    "gen": cmd_gen,
-    "bench": cmd_bench,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "estimate":
-        _check_input_mode(parser, args)
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (HPDivError, OSError) as exc:
         return _fail(exc)
 

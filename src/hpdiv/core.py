@@ -63,6 +63,8 @@ class PointCloud:
             raise HPDivError(f"points must be a 2-D array, got ndim={pts.ndim}")
         if pts.shape[0] == 0:
             raise EmptyCloud("point cloud must contain at least one point")
+        if pts.shape[1] == 0:
+            raise HPDivError("points must have at least one coordinate")
         if not np.isfinite(pts).all():
             raise HPDivError("point coordinates must be finite")
         pts.flags.writeable = False

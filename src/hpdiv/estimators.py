@@ -39,11 +39,11 @@ from .weights import WeightSchedule
 def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) -> dict[int, int]:
     """|E_k| for every rank in ks, from one neighbor pass that reads only ks
     (its kd queries or row sorts on ``workers`` threads)."""
-    ks = sorted({int(k) for k in ks})
+    ks = sorted(set(ks))
     if not ks:
         return {}
     opposite = z.labels[neighbor_ranks(idx, ks, workers)] != z.labels[:, None]
-    return {k: int(c) for k, c in zip(ks, opposite.sum(axis=0))}
+    return {int(k): int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
 def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
@@ -52,7 +52,7 @@ def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
     ``neighbors.checked_ranks`` has passed for |z| points. The sum keeps the
     entry's order, and stays an int for integer weights.
     """
-    ks = {int(k) for ranks, _ in sums.values() for k in ranks}
+    ks = {k for ranks, _ in sums.values() for k in ranks}
     counts = dichotomous_counts(z, build_index(z), ks, workers) if ks else {}
     return {
         key: sum(w * counts[int(k)] for w, k in zip(weights, ranks))

@@ -139,15 +139,17 @@ def _sorted_columns(
 
 
 def checked_ranks(ranks, pooled: int) -> np.ndarray:
-    """The ranks as an int64 array, once they are distinct and inside
-    [1, pooled - 1]; else KCollision or KTooLarge."""
-    k = np.asarray(ranks, dtype=np.int64)
+    """The ranks as an int64 array, once they are whole, distinct and inside
+    [1, pooled - 1]; else HPDivError, KCollision or KTooLarge."""
+    k = np.asarray(ranks)
+    if not (np.isfinite(k) & (np.floor(k) == k)).all():
+        raise HPDivError(f"ranks must be whole numbers, got {k.tolist()}")
     if len(np.unique(k)) != k.size:
         raise KCollision(f"ranks contain duplicates: {k.tolist()}")
     lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
     if not 1 <= lo <= hi <= pooled - 1:
         raise KTooLarge(f"ranks must lie in [1, {pooled - 1}], got {lo}..{hi}")
-    return k
+    return k.astype(np.int64)
 
 
 def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import hpdiv
 from hpdiv import neighbors
 from hpdiv.cli import main
 
@@ -29,8 +33,53 @@ def assert_usage_error(capsys, argv, match):
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, argv)
     assert (code, out, seen) == (2, "", [])
-    assert len(err.splitlines()) == 1
-    assert match in json.loads(err)["message"]
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] and match in payload["message"]
+
+
+class TestUsageErrors:
+    """argparse's errors leave by the same path as the library's."""
+
+    @pytest.mark.parametrize("argv,match", [
+        (["estimate", "--method", "knn", "--k", "abc", "--x", "a", "--y", "b"],
+         "invalid int value: 'abc'"),
+        (["bounds", "--divergence", "0.25", "--p", "x"], "invalid float value: 'x'"),
+        (["bench", "--scenario", "nope", "--out", "r.csv"], "invalid choice: 'nope'"),
+        (["estimate", "--method", "foo"], "invalid choice: 'foo'"),
+        (["bench", "--scenario", "gauss-shift"], "required: --out"),
+        (["bounds", "--divergence", "0.25", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "required: command"),
+        (["estimate", "--method", "mst", "--x", "a", "--y", "b", "--data", "d"],
+         "point files (--x/--y) and labeled file (--data) are exclusive"),
+        (["estimate", "--method", "mst", "--y", "b"], "point mode needs both --x and --y"),
+        (["estimate", "--method", "mst", "--data", "d", "--class-b", "b"],
+         "labeled mode needs --data, --class-a and --class-b"),
+    ], ids=["int", "float", "scenario", "method", "no-out", "unknown-flag", "no-command",
+            "mixed-modes", "no-x", "no-class-a"])
+    def test_one_json_line(self, capsys, argv, match):
+        # The file names do not exist: modes are checked before any read, and
+        # test_missing_inputs_rejected covers the fourth mode message.
+        assert_usage_error(capsys, argv, match)
+
+    def test_console_entry(self):
+        # the module's own exit path: sys.exit(main())
+        src = os.path.dirname(os.path.dirname(hpdiv.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpdiv.cli", "estimate", "--method", "knn",
+             "--k", "abc", "--x", "a", "--y", "b"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["message"] == "argument --k: invalid int value: 'abc'"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: hpdiv estimate")
 
 
 class TestEstimate:
@@ -113,26 +162,28 @@ class TestEstimate:
         x, y = hand_files
         data = tmp_path / "d.csv"
         data.write_text("0,a\n1,b\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--method", "mst", "--x", x, "--y", y, "--data", str(data)])
-        assert exc.value.code == 2
+        assert_usage_error(
+            capsys, ["estimate", "--method", "mst", "--x", x, "--y", y, "--data", str(data)],
+            "point files (--x/--y) and labeled file (--data) are exclusive",
+        )
 
     @pytest.mark.parametrize("mode", ["x-only", "no-class-b"])
     def test_incomplete_mode_rejected(self, capsys, hand_files, mode):
         x, _ = hand_files
-        flags = ["--x", x] if mode == "x-only" else ["--data", x, "--class-a", "a"]
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--method", "mst", *flags])
-        assert exc.value.code == 2
+        flags, match = (
+            (["--x", x], "point mode needs both --x and --y") if mode == "x-only"
+            else (["--data", x, "--class-a", "a"], "labeled mode needs --data, --class-a and --class-b")
+        )
+        assert_usage_error(capsys, ["estimate", "--method", "mst", *flags], match)
 
     def test_knn_without_k_exit_2(self, capsys, hand_files):
         x, y = hand_files
         assert_usage_error(capsys, ["estimate", "--method", "knn", "--x", x, "--y", y], "--k")
 
     def test_missing_inputs_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--method", "mst"])
-        assert exc.value.code == 2
+        assert_usage_error(
+            capsys, ["estimate", "--method", "mst"], "supply --x/--y or --data/--class-a/--class-b"
+        )
 
 
 class TestEstimateThreads:

@@ -45,6 +45,10 @@ class TestPointCloud:
         with pytest.raises(HPDivError, match="2-D"):
             PointCloud(np.zeros((2, 2, 2)))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(HPDivError, match="at least one coordinate"):
+            PointCloud(np.zeros((5, 0)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(HPDivError):
             PointCloud([[0.0, np.nan]])

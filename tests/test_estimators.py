@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdiv import (
+    HPDivError,
     KCollision,
     KTooLarge,
     PointCloud,
@@ -66,6 +67,22 @@ class TestCountDichotomous:
         assert str(exc.value) == "ranks must lie in [1, 3], got 0..0"
         stats = neighbor_statistics(z, {1: (checked_ranks([1], len(z)), [1])})
         assert stats[1] == dichotomous_counts(z, build_index(z), [1])[1] == 4
+
+    def test_fractional_ranks_rejected(self, hand_pair):
+        # A rank that is not a whole number fails before any cast truncates it.
+        x, y = hand_pair
+        z = validate_pair(x, y, 0.5)
+        with pytest.raises(HPDivError, match=r"whole numbers, got \[0.5\]"):
+            checked_ranks([0.5], len(z))
+        with pytest.raises(HPDivError, match=r"got \[2.7\]"):
+            knn_estimate(x, y, 2.7, 0.5)
+        with pytest.raises(HPDivError, match=r"got \[1.5\]"):
+            dichotomous_counts(z, build_index(z), [1.5])
+        with pytest.raises(HPDivError, match=r"got \[1.5\]"):
+            neighbor_statistics(z, {0: ([1.5], [1])})
+        for k in (2.0, np.int64(2)):
+            res = knn_estimate(x, y, k, 0.5)
+            assert res.params["k"] == 2 and res.value == 0.0
 
 
 class TestKnnEstimate:
