@@ -51,7 +51,7 @@ def _csv_numbers(text: str, flag: str, conv=float) -> list:
 
 def _l_values(text: str | None, d: int) -> np.ndarray:
     """--l-values as an array, or the default grid for dimension d."""
-    return np.asarray(_csv_numbers(text, "--l-values")) if text else default_l_values(d)
+    return default_l_values(d) if text is None else np.asarray(_csv_numbers(text, "--l-values"))
 
 
 def _load_pair(args) -> tuple[PointCloud, PointCloud]:

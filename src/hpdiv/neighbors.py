@@ -142,7 +142,8 @@ def checked_ranks(ranks, pooled: int) -> np.ndarray:
     """The ranks as an int64 array, once they are whole, distinct and inside
     [1, pooled - 1]; else HPDivError, KCollision or KTooLarge."""
     k = np.asarray(ranks)
-    if not (np.isfinite(k) & (np.floor(k) == k)).all():
+    num = k.astype(np.float64) if k.dtype == object else k  # ints past int64 are objects
+    if not (np.isfinite(num) & (np.floor(num) == num)).all():
         raise HPDivError(f"ranks must be whole numbers, got {k.tolist()}")
     if len(np.unique(k)) != k.size:
         raise KCollision(f"ranks contain duplicates: {k.tolist()}")

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,7 +101,9 @@ class DistributionSpec:
                 raise HPDivError("mean and covariance must be finite")
             if cov.ndim != 1:
                 raise HPDivError("covariance must be a scalar or per-axis variances")
-            if cov.size != mean.size or (cov <= 0).any():
+            if cov.size != mean.size:
+                raise HPDivError("covariance length must match mean length")
+            if (cov <= 0).any():
                 raise HPDivError("diagonal covariance must be positive")
             mean.flags.writeable = False
             cov.flags.writeable = False
@@ -120,13 +123,9 @@ class DistributionSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistributionSpec):
             return NotImplemented
-        if self.kind != other.kind or not np.array_equal(self.box, other.box):
-            return False
-        if self.kind == KIND_UNIFORM:
-            return True
-        return (
-            np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.cov, other.cov)
+        # mean and cov are None on a uniform, and array_equal(None, None) holds
+        return self.kind == other.kind and all(
+            map(np.array_equal, (self.box, self.mean, self.cov), (other.box, other.mean, other.cov))
         )
 
     def _on_grid(self, axes) -> np.ndarray:
@@ -135,31 +134,25 @@ class DistributionSpec:
         if self.kind == KIND_UNIFORM:
             volume = float(np.prod(self.box[:, 1] - self.box[:, 0]))
             return np.full(np.broadcast(*axes).shape, 1.0 / volume)
-        return self._gauss_unnormalized(axes) / self._mass
-
-    def _gauss_unnormalized(self, axes) -> np.ndarray:
-        """Gaussian density without the truncation renormalizer, at the
-        broadcast of the per-axis coordinate arrays ``axes``."""
-        # added in axis order, as numpy sums the last axis of a points array
-        quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, self.mean, self.cov))
-        norm = math.sqrt((2 * math.pi) ** self.dim * float(np.prod(self.cov)))
-        return np.exp(-0.5 * quad) / norm
+        return _gauss(axes, self.mean, self.cov) / self._mass
 
     def _truncated_mass(self) -> float:
         if self.kind == KIND_UNIFORM:
             return 1.0
         mass = 1.0
         for j in range(self.dim):
-            mu, s2 = float(self.mean[j]), float(self.cov[j])
-            lo, hi = self.box[j]
-
-            def axis_pdf(t, mu=mu, s2=s2):
-                return np.exp(-0.5 * (t[0] - mu) ** 2 / s2) / math.sqrt(
-                    2 * math.pi * s2
-                )
-
-            mass *= _refined_trapezoid(axis_pdf, np.array([[lo, hi]]), 1)
+            axis = partial(_gauss, mean=self.mean[j : j + 1], cov=self.cov[j : j + 1])
+            mass *= _refined_trapezoid(axis, self.box[j : j + 1], 1)
         return mass
+
+
+def _gauss(axes, mean, cov) -> np.ndarray:
+    """Diagonal Gaussian density, without a truncation renormalizer, at the
+    broadcast of the per-axis coordinate arrays ``axes``."""
+    # added in axis order, as numpy sums the last axis of a points array
+    quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, mean, cov))
+    norm = math.sqrt((2 * math.pi) ** len(mean) * float(np.prod(cov)))
+    return np.exp(-0.5 * quad) / norm
 
 
 def truncated_normal(mean, cov, box) -> DistributionSpec:
@@ -171,10 +164,7 @@ def truncated_normal(mean, cov, box) -> DistributionSpec:
 
 def uniform_box(box) -> DistributionSpec:
     """Uniform density on an axis-aligned box."""
-    box = np.asarray(box, dtype=np.float64)
-    if box.ndim == 1:
-        box = box.reshape(1, 2)
-    return DistributionSpec(kind=KIND_UNIFORM, box=box)
+    return DistributionSpec(kind=KIND_UNIFORM, box=_as_box(box, 1))
 
 
 def _as_box(box, dim: int) -> np.ndarray:

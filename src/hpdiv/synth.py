@@ -64,33 +64,26 @@ def sample(state: SamplerState, n: int) -> PointCloud:
     """Draw n i.i.d. points from the state's spec."""
     if n < 1:
         raise HPDivError(f"sample size must be >= 1, got {n}")
-    spec = state.spec
-    rng = state._rng
+    spec, rng = state.spec, state._rng
     lo, hi = spec.box[:, 0], spec.box[:, 1]
     if spec.kind == KIND_UNIFORM:
-        pts = rng.uniform(lo, hi, size=(n, spec.dim))
-        return PointCloud(pts)
+        return PointCloud(rng.uniform(lo, hi, size=(n, spec.dim)))
     scale = np.sqrt(spec.cov)
-    draw = lambda size: spec.mean + scale * rng.standard_normal((size, spec.dim))
-    inside = lambda pts: pts[((pts >= lo) & (pts <= hi)).all(axis=1)]
-    # The probe is drawn head first, so a small n stops after the head; the
-    # bytes match one full-probe draw.
-    head = min(_PROBE, int(1.2 * n) + 64)
-    accepted = inside(draw(head))
-    if len(accepted) >= max(n, _MIN_ACCEPT_RATE * _PROBE):
-        return PointCloud(accepted[:n])
-    if head < _PROBE:
-        accepted = np.vstack([accepted, inside(draw(_PROBE - head))])
-    rate = len(accepted) / _PROBE
-    if rate < _MIN_ACCEPT_RATE:
-        raise RejectionStall(
-            f"acceptance rate {rate:.2e} below {_MIN_ACCEPT_RATE:.0e}; "
-            f"the box excludes essentially all Gaussian mass"
-        )
-    kept = [accepted]
-    have = len(accepted)
-    while have < n:
-        good = inside(draw(int((n - have) / max(rate, _MIN_ACCEPT_RATE) * 1.2) + 64))
-        kept.append(good)
-        have += len(good)
-    return PointCloud(np.vstack(kept)[:n])
+    # A head of the probe first, so a small n can stop there; else the probe's
+    # _PROBE rows decide a stall and fix the rate that sizes every later batch.
+    # Each draw continues the stream, so the bytes match one long draw.
+    kept, have, drawn, size = [], 0, 0, min(_PROBE, int(1.2 * n) + 64)
+    while True:
+        pts = spec.mean + scale * rng.standard_normal((size, spec.dim))
+        kept.append(pts[((pts >= lo) & (pts <= hi)).all(axis=1)])
+        have, drawn = have + len(kept[-1]), drawn + size
+        if have >= max(n, _MIN_ACCEPT_RATE * _PROBE):
+            return PointCloud(np.vstack(kept)[:n])
+        if drawn == _PROBE:
+            rate = have / _PROBE
+            if rate < _MIN_ACCEPT_RATE:
+                raise RejectionStall(
+                    f"acceptance rate {rate:.2e} below {_MIN_ACCEPT_RATE:.0e}; "
+                    f"the box excludes essentially all Gaussian mass"
+                )
+        size = _PROBE - drawn if drawn < _PROBE else int((n - have) / rate * 1.2) + 64

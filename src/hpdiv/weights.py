@@ -99,11 +99,12 @@ def solve_weights(l_values, d: int) -> np.ndarray:
 
     a, b = constraint_matrix(ls, d)
     cond = np.linalg.cond(a)
-    # admissibility threshold phrased on the Gram matrix A A'
-    if not np.isfinite(cond) or 1.0 / cond**2 < _RCOND_MIN:
+    # admissibility threshold phrased on the Gram matrix A A', whose rcond is
+    # 1/cond**2; compared and printed without squaring a huge cond
+    if not np.isfinite(cond) or cond > _RCOND_MIN**-0.5:
         raise SingularConstraints(
             f"constraint system is numerically singular "
-            f"(Gram rcond={0.0 if not np.isfinite(cond) else 1.0 / cond**2:.2e}); "
+            f"(Gram rcond={(1.0 / cond) ** 2:.2e}); "
             f"spread the l values further apart"
         )
     if ls.size == d + 1:
@@ -140,7 +141,10 @@ def resolve_schedule(l_values, d: int, n: int, m: int | None = None) -> WeightSc
     ls = np.asarray(l_values, dtype=np.float64)
     if n < 1:
         raise HPDivError(f"sample size n must be >= 1, got {n}")
-    k = np.floor(ls * math.sqrt(n)).astype(np.int64)
+    k = np.floor(ls * math.sqrt(n))
+    if k.max() >= 2.0**63:
+        raise KTooLarge(f"K(l)=floor(l*sqrt(N)) must fit in int64, got K={k.max():.0f} at N={n}")
+    k = k.astype(np.int64)
     if k.min() < 1:
         bad = ls[int(np.argmin(k))]
         raise KTooLarge(

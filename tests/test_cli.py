@@ -27,12 +27,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def assert_usage_error(capsys, argv, match):
-    """Exit 2, nothing on stdout, one JSON line on stderr, no warnings."""
+def assert_usage_error(capsys, argv, match, exit_code=2):
+    """Exit 2 (or ``exit_code``), nothing on stdout, one JSON line on
+    stderr, no warnings."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, argv)
-    assert (code, out, seen) == (2, "", [])
+    assert (code, out, seen) == (exit_code, "", [])
     (line,) = err.splitlines()
     payload = json.loads(line)
     assert payload["error"] and match in payload["message"]
@@ -180,6 +181,25 @@ class TestEstimate:
         x, y = hand_files
         assert_usage_error(capsys, ["estimate", "--method", "knn", "--x", x, "--y", y], "--k")
 
+    def test_rank_past_int64_exit_2(self, capsys, hand_files):
+        x, y = hand_files
+        k = 10**23 - 1
+        assert_usage_error(
+            capsys, ["estimate", "--method", "knn", "--k", str(k), "--x", x, "--y", y],
+            f"got {k}..{k}",
+        )
+
+    def test_empty_l_values_exit_2(self, capsys, tmp_path):
+        # 16 points a side: enough for the default d = 1 grid, so an empty
+        # --l-values= that fell back to it would print an estimate.
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        x.write_text("".join(f"{i}\n" for i in range(16)))
+        y.write_text("".join(f"{i + 0.5}\n" for i in range(16)))
+        assert_usage_error(
+            capsys, ["estimate", "--method", "wnn", "--l-values=", "--x", str(x), "--y", str(y)],
+            "l_values must be a nonempty",
+        )
+
     def test_missing_inputs_rejected(self, capsys):
         assert_usage_error(
             capsys, ["estimate", "--method", "mst"], "supply --x/--y or --data/--class-a/--class-b"
@@ -270,6 +290,15 @@ class TestWeights:
         code, out, err = run_cli(capsys, ["weights", "--d", "1", "--l-values", "1,x"])
         assert code == 2 and out == ""
         assert "--l-values" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv,exit_code,match", [
+        (["--l-values", "1e-300,2e-300"], 3, "rcond=0.00e+00"),
+        (["--l-values", "1,2", "--n", "1" + "0" * 38], 2, "K=20000000000000000000 at N="),
+        (["--l-values="], 2, "l_values must be a nonempty"),
+    ], ids=["cond-overflow", "k-past-int64", "empty"])
+    def test_one_json_line(self, capsys, argv, exit_code, match):
+        # No numpy RuntimeWarning reaches stderr ahead of the JSON line.
+        assert_usage_error(capsys, ["weights", "--d", "1", *argv], match, exit_code)
 
     def test_singular_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -398,6 +427,20 @@ class TestBench:
         code, out, err = run_cli(capsys, bench_argv)
         assert code == 2 and out == ""
         assert "HPDIV_THREADS" in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_rank_past_int64_aborts_its_cells(self, capsys, tmp_path, bench_argv):
+        # Like any rank past the pooled bound: each cell aborts with the
+        # KTooLarge text, and with no cell left nothing is written.
+        argv = bench_argv[:]
+        k = 10**23 - 1
+        argv[argv.index("--methods") + 1] = f"knn:{k}"
+        with pytest.warns(hpdiv.bench.CellErrorWarning) as seen:
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert [str(w.message).endswith(f"got {k}..{k}") for w in seen] == [True, True]
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "HPDivError", "message": "no summaries to write"}
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("flag,value,match", [

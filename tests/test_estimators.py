@@ -84,6 +84,17 @@ class TestCountDichotomous:
             res = knn_estimate(x, y, k, 0.5)
             assert res.params["k"] == 2 and res.value == 0.0
 
+    @pytest.mark.parametrize("k", [2**64, -(2**70), 10**23 - 1])
+    def test_ranks_past_int64_rejected(self, hand_pair, k):
+        # Ints outside int64 arrive as an object array; they fail the range
+        # check with their exact value.
+        x, y = hand_pair
+        z = validate_pair(x, y, 0.5)
+        with pytest.raises(KTooLarge, match=rf"got {k}\.\.{k}"):
+            checked_ranks([k], len(z))
+        with pytest.raises(KTooLarge, match=rf"got {k}\.\.{k}"):
+            knn_estimate(x, y, k, 0.5)
+
 
 class TestKnnEstimate:
     def test_hand_values(self, hand_pair):

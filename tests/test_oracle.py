@@ -160,6 +160,9 @@ class TestSpecValidation:
         (lambda: truncated_normal([0.0, 0.0, 0.0], 1.0, [[-5.0, 5.0]] * 2), "mean length"),
         (lambda: truncated_normal([0.0, 0.0], [1.0, 0.0], (-5, 5)), "covariance must be positive"),
         (lambda: oracle.DistributionSpec("cauchy", [[0.0, 1.0]]), "unknown distribution kind"),
+        (lambda: uniform_box([0.0, 1.0, 2.0]), "box must have shape"),
+        (lambda: truncated_normal([0.0, 0.0], [1.0, 2.0, 3.0], (-5, 5)),
+         "covariance length must match mean length"),
     ])
     def test_rejects_malformed_spec(self, make, match):
         with pytest.raises(HPDivError, match=match):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,33 @@ class TestProbe:
                 np.testing.assert_array_equal(sample(make_state(spec, seed), 1).points, expected)
                 outcomes.add("ok")
         assert outcomes == {"stall", "ok"}
+
+
+# sha256 of the bytes of two consecutive sample() calls on one state, seed
+# 41: the second call starts where the first left the stream.
+STREAM_PINS = {
+    # (mean, cov, box, n): the head suffices, the head runs short, the probe runs short
+    "d1-head": (([0.0], 1.0, (-5.0, 5.0), 17),
+                "1f5b102b12e9fc84d2311a15db867f4c29d7fe43bc02f1a5d597a3970373e084"),
+    "d1-head-short": (([0.0], 1.0, (-0.1, 0.1), 500),
+                      "f71e53d2ac6e78c27c3d65290dbc53f07a89458a7e1dd947fc69d68faca9f9f0"),
+    "d1-probe-short": (([0.0], 1.0, (-0.1, 0.1), 2000),
+                       "d93c7bddf9bfb1e7ce5cf29db711b8c08c9bcb6c63af5d3b4090232451ea58e3"),
+    "d2-head": (([0.0, 0.5], [1.0, 2.0], (-5.0, 5.0), 17),
+                "3dee330e1e073c329be474d572684d4564fa74b20be396fc04ba74d3d1dacab9"),
+    "d2-head-short": (([0.0, 0.5], [1.0, 2.0], (-0.1, 0.1), 17),
+                      "b7dac97dbb8a31e52b4070949405a1fedd43b9a7708fedec1730c8e9c69b96cd"),
+    "d2-probe-short": (([0.0, 0.5], [1.0, 2.0], (-0.1, 0.1), 500),
+                       "b9ee37b274d2a01a7ff0a2328d3dd0db9345c8630dc4c48dd562992e73508164"),
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_PINS))
+def test_stream_position_after_a_draw(case):
+    (mean, cov, box, n), pin = STREAM_PINS[case]
+    state = make_state(truncated_normal(mean, cov, box), 41)
+    first, second = sample(state, n).points, sample(state, n).points
+    assert hashlib.sha256(first.tobytes() + second.tobytes()).hexdigest() == pin
 
 
 class TestDistribution:
