@@ -99,16 +99,18 @@ def parse_methods(text: str) -> list[MethodSpec]:
         token = token.strip()
         if not token:
             continue
-        name, _, arg = token.partition(":")
+        name, colon, arg = token.partition(":")
         what = f"method {token!r}"
         if name == "knn":
             if not arg:
                 raise HPDivError(f"knn needs a rank, e.g. knn:5 (got {token!r})")
             specs.append(MethodSpec(kind="knn", k=parse_number(int, arg, what)))
         elif name == "wnn":
-            ls = tuple(parse_number(float, v, what) for v in arg.split("|")) if arg else None
+            ls = tuple(parse_number(float, v, what) for v in arg.split("|")) if colon else None
             specs.append(MethodSpec(kind="wnn", l_values=ls))
         elif name == "mst":
+            if colon:
+                raise HPDivError(f"mst takes no argument (got {token!r})")
             specs.append(MethodSpec(kind="mst"))
         elif name == "const":
             specs.append(MethodSpec(kind="const", value=parse_number(float, arg, what)))

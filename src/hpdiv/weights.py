@@ -141,7 +141,10 @@ def resolve_schedule(l_values, d: int, n: int, m: int | None = None) -> WeightSc
     ls = np.asarray(l_values, dtype=np.float64)
     if n < 1:
         raise HPDivError(f"sample size n must be >= 1, got {n}")
-    k = np.floor(ls * math.sqrt(n))
+    try:
+        k = np.floor(ls * math.sqrt(n))
+    except OverflowError:  # an int past the float range
+        raise KTooLarge(f"sample size N={n} is too large for K(l)=floor(l*sqrt(N))") from None
     if k.max() >= 2.0**63:
         raise KTooLarge(f"K(l)=floor(l*sqrt(N)) must fit in int64, got K={k.max():.0f} at N={n}")
     k = k.astype(np.int64)

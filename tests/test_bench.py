@@ -53,7 +53,7 @@ class TestParseMethods:
         with pytest.raises(HPDivError):
             parse_methods("magic")
 
-    @pytest.mark.parametrize("text", ["knn:abc", "wnn:1|x", "const:y"])
+    @pytest.mark.parametrize("text", ["knn:abc", "wnn:1|x", "const:y", "wnn:", "mst:7", "mst:"])
     def test_malformed_number(self, text):
         with pytest.raises(HPDivError):
             parse_methods(text)

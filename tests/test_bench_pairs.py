@@ -1,5 +1,5 @@
-"""The summaries of tools/bench_pairs.py on fixed records (no benchmark runs), and
-one EMST probe call on a small cloud."""
+"""The summaries of tools/bench_pairs.py on fixed records (no benchmark runs), its
+probe runner on a stub interpreter, and one call of each probe script."""
 
 import hashlib
 import importlib.util
@@ -106,10 +106,21 @@ def test_digests_found_at_any_depth():
 
 def fresh(wall, minflt, peak, digest="d"):
     return {"wall_ms": wall, "minflt": minflt, "maxrss_mb": 80.0, "neighbor_ranks_peak_mb": peak,
-            "rc": 0, "stdout_sha256": digest}
+            "stdout_sha256": digest}
+
+
+def emst(wall, peak, digest="e", algorithm="boruvka", ranks_ms=5.0, ranks="r"):
+    return {"wall_ms": wall, "peak_mb": peak, "points": 4096, "algorithm": algorithm,
+            "edges_sha256": digest, "ranks_ms": ranks_ms, "ranks_sha256": ranks}
+
+
+def copy(runs):
+    return {s: {c: list(r) for c, r in cases.items()} for s, cases in runs.items()}
 
 
 class TestSummariseFresh:
+    """summarise_probe on the records of the estimate-call probe."""
+
     RUNS = {
         "parent": {
             "wnn_d3": [fresh(w, 63000 + w, 6.3) for w in (300.0, 350.0, 400.0, 450.0, 500.0)],
@@ -122,13 +133,14 @@ class TestSummariseFresh:
     }
 
     def test_medians_and_quartiles_per_side(self):
-        got = bench_pairs.summarise_fresh(self.RUNS)
+        got = bench_pairs.summarise_probe(self.RUNS)
         assert sorted(got) == ["mst_d1", "wnn_d3"]
         wnn = got["wnn_d3"]
         assert wnn["runs"] == {"parent": 5, "change": 5}
         # statistics.quantiles(exclusive) of 300..500 by 50: 325 and 475
         assert wnn["wall_ms"]["parent"] == {"median": 400.0, "quartiles": [325.0, 475.0]}
         assert wnn["wall_ms"]["change"]["median"] == 190.0
+        assert wnn["wall_ms"]["ratio"] == pytest.approx(190 / 400)
         assert wnn["minflt"]["parent"]["median"] == 63400.0
         assert wnn["minflt"]["change"]["median"] == 1690.0
         assert wnn["neighbor_ranks_peak_mb"]["change"]["median"] == 4.2
@@ -136,28 +148,26 @@ class TestSummariseFresh:
         assert wnn["stdout_equal"]
 
     def test_calls_without_neighbor_ranks_leave_the_peak_out(self):
-        mst = bench_pairs.summarise_fresh(self.RUNS)["mst_d1"]
+        mst = bench_pairs.summarise_probe(self.RUNS)["mst_d1"]
         assert "neighbor_ranks_peak_mb" not in mst
         assert mst["minflt"] == {
             "parent": {"median": 70, "quartiles": [70, 70]},
             "change": {"median": 75, "quartiles": [75, 75]},
+            "ratio": 75 / 70,
         }
 
     def test_one_differing_stdout_or_exit_code_shows(self):
-        runs = {s: dict(kinds) for s, kinds in self.RUNS.items()}
-        runs["change"]["mst_d1"] = [fresh(16.0, 75, None)] * 4 + [fresh(16.0, 75, None, "e")]
-        got = bench_pairs.summarise_fresh(runs)
+        # The call script digests its exit code with its stdout (see
+        # test_fresh_call_digests_the_exit_code_with_stdout), so one digest covers both.
+        runs = copy(self.RUNS)
+        runs["change"]["mst_d1"][4] = fresh(16.0, 75, None, "e")
+        got = bench_pairs.summarise_probe(runs)
         assert not got["mst_d1"]["stdout_equal"] and got["wnn_d3"]["stdout_equal"]
-        runs["change"]["mst_d1"] = [dict(fresh(16.0, 75, None), rc=2)] + [fresh(16.0, 75, None)] * 4
-        assert not bench_pairs.summarise_fresh(runs)["mst_d1"]["stdout_equal"]
-
-
-def emst(wall, peak, digest="e", algorithm="boruvka", ranks_ms=5.0, ranks="r"):
-    return {"wall_ms": wall, "peak_mb": peak, "points": 4096, "algorithm": algorithm,
-            "edges_sha256": digest, "ranks_ms": ranks_ms, "ranks_sha256": ranks}
 
 
 class TestSummariseEmst:
+    """summarise_probe on the records of the EMST probe."""
+
     RUNS = {
         "parent": {"d2_normal_4096": [emst(w, 1.1, algorithm="delaunay")
                                       for w in (30.0, 35.0, 40.0, 45.0, 50.0)]},
@@ -166,8 +176,9 @@ class TestSummariseEmst:
     }
 
     def test_medians_ratio_and_constructions(self):
-        got = bench_pairs.summarise_emst(self.RUNS)["d2_normal_4096"]
-        assert got["runs"] == {"parent": 5, "change": 5} and got["points"] == 4096
+        got = bench_pairs.summarise_probe(self.RUNS)["d2_normal_4096"]
+        assert got["runs"] == {"parent": 5, "change": 5}
+        assert got["points"]["change"]["median"] == 4096 and got["points"]["ratio"] == 1.0
         # statistics.quantiles(exclusive) of 30..50 by 5: 32.5 and 47.5
         assert got["wall_ms"]["parent"] == {"median": 40.0, "quartiles": [32.5, 47.5]}
         assert got["wall_ms"]["change"]["median"] == 24.0
@@ -180,16 +191,46 @@ class TestSummariseEmst:
         assert got["edges_equal"] and got["ranks_equal"]
 
     def test_one_differing_edge_set_shows(self):
-        runs = {s: {c: list(r) for c, r in kinds.items()} for s, kinds in self.RUNS.items()}
+        runs = copy(self.RUNS)
         runs["change"]["d2_normal_4096"][3] = emst(26.0, 1.7, digest="f")
-        got = bench_pairs.summarise_emst(runs)["d2_normal_4096"]
+        got = bench_pairs.summarise_probe(runs)["d2_normal_4096"]
         assert not got["edges_equal"] and got["ranks_equal"]
 
     def test_one_differing_rank_table_shows(self):
-        runs = {s: {c: list(r) for c, r in kinds.items()} for s, kinds in self.RUNS.items()}
+        runs = copy(self.RUNS)
         runs["parent"]["d2_normal_4096"][0] = emst(30.0, 1.1, algorithm="delaunay", ranks="q")
-        got = bench_pairs.summarise_emst(runs)["d2_normal_4096"]
+        got = bench_pairs.summarise_probe(runs)["d2_normal_4096"]
         assert got["edges_equal"] and not got["ranks_equal"]
+
+
+def test_probe_alternates_sides_and_passes_each_its_case(monkeypatch):
+    trees = {"parent": Path("p"), "change": Path("c")}
+    cases = {"parent": {"a": ["pa"], "b": ["pb"]}, "change": {"a": ["ca"], "b": ["cb"]}}
+    calls = []
+
+    def python(tree, code, arg, threads):
+        calls.append((tree.name, json.loads(arg)[0], threads))
+        return json.dumps({"wall_ms": 1.0, "out_sha256": "x"})
+
+    monkeypatch.setattr(bench_pairs, "_python", python)
+    got = bench_pairs._probe(trees, "code", cases, 2, 3)
+    assert calls == [
+        ("p", "pa", 3), ("c", "ca", 3), ("p", "pb", 3), ("c", "cb", 3),
+        ("c", "ca", 3), ("p", "pa", 3), ("c", "cb", 3), ("p", "pb", 3),
+    ]
+    assert (got["repeats"], got["threads"]) == (2, 3)
+    assert got["runs"]["parent"]["a"] == [{"wall_ms": 1.0, "out_sha256": "x"}] * 2
+    assert got["summary"]["b"]["out_equal"] and got["summary"]["b"]["runs"] == {"parent": 2, "change": 2}
+
+
+def test_fresh_call_digests_the_exit_code_with_stdout():
+    """A call that fails prints nothing, yet its digest differs from that of an
+    empty stdout: the exit code is part of it."""
+    repo = Path(__file__).resolve().parents[1]
+    argv = ["bounds", "--divergence", "0.25", "--p", "x"]
+    record = json.loads(bench_pairs._python(repo, bench_pairs._FRESH_CALL, json.dumps(argv)))
+    assert record["stdout_sha256"] == hashlib.sha256(b"2\n").hexdigest()
+    assert record["neighbor_ranks_peak_mb"] is None and record["wall_ms"] > 0
 
 
 def test_emst_clouds_are_built_and_timed(tmp_path):

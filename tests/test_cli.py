@@ -295,7 +295,8 @@ class TestWeights:
         (["--l-values", "1e-300,2e-300"], 3, "rcond=0.00e+00"),
         (["--l-values", "1,2", "--n", "1" + "0" * 38], 2, "K=20000000000000000000 at N="),
         (["--l-values="], 2, "l_values must be a nonempty"),
-    ], ids=["cond-overflow", "k-past-int64", "empty"])
+        (["--l-values", "1,2", "--n", "1" + "0" * 400], 2, "sample size N=10000"),
+    ], ids=["cond-overflow", "k-past-int64", "empty", "n-past-float"])
     def test_one_json_line(self, capsys, argv, exit_code, match):
         # No numpy RuntimeWarning reaches stderr ahead of the JSON line.
         assert_usage_error(capsys, ["weights", "--d", "1", *argv], match, exit_code)
@@ -421,6 +422,15 @@ class TestBench:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "knn:abc" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("methods,match", [
+        ("wnn:", "method 'wnn:': malformed number ''"),
+        ("mst:7", "mst takes no argument"),
+    ])
+    def test_malformed_method_token_exit_2(self, capsys, bench_argv, methods, match):
+        argv = bench_argv[:]
+        argv[argv.index("--methods") + 1] = methods
+        assert_usage_error(capsys, argv, match)
 
     def test_malformed_thread_count_exit_2(self, capsys, monkeypatch, bench_argv, tmp_path):
         monkeypatch.setenv("HPDIV_THREADS", "x")

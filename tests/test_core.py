@@ -13,6 +13,8 @@ from hpdiv import (
     MixtureParam,
     PointCloud,
     SampleRatioWarning,
+    knn_estimate,
+    mst_estimate,
     validate_pair,
 )
 from hpdiv.core import (
@@ -114,6 +116,14 @@ class TestValidatePair:
         assert list(z.labels) == [0] * 2 + [1] * 4
         np.testing.assert_array_equal(z.points[:2], x.points)
         np.testing.assert_array_equal(z.points[2:], y.points)
+
+    def test_nested_lists_pool_as_point_clouds(self):
+        # The estimators take raw arrays too: validate_pair wraps them.
+        x = [[0.0, 0.1], [1.0, 0.3], [2.5, 0.2], [0.7, 1.9]]
+        y = [[0.4, 0.5], [1.6, 1.1], [2.2, 2.0], [3.1, 0.6]]
+        cx, cy = PointCloud(x), PointCloud(y)
+        assert knn_estimate(x, y, 1, 0.5) == knn_estimate(cx, cy, 1, 0.5)
+        assert mst_estimate(x, y, 0.5) == mst_estimate(cx, cy, 0.5)
 
     def test_off_by_one_ratio_tolerated(self, recwarn):
         x = PointCloud([[0.0], [1.0]])

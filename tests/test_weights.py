@@ -125,6 +125,10 @@ class TestResolveSchedule:
         with pytest.raises(HPDivError, match="n must be >= 1, got 0"):
             resolve_schedule([1.0, 2.0], 1, 0)
 
+    def test_sample_size_past_the_float_range_rejected(self):
+        with pytest.raises(KTooLarge, match="N=10000"):
+            resolve_schedule([1.0, 2.0], 1, 10**400)
+
     def test_rank_zero_rejected(self):
         with pytest.raises(KTooLarge):
             resolve_schedule([0.05, 1.0], 1, 100)  # floor(0.5) = 0

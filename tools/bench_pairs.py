@@ -11,26 +11,31 @@ workload runs its pair i before any runs pair i+1. Run from anywhere:
         --pairs 10 --seed 1101 --seconds 45 --out BENCH_<date>_<name>.json \\
         [--traced-seed S] [--tier1] [--fresh N] [--emst N] [--attach KEY=FILE.json]
 
-The output holds the machine, the seeds, every run's end-to-end metrics,
-each side's median and quartiles, the pairs the change won and whether the
-gain rule holds (at least 9 of 10 pairs won, medians apart by more than the
-parent's interquartile range), failed operations and output digests. It
-is rewritten after every pair, so an interrupted run keeps what it measured.
+The output holds the machine (hpbench's record at its thread count, taken
+once), the seeds, every run's end-to-end metrics, each side's median and
+quartiles, the pairs the change won and whether the gain rule holds (at
+least 9 of 10 pairs won, medians apart by more than the parent's
+interquartile range), failed operations and output digests. It is rewritten
+after every pair, so an interrupted run keeps what it measured.
 ``--traced-seed`` adds a ``--trace 1`` run per side and workload with the
-mean of every span; ``--tier1`` times the test suite in both trees;
-``--fresh N`` runs, per side, N fresh interpreters for each estimate-files
-call kind on the CSVs of ``--seed``, alternating the side that goes first.
-Each makes one ``hpdiv.cli.main(["estimate", ...])`` call and records its
-wall ms, its minor page faults (``ru_minflt``), the process's ``ru_maxrss``
-and the stdout digest, then repeats the call to take the tracemalloc peak
-of ``neighbor_ranks``; ``--pairs 0 --fresh N`` runs the probe alone.
-``--emst N`` runs, per side, N fresh interpreters for each cloud of
-EMST_CLOUDS on one thread, alternating the side that goes first. Each times
-one ``build_emst`` call, repeats it to take its tracemalloc peak, and
-records the construction and a digest of the edges; it then times one
-``neighbor_ranks(idx, [1, 5])`` call on the cloud and records a digest of
-the ranks. ``--pairs 0 --emst N`` runs it alone. ``--attach`` copies a
-JSON file in under KEY.
+mean of every span; ``--tier1`` times the test suite in both trees.
+
+``--fresh N`` and ``--emst N`` are probes: per side and case, N fresh
+interpreters each run one call script on the case's JSON argument and print
+one record, the side that goes first alternating. A case's summary has one
+rule per record field: a number every run reports gives each side's median
+and quartiles and the change/parent ratio of the medians (a None leaves it
+out); a ``<stem>_sha256`` digest gives ``<stem>_equal``, whether every run
+of both sides agreed; any other string gives each side's sorted values.
+``--fresh`` runs each estimate-files call kind on the CSVs of ``--seed`` at
+two threads: one ``hpdiv.cli.main(["estimate", ...])`` call's wall ms, minor
+page faults (``ru_minflt``), the process's ``ru_maxrss`` and the digest of
+its exit code and stdout, then a repeat for the tracemalloc peak of
+``neighbor_ranks``. ``--emst`` runs each cloud of EMST_CLOUDS at one thread:
+one timed ``build_emst``, a repeat for its tracemalloc peak, the construction
+and an edge digest, then one timed ``neighbor_ranks(idx, [1, 5])`` and a
+rank digest. ``--pairs 0`` runs the probes alone. ``--attach`` copies a JSON
+file in under KEY.
 """
 
 from __future__ import annotations
@@ -115,29 +120,25 @@ def summarise(pairs: list[dict], declared: dict[str, dict]) -> dict:
     }
 
 
-def summarise_fresh(runs: dict[str, dict[str, list[dict]]]) -> dict:
-    """Per call kind, each side's median and quartiles of every fresh-process
-    metric (a metric no run of the kind reports is left out) and whether
-    every run of both sides printed the same stdout.
-
-    ``runs[side][kind]`` lists one record per interpreter: ``{"wall_ms",
-    "minflt", "maxrss_mb", "neighbor_ranks_peak_mb" (None when the call
-    ranks no neighbors), "rc", "stdout_sha256"}``.
-    """
+def summarise_probe(runs: dict[str, dict[str, list[dict]]]) -> dict:
+    """Per case, the run count of each side and one entry per record field,
+    by the rule in the module notes. ``runs[side][case]`` lists one record
+    per interpreter, each with the same fields."""
     out = {}
-    for kind in sorted(runs["change"]):
-        side = {s: runs[s][kind] for s in SIDES}
+    for case in sorted(runs["change"]):
+        side = {s: runs[s][case] for s in SIDES}
         entry: dict = {"runs": {s: len(side[s]) for s in SIDES}}
-        for name in ("wall_ms", "minflt", "maxrss_mb", "neighbor_ranks_peak_mb"):
-            if any(r[name] is None for s in SIDES for r in side[s]):
-                continue
-            entry[name] = {}
-            for s in SIDES:
-                q1, med, q3 = _quartiles([r[name] for r in side[s]])
-                entry[name][s] = {"median": med, "quartiles": [q1, q3]}
-        digests = {(r["rc"], r["stdout_sha256"]) for s in SIDES for r in side[s]}
-        entry["stdout_equal"] = len(digests) == 1
-        out[kind] = entry
+        for name in side["change"][0]:
+            values = [r[name] for s in SIDES for r in side[s]]
+            if name.endswith("_sha256"):
+                entry[name.removesuffix("_sha256") + "_equal"] = len(set(values)) == 1
+            elif isinstance(values[0], str):
+                entry[name] = {s: sorted({r[name] for r in side[s]}) for s in SIDES}
+            elif None not in values:
+                q = {s: _quartiles([r[name] for r in side[s]]) for s in SIDES}
+                entry[name] = {s: {"median": m, "quartiles": [q1, q3]} for s, (q1, m, q3) in q.items()}
+                entry[name]["ratio"] = q["change"][1] / q["parent"][1]
+        out[case] = entry
     return out
 
 
@@ -176,7 +177,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "wall_ms": wall_ms, "minflt": after.ru_minflt - before.ru_minflt,
     "maxrss_mb": after.ru_maxrss / 1024, "neighbor_ranks_peak_mb": max(peaks, default=None),
-    "rc": rc, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    "stdout_sha256": hashlib.sha256(f"{rc}\\n{out.getvalue()}".encode()).hexdigest(),
 }))
 """
 
@@ -242,33 +243,6 @@ print(json.dumps({
 """
 
 
-def summarise_emst(runs: dict[str, dict[str, list[dict]]]) -> dict:
-    """Per cloud, each side's median and quartiles of the build_emst wall ms
-    and traced peak MB and of the neighbor_ranks ms, the change/parent ratio
-    of the medians, the constructions that ran and whether every run of both
-    sides built the same edges and ranks.
-
-    ``runs[side][cloud]`` lists one record per interpreter: ``{"wall_ms",
-    "peak_mb", "points", "algorithm", "edges_sha256", "ranks_ms",
-    "ranks_sha256"}``.
-    """
-    out = {}
-    for cloud in sorted(runs["change"]):
-        side = {s: runs[s][cloud] for s in SIDES}
-        entry: dict = {"runs": {s: len(side[s]) for s in SIDES}, "points": side["change"][0]["points"]}
-        for name in ("wall_ms", "peak_mb", "ranks_ms"):
-            entry[name] = {}
-            for s in SIDES:
-                q1, med, q3 = _quartiles([r[name] for r in side[s]])
-                entry[name][s] = {"median": med, "quartiles": [q1, q3]}
-            entry[name]["ratio"] = entry[name]["change"]["median"] / entry[name]["parent"]["median"]
-        entry["algorithm"] = {s: sorted({r["algorithm"] for r in side[s]}) for s in SIDES}
-        entry["edges_equal"] = len({r["edges_sha256"] for s in SIDES for r in side[s]}) == 1
-        entry["ranks_equal"] = len({r["ranks_sha256"] for s in SIDES for r in side[s]}) == 1
-        out[cloud] = entry
-    return out
-
-
 _MACHINE = """
 import json, sys
 sys.path.insert(0, "hpbench")
@@ -277,17 +251,18 @@ print(json.dumps(run._machine(0)))
 """
 
 
-def _emst(trees: dict[str, Path], repeats: int) -> dict:
-    """``repeats`` fresh build_emst calls per side and cloud, summarised."""
-    runs: dict = {s: {c: [] for c in EMST_CLOUDS} for s in SIDES}
+def _probe(trees: dict[str, Path], code: str, cases: dict[str, dict], repeats: int,
+           threads: int) -> dict:
+    """``repeats`` fresh interpreters per side and case, each running ``code``
+    on ``cases[side][case]`` as its JSON argument, summarised."""
+    runs: dict = {s: {c: [] for c in cases[s]} for s in SIDES}
     for i in range(repeats):
-        for cloud, spec in EMST_CLOUDS.items():
+        for case in cases["change"]:
             for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                record = _python(trees[s], _EMST_CALL, json.dumps(spec), threads=1)
-                runs[s][cloud].append(json.loads(record))
-        print(f"emst repeat {i} done", flush=True)
-    return {"clouds": EMST_CLOUDS, "repeats": repeats, "threads": 1, "runs": runs,
-            "summary": summarise_emst(runs)}
+                record = _python(trees[s], code, json.dumps(cases[s][case]), threads=threads)
+                runs[s][case].append(json.loads(record))
+        print(f"probe repeat {i} done", flush=True)
+    return {"repeats": repeats, "threads": threads, "runs": runs, "summary": summarise_probe(runs)}
 
 
 def _python(tree: Path, code: str, *args: str, threads: int = 2) -> str:
@@ -301,19 +276,6 @@ def _python(tree: Path, code: str, *args: str, threads: int = 2) -> str:
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: fresh interpreter exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return proc.stdout
-
-
-def _fresh(trees: dict[str, Path], seed: int, repeats: int) -> dict:
-    """``repeats`` fresh estimate calls per side and call kind, summarised."""
-    argv = {s: json.loads(_python(t, _FRESH_INPUTS, str(seed), str(t / ".bench_work" / "fresh")))
-            for s, t in trees.items()}
-    runs: dict = {s: {k: [] for k in argv[s]} for s in SIDES}
-    for i in range(repeats):
-        for kind in argv["change"]:
-            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[s][kind].append(json.loads(_python(trees[s], _FRESH_CALL, json.dumps(argv[s][kind]))))
-    return {"seed": seed, "repeats": repeats, "threads": 2, "runs": runs,
-            "summary": summarise_fresh(runs)}
 
 
 def _digests(gate: dict, prefix: str = "") -> dict[str, str]:
@@ -338,9 +300,9 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> 
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record, result = _bench(tree, workload, seed, seconds, 0)
-    run = {
+    return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -349,7 +311,6 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, di
         },
         "digests": _digests(record["gate"]),
     }
-    return run, record["machine"]
 
 
 def _traced(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -418,7 +379,8 @@ def main(argv=None) -> int:
             "on odd i; every workload runs pair i before any runs pair i+1. Medians and "
             "quartiles (exclusive method) are over each side's runs."
         ),
-        "machine": None,
+        "machine": {k: v for k, v in json.loads(_python(trees["change"], _MACHINE)).items()
+                    if k not in ("git_commit", "seed")},
         "workloads": {},
     }
     for item in args.attach:
@@ -438,8 +400,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair: dict = {"seed": seed, "parent_first": i % 2 == 0}
             for s in order:
-                pair[s], machine = _run(trees[s], w, seed, args.seconds)
-                out["machine"] = {k: v for k, v in machine.items() if k not in ("git_commit", "seed")}
+                pair[s] = _run(trees[s], w, seed, args.seconds)
             pairs[w].append(pair)
             write()
             print(f"pair {i} {w}: latency_ms parent {pair['parent']['metrics']['latency_ms']:.1f} "
@@ -453,12 +414,12 @@ def main(argv=None) -> int:
     if args.tier1:
         out["tier1"] = {s: _tier1(trees[s]) for s in SIDES}
     if args.fresh:
-        out["fresh_process"] = _fresh(trees, args.seed, args.fresh)
+        calls = {s: json.loads(_python(t, _FRESH_INPUTS, str(args.seed), str(t / ".bench_work" / "fresh")))
+                 for s, t in trees.items()}
+        out["fresh_process"] = {"seed": args.seed, **_probe(trees, _FRESH_CALL, calls, args.fresh, 2)}
     if args.emst:
-        out["emst"] = _emst(trees, args.emst)
-        if out["machine"] is None:  # no workload ran: hpbench's record, at one thread
-            machine = json.loads(_python(trees["change"], _MACHINE, threads=1))
-            out["machine"] = {k: v for k, v in machine.items() if k not in ("git_commit", "seed")}
+        cases = {s: EMST_CLOUDS for s in SIDES}
+        out["emst"] = {"clouds": EMST_CLOUDS, **_probe(trees, _EMST_CALL, cases, args.emst, 1)}
     write()
     return 0
 
