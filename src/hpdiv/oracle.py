@@ -13,19 +13,21 @@ Both specs must carry one box, the grid's; specs on different boxes raise
 HPDivError. Every grid node lies in that box, so the integrand evaluates
 each density with no box mask: a uniform is 1/volume everywhere, and a
 truncated normal is its Gaussian over its truncation mass. The integrand
-comes from per-axis factors: each slab is an open mesh of 1-D node arrays,
-and a diagonal Gaussian's exponent is the broadcast sum, in axis order, of
-(x_j - mu_j)^2/s2_j. Each grid value is the same operations on the same
-operands, in the same order, as on a materialized (points, d) array, so
-its bytes are too. Truncated normals are per-axis (diagonal covariance) only.
+comes from per-axis factors: each call is an open mesh of the lines' lead
+coordinates against the last axis, and a diagonal Gaussian's exponent is
+the broadcast sum, in axis order, of (x_j - mu_j)^2/s2_j. Each grid value
+is the same operations on the same operands, in the same order, as on a
+materialized (points, d) array, so its bytes are too. Truncated normals
+are per-axis (diagonal covariance) only.
 
-Slabs fix the order of the sums: a grid is reduced one slab of whole planes
-along the first axis at a time, each slab by one matrix-vector product,
-whose row sums depend on how many rows BLAS sees in one call. Pieces bound
-memory: each slab is written into one value buffer, reused for every slab
-of the grid, by integrand calls on open meshes of at most _PIECE points.
-A default-grid truth peaks at about 6.4 MB of traced memory at d = 2 and
-33 MB (mostly the slab buffer) at d = 3.
+One summation level fixes every sum: numpy sums each line along the last
+axis against its weights, in the call that computes it; each line sum is
+scaled by the product of its lead weights in axis order; math.fsum adds
+the lines. No sum depends on how lines group into calls, and none goes
+through BLAS, so a truth does not depend on the BLAS kernel. A call holds
+whole lines, at most _PIECE points unless one line is longer, so a
+default-grid truth peaks at about 0.8 MB of traced memory at d = 2 and
+1.1 MB at d = 3.
 
 At any prior p (q = 1 - p) the divergence brackets the two-class Bayes
 error: with u = 4pq D_p + (p - q)^2,
@@ -53,11 +55,11 @@ KIND_UNIFORM = "uniform"
 _GRID_START = {1: 2001, 2: 401, 3: 101}
 _GRID_CAP = {1: 32001, 2: 1601, 3: 401}
 _REFINE_TOL = 1e-6
-# Slab boundaries set the summation order, so they must not move. 2**15 per
-# piece matched 2**16 and 2**17 in time with less memory at d = 2 (6.4
-# against 8.0 and 11 MB); 2**12 was 1.7-2.2x slower.
-_SLAB = 1 << 22  # max grid points per slab sum
-_PIECE = 1 << 15  # max grid points per integrand call
+# Max grid points per integrand call; a call holds at least one whole line.
+# Its float64 temporaries then stay under glibc's 128 KiB mmap threshold: at
+# 2**15 a fresh process took about 22.7k minor page faults per d = 3 truth,
+# against about 350, and ran 1.15x slower (median of 6, 2 cores).
+_PIECE = 1 << 14
 
 
 class DimTooHigh(HPDivError):
@@ -187,43 +189,16 @@ def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
         wj[0] = wj[-1] = h / 2.0
         axes.append(nodes)
         weights.append(wj)
-    total = 0.0
-    per_plane = n_nodes ** (dim - 1)
-    step = max(1, _SLAB // per_plane)
-    rest_w = np.ones(1)
-    for wj in weights[1:]:
-        rest_w = np.multiply.outer(rest_w, wj).reshape(-1)
-    # one value buffer for every slab: each slab is summed whole, filled in pieces
-    buf = np.empty(min(step, n_nodes) * per_plane)
-    for start in range(0, n_nodes, step):
-        chunk = axes[0][start : start + step]
-        w0 = weights[0][start : start + step]
-        vals = buf[: len(chunk) * per_plane]
-        _fill_pieces(f, vals, [chunk, *axes[1:]])
-        if dim == 1:
-            total += float((vals * w0).sum())
-        else:
-            total += float(w0 @ (vals.reshape(len(chunk), per_plane) @ rest_w))
-    return total
-
-
-def _fill_pieces(f, out: np.ndarray, axes) -> None:
-    """Write f on the tensor grid of the 1-D node arrays ``axes`` into the
-    flat C-order ``out``, one open mesh of at most _PIECE points at a time:
-    runs along the first axis whose trailing block fits in a piece, every
-    earlier axis held at one node."""
-    sizes = [len(x) for x in axes]
-    k, block = 0, math.prod(sizes[1:])
-    while block > _PIECE:
-        k += 1
-        block //= sizes[k]
-    run = _PIECE // block
-    out = out.reshape(*sizes[: k + 1], block)
-    for lead in np.ndindex(*sizes[:k]):
-        held = [x[i : i + 1] for x, i in zip(axes, lead)]
-        for a in range(0, sizes[k], run):
-            piece = np.asarray(f(np.ix_(*held, axes[k][a : a + run], *axes[k + 1 :])))
-            out[lead][a : a + run] = piece.reshape(-1, block)
+    # one weighted sum per line along the last axis, whole lines per call
+    sums = np.empty(n_nodes ** (dim - 1))
+    step = max(1, _PIECE // n_nodes)
+    for start in range(0, len(sums), step):
+        lines = np.arange(start, min(start + step, len(sums)))
+        lead = [lines // n_nodes ** (dim - 2 - j) % n_nodes for j in range(dim - 1)]
+        vals = f([*(x[i][:, None] for x, i in zip(axes, lead)), axes[-1][None, :]])
+        line_w = math.prod(w[i] for w, i in zip(weights, lead))
+        sums[start : start + step] = (vals * weights[-1]).sum(axis=-1) * line_w
+    return math.fsum(sums)
 
 
 def _refined_trapezoid(f, box: np.ndarray, dim: int) -> float:

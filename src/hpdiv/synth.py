@@ -25,6 +25,9 @@ from .oracle import DistributionSpec, KIND_UNIFORM
 # batch lands inside the box.
 _MIN_ACCEPT_RATE = 1e-4
 _PROBE = 20_000
+# Rows per batch after the probe. A box that keeps about one row in 10**4
+# would otherwise ask for n * 1.2e4 rows at once (2.4 GB at n = 25000).
+_MAX_BATCH = 1 << 18
 
 
 class RejectionStall(HPDivError):
@@ -70,7 +73,8 @@ def sample(state: SamplerState, n: int) -> PointCloud:
         return PointCloud(rng.uniform(lo, hi, size=(n, spec.dim)))
     scale = np.sqrt(spec.cov)
     # A head of the probe first, so a small n can stop there; else the probe's
-    # _PROBE rows decide a stall and fix the rate that sizes every later batch.
+    # _PROBE rows decide a stall and fix the rate that sizes every later batch,
+    # up to _MAX_BATCH rows.
     # Each draw continues the stream, so the bytes match one long draw.
     kept, have, drawn, size = [], 0, 0, min(_PROBE, int(1.2 * n) + 64)
     while True:
@@ -87,3 +91,4 @@ def sample(state: SamplerState, n: int) -> PointCloud:
                     f"the box excludes essentially all Gaussian mass"
                 )
         size = _PROBE - drawn if drawn < _PROBE else int((n - have) / rate * 1.2) + 64
+        size = min(size, _MAX_BATCH)

@@ -130,11 +130,12 @@ def quad_bayes_error_1d(fx, fy, lo: float, hi: float, p: float = 0.5) -> float:
     return val
 
 
-# The package's tensor-grid quadrature as it stood when every grid value came
-# from a materialized (points, d) array. The per-axis evaluation must match it
-# bit for bit, so the arithmetic here is kept op for op; the slab size and the
-# grid constants are read from the package at call time so a test can shrink
-# them for both sides at once.
+# The package's tensor-grid quadrature with every grid value taken from a
+# materialized (points, d) array, summed in the package's order: each line
+# along the last axis, then math.fsum over the weighted lines. The per-axis
+# evaluation must match it bit for bit, so the arithmetic here is kept op for
+# op; the grid constants are read from the package at call time so a test can
+# shrink them for both sides at once.
 
 
 def _points_gauss(spec, x):
@@ -154,26 +155,13 @@ def _points_trapezoid(f, box, n_nodes):
         wj[0] = wj[-1] = h / 2.0
         axes.append(np.linspace(lo, hi, n_nodes))
         weights.append(wj)
-    total = 0.0
-    per_plane = n_nodes ** (dim - 1)
-    step = max(1, oracle._SLAB // per_plane)
-    if dim > 1:
-        rest_mesh = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, dim - 1)
-        rest_w = np.prod(
-            np.stack(np.meshgrid(*weights[1:], indexing="ij"), axis=-1), axis=-1
-        ).reshape(-1)
-    for start in range(0, n_nodes, step):
-        chunk = axes[0][start : start + step]
-        w0 = weights[0][start : start + step]
-        if dim == 1:
-            total += float((np.asarray(f(chunk.reshape(-1, 1))) * w0).sum())
-        else:
-            pts = np.empty((len(chunk), per_plane, dim))
-            pts[..., 0] = chunk[:, None]
-            pts[..., 1:] = rest_mesh[None, :, :]
-            vals = np.asarray(f(pts.reshape(-1, dim))).reshape(len(chunk), per_plane)
-            total += float(w0 @ (vals @ rest_w))
-    return total
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    vals = np.asarray(f(pts)).reshape(-1, n_nodes)
+    # each line along the last axis, weighted by its lead nodes in axis order
+    line_w = np.ones(1)
+    for wj in weights[:-1]:
+        line_w = np.multiply.outer(line_w, wj).reshape(-1)
+    return math.fsum((vals * weights[-1]).sum(axis=-1) * line_w)
 
 
 def _points_refined(f, box, dim):

@@ -6,10 +6,16 @@ CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import hpdiv
 from hpdiv import bench, true_divergence
 from hpdiv.cli import main
 
@@ -57,8 +63,8 @@ ESTIMATE = {
 ESTIMATE_MST_3D = "35954bad85fb09937bf33862c84d06c27e9e0e93fd09e3039f20ce3ebd69a157"
 # repr of the d = 1, 2, 3 truths of each synthetic bench scenario at p = 1/2
 TRUTH = {
-    bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691", "0.20404200273407191", "0.20404201037693492"),
-    bench.SCENARIO_GAUSS_SCALE: ("0.17104674355342386", "0.21147652829467667", "0.24919362827990654"),
+    bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691", "0.20404200273407191", "0.2040420103769346"),
+    bench.SCENARIO_GAUSS_SCALE: ("0.17104674355342386", "0.21147652829467667", "0.24919362827990665"),
     bench.SCENARIO_GAUSS_VS_UNIFORM: ("0.3994379200255387", "0.6445962916096035", "0.7843918387080235"),
 }
 
@@ -106,6 +112,10 @@ def truth_repr(scenario, d):
     return repr(true_divergence(*bench.scenario_specs(plan), 0.5))
 
 
+def truth_reprs() -> dict:
+    return {scenario: [truth_repr(scenario, d) for d in (1, 2, 3)] for scenario in TRUTH}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gauss_shift_truth(d):
     assert truth_repr(bench.SCENARIO_GAUSS_SHIFT, d) == TRUTH[bench.SCENARIO_GAUSS_SHIFT][d - 1]
@@ -115,3 +125,26 @@ def test_gauss_shift_truth(d):
 @pytest.mark.parametrize("scenario", [bench.SCENARIO_GAUSS_SCALE, bench.SCENARIO_GAUSS_VS_UNIFORM])
 def test_scale_and_uniform_truths(scenario, d):
     assert truth_repr(scenario, d) == TRUTH[scenario][d - 1]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in {"x86_64", "amd64"},
+    reason="names x86-64 OpenBLAS kernels and numpy CPU features",
+)
+def test_truths_do_not_depend_on_the_blas_kernel():
+    """The nine truths keep their pins in a fresh process on OpenBLAS's
+    oldest x86-64 kernel with numpy's SIMD held to its baseline; both
+    settings are read once, at import."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(hpdiv.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, here]),
+        "OPENBLAS_CORETYPE": "Prescott",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, test_golden; print(json.dumps(test_golden.truth_reprs()))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout) == {scenario: list(r) for scenario, r in TRUTH.items()}

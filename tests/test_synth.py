@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,9 @@ class TestSupport:
 def stream_accepts(spec, seed, rows=_PROBE):
     """Rows among the first `rows` of the seed's stream that fall in the box."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = spec.mean + np.sqrt(spec.cov) * rng.standard_normal((rows, spec.dim))
+    pts = rng.standard_normal((rows, spec.dim))
+    pts *= np.sqrt(spec.cov)  # in place, with sample's bytes: + and * commute
+    pts += spec.mean
     return pts[((pts >= spec.box[:, 0]) & (pts <= spec.box[:, 1])).all(axis=1)]
 
 
@@ -91,6 +94,19 @@ class TestProbe:
                 np.testing.assert_array_equal(sample(make_state(spec, seed), 1).points, expected)
                 outcomes.add("ok")
         assert outcomes == {"stall", "ok"}
+
+    def test_near_stall_box_draws_in_bounded_memory(self):
+        # Seed 0 accepts 2 of the probe's rows, so 200 rows take about 4e6
+        # draws; capped batches bound the memory and continue the stream.
+        spec = truncated_normal([0.0], 1.0, (3.9, 9.0))
+        tracemalloc.start()
+        try:
+            got = sample(make_state(spec, 0), 200).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        np.testing.assert_array_equal(got, stream_accepts(spec, 0, rows=4_500_000)[:200])
 
 
 # sha256 of the bytes of two consecutive sample() calls on one state, seed
