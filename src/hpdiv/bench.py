@@ -5,9 +5,10 @@ Each (n, trial) cell draws one pair of samples and evaluates every
 requested method on the same draw (common random numbers). knn and wnn go
 through one ``estimators.neighbor_statistics`` call per trial, the engine
 of the public estimators, so one neighbor pass serves all their ranks.
-Each trial keys its own counter-based streams from (base seed, trial), so
-results are identical whether ``core.thread_map`` runs the trials serially
-or on its pool (HPDIV_THREADS caps the pool; 0 or unset means auto).
+Trials run on ``core.thread_map``, and each trial's neighbor pass and EMST
+run on its thread within that thread's share of the neighbor byte budget,
+as in an estimate call. Each trial keys its own counter-based streams from
+(base seed, trial), so results do not depend on HPDIV_THREADS.
 
 Every draw at one n pools n + ``_draw_m(plan, n)`` points, so the ranks of
 each knn and wnn (method, n) cell are resolved, and checked by
@@ -36,7 +37,6 @@ from .core import (
     parse_number,
     pool_pair,
     thread_map,
-    worker_count,
 )
 from .estimators import neighbor_statistics
 from .io import load_points
@@ -260,7 +260,7 @@ def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
     ranks and weights of the knn and wnn cells that run."""
     x, y = _draw_pair(plan, specs, clouds, n, t)
     z = pool_pair(x, y)  # p is checked by the plan
-    stats = neighbor_statistics(z, sums)  # 1 thread: trials hold the cores
+    stats = neighbor_statistics(z, sums)
     out = {label: affine_map(stat, z.n_x, z.n_y) for label, stat in stats.items()}
     for spec in plan.methods:
         if spec.kind == "const":
@@ -272,7 +272,6 @@ def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
 
 def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     """Execute the full plan and aggregate per-(method, n) summaries."""
-    workers = worker_count()
     specs = scenario_specs(plan)
     clouds = None
     if plan.scenario == SCENARIO_CSV:
@@ -285,7 +284,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
         if len(failed) == len(plan.methods):
             continue
         trial = partial(_run_trial, plan, specs, clouds, sums, n)
-        results = thread_map(trial, range(plan.trials), workers)
+        results = thread_map(trial, range(plan.trials))
         for label in (s.label for s in plan.methods if s.label not in failed):
             vals = np.asarray([r[label] for r in results], float)
             summaries.append(_summarize(label, n, vals, truth))

@@ -1,6 +1,6 @@
 """Core domain types shared by every estimator: point clouds, the pooled
-two-sample set, mixture parameters, and estimate results; and
-``thread_map``, the one thread fan-out.
+two-sample set, mixture parameters, and estimate results; and the one
+thread fan-out, ``thread_map``, on HPDIV_THREADS threads and never nested.
 
 All types are immutable after construction and safe to share across
 threads. Distances throughout the package are Euclidean.
@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+_POOL = threading.local()  # ``inside`` is set on thread_map's pool threads
 
 
 class HPDivError(Exception):
@@ -219,18 +222,19 @@ def worker_count() -> int:
     cap = parse_number(int, raw, "HPDIV_THREADS") if raw else 0
     if cap < 0:
         raise HPDivError(f"HPDIV_THREADS must be 0 (auto) or positive, got {cap}")
-    if cap == 1:
-        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     auto = min(cpus or 1, 8)
     return min(cap, auto) if cap > 0 else auto
 
 
-def thread_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], in order: on a pool of ``workers`` threads when
-    workers > 1 and there is more than one item, else on the calling thread."""
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items], in order: on a pool of worker_count() threads
+    when that is above 1 and there is more than one item; else, and always
+    when called from one of those pool threads, on the calling thread."""
     items = list(items)
+    workers = 1 if getattr(_POOL, "inside", False) else worker_count()
     if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(workers, initializer=setattr,
+                                initargs=(_POOL, "inside", True)) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (  # noqa: F401  (affine_map is re-exported for callers of this module)
     EstimateResult,
+    HPDivError,
     JointSet,
     METHOD_KNN,
     METHOD_WNN,
@@ -30,40 +31,33 @@ from .core import (  # noqa: F401  (affine_map is re-exported for callers of thi
     affine_map,
     estimate_result,
     validate_pair,
-    worker_count,
 )
 from .neighbors import NeighborIndex, build_index, checked_ranks, neighbor_ranks
 from .weights import WeightSchedule
 
 
-def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks, workers: int = 1) -> dict[int, int]:
-    """|E_k| for every rank in ks, from one neighbor pass that reads only ks
-    (its kd queries or row sorts on ``workers`` threads)."""
+def dichotomous_counts(z: JointSet, idx: NeighborIndex, ks) -> dict[int, int]:
+    """|E_k| for every rank in ks, from one neighbor pass that reads only ks,
+    over ``idx``, which must be the index built on z."""
+    if idx.source is not z:
+        raise HPDivError("dichotomous_counts needs the index built on z")
     ks = sorted(set(ks))
-    if not ks:
-        return {}
-    opposite = z.labels[neighbor_ranks(idx, ks, workers)] != z.labels[:, None]
+    opposite = z.labels[neighbor_ranks(idx, ks)] != z.labels[:, None]
     return {int(k): int(c) for k, c in zip(ks, opposite.sum(axis=0))}
 
 
-def neighbor_statistics(z: JointSet, sums: dict, workers: int = 1) -> dict:
+def neighbor_statistics(z: JointSet, sums: dict) -> dict:
     """sum_l weights[l] |E_ranks[l]| for each ``key: (ranks, weights)`` of
     sums, from one neighbor pass over the union of the ranks, which
     ``neighbors.checked_ranks`` has passed for |z| points. The sum keeps the
     entry's order, and stays an int for integer weights.
     """
     ks = {k for ranks, _ in sums.values() for k in ranks}
-    counts = dichotomous_counts(z, build_index(z), ks, workers) if ks else {}
+    counts = dichotomous_counts(z, build_index(z), ks) if ks else {}
     return {
         key: sum(w * counts[int(k)] for w, k in zip(weights, ranks))
         for key, (ranks, weights) in sums.items()
     }
-
-
-def _statistic(z: JointSet, ranks, weights):
-    """One weighted count on all the threads HPDIV_THREADS allows."""
-    sums = {0: (checked_ranks(ranks, len(z)), weights)}
-    return neighbor_statistics(z, sums, worker_count())[0]
 
 
 def knn_estimate(
@@ -71,7 +65,7 @@ def knn_estimate(
 ) -> EstimateResult:
     """Rank-k neighbor estimate of the divergence between samples x and y."""
     z = validate_pair(x, y, p)
-    count = _statistic(z, [k], [1])
+    count = neighbor_statistics(z, {0: (checked_ranks([k], len(z)), [1])})[0]
     return estimate_result(
         METHOD_KNN, z, count, p, clamp, {"k": int(k), "dichotomous_count": count}
     )
@@ -82,7 +76,7 @@ def wnn_estimate(
 ) -> EstimateResult:
     """Weighted ensemble of rank-K(l) neighbor counts under one schedule."""
     z = validate_pair(x, y, p)
-    total = _statistic(z, schedule.k_values, schedule.w)
+    total = neighbor_statistics(z, {0: (checked_ranks(schedule.k_values, len(z)), schedule.w)})[0]
     params = {
         "l_values": np.asarray(schedule.l_values).tolist(),
         "weights": np.asarray(schedule.w).tolist(),

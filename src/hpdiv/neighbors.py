@@ -8,7 +8,7 @@ ties.
 
 ``neighbor_ranks`` is the whole pass. It checks the ranks once, then
 certifies only the ranks a caller reads, in one block loop over rows in
-the tree's leaf order on ``workers`` threads. For each read rank r a
+the tree's leaf order on ``core.thread_map``. For each read rank r a
 block takes candidates r-1, r and r+1 from a scipy cKDTree query, or for
 deep ranks from a sort of whole rows of packed int64 keys (a squared
 distance's bits, the low bits holding the point's index). Candidate r is
@@ -20,8 +20,9 @@ re-ranks its rows with a read rank on a tie, on its own thread, from
 ``windows`` (the EMST's too) of k_max + 1 + _TIE_PAD points sorted by
 (distance, index), self skipped by position, doubled until the ties end
 inside or they hold every point. Every kd block, row sort and window piece
-fits one thread's share of the byte budget, _BLOCK_BYTES // workers.
-Results match a brute-force scan at any thread count.
+fits one thread's share of the byte budget, _BLOCK_BYTES // worker_count(),
+in an estimate call's blocks and a bench run's trials alike. Results match
+a brute-force scan at any thread count.
 """
 
 from __future__ import annotations
@@ -32,16 +33,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import HPDivError, JointSet, KCollision, KTooLarge, thread_map
+from .core import HPDivError, JointSet, KCollision, KTooLarge, thread_map, worker_count
 
 # Relative gap a certified rank's distance keeps from the ranks beside it.
 _TIE_RTOL = 1e-9
 # Extra candidates a tied row sorts beyond its top rank.
 _TIE_PAD = 8
-# Bytes the blocks hold over all threads, each thread a 1/workers share:
-# per row, 8 n in a row sort (keys made and sorted in place), _ENTRY_BYTES
-# per column in a kd block or per window entry on the tie path. 2 MiB
-# holds 2^18 sort keys.
+# Bytes the blocks hold over all worker_count() threads, each thread an equal
+# share: per row, 8 n in a row sort (keys made and sorted in place),
+# _ENTRY_BYTES per column in a kd block or window entry. 2 MiB: 2^18 keys.
 _BLOCK_BYTES = 1 << 21
 # Bytes per candidate, whatever d: a query's index and distance, the mapped
 # index, _sq_dists' coordinate, square, sum and result, and the sort's order
@@ -81,13 +81,13 @@ def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a < len(points), d2, np.inf)
 
 
-def windows(tree, points: np.ndarray, rows: np.ndarray, k: int, share=None, ids=None):
-    """Per piece of ``rows`` within ``share`` bytes (_BLOCK_BYTES): its slice, each row's k
+def windows(tree, points: np.ndarray, rows: np.ndarray, k: int, ids=None):
+    """Per piece of ``rows`` in a thread's share of _BLOCK_BYTES: its slice, each row's k
     nearest points of the tree (of ``ids``, all when None), self included, sorted by (d2,
     index), and the row's horizon, the last d2 less _TIE_RTOL. A miss reads as len(points)
     at +inf; a window of every point skips the tree."""
     m = len(points) if ids is None else len(ids)
-    step = max(1, (share or _BLOCK_BYTES) // (k * _ENTRY_BYTES))
+    step = max(1, _BLOCK_BYTES // worker_count() // (k * _ENTRY_BYTES))
     for start in range(0, len(rows), step):
         here = rows[start:start + step]
         cand = (tree.query(points[here], k=k, workers=1)[1] if k < m
@@ -98,7 +98,7 @@ def windows(tree, points: np.ndarray, rows: np.ndarray, k: int, share=None, ids=
         yield slice(start, start + step), cand, d2.max(axis=1) * (1.0 - _TIE_RTOL)
 
 
-def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, share: int) -> np.ndarray:
+def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Ranks for rows with ties from their windows, doubled until each read rank sits below
     the horizon or a window holds all n points. Self leaves a window by position: rank r is
     column r-1, or column r when self sits at or before column r-1."""
@@ -108,7 +108,7 @@ def _sorted_rows(idx: NeighborIndex, rows: np.ndarray, ranks: np.ndarray, share:
     while pos.size:
         k = min(len(points), k)
         sure = np.full(len(pos), k == len(points))  # a window of every point is sure
-        for part, cand, horizon in windows(idx.tree, points, rows[pos], k, share):
+        for part, cand, horizon in windows(idx.tree, points, rows[pos], k):
             here = rows[pos[part], None]
             col = ranks - 1 + ((cand == here).argmax(axis=1)[:, None] < ranks)
             out[pos[part]] = got = np.take_along_axis(cand, col, axis=1)
@@ -153,9 +153,9 @@ def checked_ranks(ranks, pooled: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
+def neighbor_ranks(idx: NeighborIndex, ranks) -> np.ndarray:
     """(n, len(ranks)) table: entry [i, j] is the rank-ranks[j] neighbor of
-    point i, the same at any count of ``workers`` threads. In a block's
+    point i, the same at any thread count. In a block's
     candidates, column r (0 is the nearest) is rank r when its distance
     sits strictly inside those of columns r-1 and r+1 (+inf past the last
     point) and its bucket differs from theirs: columns 0..r-1 are then the
@@ -168,8 +168,8 @@ def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
     cols = cols[cols < n]
     at = np.searchsorted(cols, ranks)
     sort = _SORT_DEPTH * (int(ranks.max()) + 2) >= n
-    share = _BLOCK_BYTES // workers  # what one thread's block may hold
-    step = max(1, share // (8 * n if sort else len(cols) * _ENTRY_BYTES))
+    workers = worker_count()
+    step = max(1, _BLOCK_BYTES // workers // (8 * n if sort else len(cols) * _ENTRY_BYTES))
     blocks = -(-n // step)
     step = -(-n // (blocks + -blocks % workers))  # as many blocks per thread
     out = np.empty((n, len(ranks)), dtype=np.int64)
@@ -189,10 +189,10 @@ def neighbor_ranks(idx: NeighborIndex, ranks, workers: int = 1) -> np.ndarray:
         tied = ~(apart[:, at - 1] & apart[:, at]).all(axis=1)
         del cand, bucket, d2, apart  # the tie path needs none of them
         if tied.any():
-            got[tied] = _sorted_rows(idx, here[tied], ranks, share)
+            got[tied] = _sorted_rows(idx, here[tied], ranks)
         out[here] = got
 
-    thread_map(block, range(0, n, step), workers)
+    thread_map(block, range(0, n, step))
     return out
 
 

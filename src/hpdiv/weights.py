@@ -98,9 +98,9 @@ def solve_weights(l_values, d: int) -> np.ndarray:
         )
 
     a, b = constraint_matrix(ls, d)
+    # a threshold only (its LAPACK bits move no weight) on the Gram matrix A A',
+    # whose rcond is 1/cond**2; compared and printed without squaring a huge cond
     cond = np.linalg.cond(a)
-    # admissibility threshold phrased on the Gram matrix A A', whose rcond is
-    # 1/cond**2; compared and printed without squaring a huge cond
     if not np.isfinite(cond) or cond > _RCOND_MIN**-0.5:
         raise SingularConstraints(
             f"constraint system is numerically singular "

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,18 @@ def fresh_truth_memo():
     """Each test runs its own quadratures: no truth is served from the
     per-process memo that an earlier test filled."""
     bench._TRUTHS.clear()
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """set_threads(count) sets HPDIV_THREADS=count on a process allowed 8
+    CPUs, so that worker_count() is count on any machine (count <= 8)."""
+
+    def set_threads(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("HPDIV_THREADS", str(count))
+
+    return set_threads
 
 
 def rng_for(seed: int) -> np.random.Generator:

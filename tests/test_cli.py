@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import hpdiv
 from hpdiv import neighbors
 from hpdiv.cli import main
+from hpdiv.weights import constraint_matrix
 
 
 @pytest.fixture
@@ -251,6 +253,17 @@ class TestEstimateThreads:
         assert "HPDIV_THREADS" in json.loads(err)["message"]
 
 
+def fsum_residual(payload):
+    """max_i |sum_j a_ij w_j - b_i| of a ``weights`` payload, each row an exact
+    sum (math.fsum) of Python float products."""
+    a, b = constraint_matrix(np.asarray(payload["l_values"]), payload["d"])
+    w = payload["weights"]
+    return max(
+        abs(math.fsum([float(a[i, j]) * w[j] for j in range(len(w))] + [-float(b[i])]))
+        for i in range(len(b))
+    )
+
+
 class TestWeights:
     def test_forced_solution(self, capsys):
         code, out, _ = run_cli(capsys, ["weights", "--d", "1", "--l-values", "1,2"])
@@ -258,7 +271,22 @@ class TestWeights:
         payload = json.loads(out)
         assert payload["weights"] == [2.0, -1.0]
         assert payload["residual"] <= 1e-9
+        assert payload["residual"] == fsum_residual(payload)
         assert payload["k_values"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--d", "1"], ["--d", "2"], ["--d", "3"], ["--d", "4"], ["--d", "2", "--n", "500"],
+         ["--d", "2", "--l-values", "0.3,0.9,1.7,2.2,3.1"]],
+    )
+    def test_residual_is_the_fsum_of_each_row(self, capsys, args):
+        # The printed residual sums each constraint row in one fixed order,
+        # never through BLAS, so it is the same bits on every kernel.
+        code, out, _ = run_cli(capsys, ["weights", *args])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual"] == fsum_residual(payload)
+        assert payload["residual"] <= 1e-9
 
     def test_with_n(self, capsys):
         code, out, _ = run_cli(

@@ -246,7 +246,7 @@ class TestWorkerCount:
 
 
 class TestThreadMap:
-    def test_keeps_order_on_the_pool(self):
+    def test_keeps_order_on_the_pool(self, threads):
         # Early items sleep longest, so a pool finishes them last.
         seen = set()
 
@@ -255,15 +255,32 @@ class TestThreadMap:
             seen.add(threading.get_ident())
             return i * i
 
-        assert thread_map(slow, range(8), 4) == [i * i for i in range(8)]
+        threads(4)
+        assert thread_map(slow, range(8)) == [i * i for i in range(8)]
         assert threading.get_ident() not in seen
 
     @pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [3]), (4, [])])
-    def test_serial_on_the_callers_thread(self, workers, items):
+    def test_serial_on_the_callers_thread(self, workers, items, threads):
+        threads(workers)
         seen = []
-        out = thread_map(lambda i: seen.append(threading.get_ident()) or -i, items, workers)
+        out = thread_map(lambda i: seen.append(threading.get_ident()) or -i, items)
         assert out == [-i for i in items]
         assert seen == [threading.get_ident()] * len(out)
+
+    def test_nested_call_runs_on_the_worker(self, threads):
+        # A bench trial's neighbor pass calls thread_map on a pool thread:
+        # it runs there, so no more than HPDIV_THREADS threads ever run.
+        threads(2)
+
+        def outer(i):
+            time.sleep(0.002)
+            return threading.get_ident(), thread_map(lambda j: threading.get_ident(), range(3))
+
+        out = thread_map(outer, range(4))
+        assert all(inner == [worker] * 3 for worker, inner in out)
+        assert threading.get_ident() not in {worker for worker, _ in out}
+        # The caller's own thread is no pool thread: its next call fans out.
+        assert threading.get_ident() not in thread_map(lambda j: threading.get_ident(), range(4))
 
 
 def _tnorm(**arrays):

@@ -22,6 +22,7 @@ from hpdiv.estimators import dichotomous_counts, neighbor_statistics
 from hpdiv.neighbors import checked_ranks
 
 from conftest import tie_free
+from oracles import scan_rank_table
 
 
 def quiet_pair(x, y, p=0.5):
@@ -51,6 +52,19 @@ class TestCountDichotomous:
         idx = build_index(z)
         for k in (1, 3, 7):
             assert dichotomous_counts(z, idx, [k])[k] == 0
+
+    def test_index_of_another_set_rejected(self):
+        # An index of z1 (50 + 50 points) read with the labels of z2 (30 +
+        # 70 points, as many in all) would count z2's labels on z1's
+        # neighbors; it fails instead.
+        pts = np.random.default_rng(4).normal(size=(100, 2))
+        z1 = quiet_pair(pts[:50], pts[50:])
+        z2 = quiet_pair(pts[:30], pts[30:])
+        with pytest.raises(HPDivError, match="index built on z"):
+            dichotomous_counts(z2, build_index(z1), [1, 5])
+        opposite = z2.labels[scan_rank_table(z2.points, [1, 5])] != z2.labels[:, None]
+        counts = dichotomous_counts(z2, build_index(z2), [1, 5])
+        assert counts == dict(zip([1, 5], opposite.sum(axis=0).tolist()))
 
     def test_k_too_large(self, hand_pair):
         x, y = hand_pair

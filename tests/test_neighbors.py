@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 import tracemalloc
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdiv import HPDivError, JointSet, KCollision, KTooLarge, PointCloud, build_index, neighbor_table, validate_pair
-from hpdiv import neighbors
+from hpdiv import mst, neighbors
+from hpdiv.bench import ExperimentPlan, parse_methods, run_plan
 from hpdiv.core import pool_pair
 from hpdiv.estimators import dichotomous_counts
-from hpdiv.neighbors import NeighborIndex, neighbor_ranks
+from hpdiv.io import save_points
+from hpdiv.neighbors import NeighborIndex, cKDTree, neighbor_ranks
 from hpdiv.weights import default_l_values, resolve_schedule
 
 
@@ -197,9 +200,10 @@ class TestSelectedRanks:
         expected = scan_columns(z, ks)
         opposite = z.labels[expected] != z.labels[:, None]
         counts = dict(zip(ks, opposite.sum(axis=0).tolist()))
-        with mock.patch.object(neighbors, "_SORT_DEPTH", depth):
-            np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
-            assert dichotomous_counts(z, idx, ks, workers) == counts
+        threads = mock.patch.dict(os.environ, {"HPDIV_THREADS": str(workers)})
+        with mock.patch.object(neighbors, "_SORT_DEPTH", depth), threads:
+            np.testing.assert_array_equal(neighbor_ranks(idx, ks), expected)
+            assert dichotomous_counts(z, idx, ks) == counts
 
     @pytest.mark.parametrize("dim", [1, 2, 3, pytest.param(0, id="identical")])
     def test_last_ranks_have_no_column_beyond(self, dim):
@@ -241,7 +245,7 @@ class TestSelectedRanks:
         assert len(set(windows)) > 1
         assert max(windows) < len(z)
 
-    def test_tie_windows_run_on_the_block_threads(self):
+    def test_tie_windows_run_on_the_block_threads(self, threads):
         # At two threads the copied lattice splits into two blocks, nearly
         # every row of them tied; a short sleep in each query keeps one
         # thread from taking both blocks. Each block re-ranks its own tied
@@ -249,7 +253,8 @@ class TestSelectedRanks:
         z = make_joint(copied_lattice(5, 3, 4))
         ks = [5, 20]
         tree = RecordingTree(build_index(z).tree, delay=0.02)
-        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
+        threads(2)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         ties = [(thread, workers) for k, thread, workers
                 in zip(tree.ks, tree.threads, tree.workers) if isinstance(k, int)]
@@ -296,22 +301,24 @@ class TestSelectedRanks:
 class TestNarrowFetch:
     """The candidate source returns only the columns that certify the read ranks."""
 
-    def test_only_certified_columns_are_requested(self):
+    def test_only_certified_columns_are_requested(self, threads):
         # _SORT_DEPTH * (40 + 2) < 600, so the kd query is the source.
         rng = np.random.default_rng(8)
         z = make_joint(rng.normal(size=(600, 3)))
         assert neighbors._SORT_DEPTH * (40 + 2) < len(z)
         tree = RecordingTree(build_index(z).tree)
         ks = [1, 7, 8, 40]
-        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers=2)
+        threads(2)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         # Ranks r ask for columns r-1, r, r+1, i.e. tree ranks r, r+1, r+2;
         # never k = k_max + 2 and never a column between the read ranks.
         assert tree.ks
         assert all(k == [1, 2, 3, 7, 8, 9, 10, 40, 41, 42] for k in tree.ks)
 
-    def test_last_rank_asks_for_nothing_past_the_cloud(self, monkeypatch):
-        # Rank n-1 is always deep enough to sort whole rows.
+    def test_last_rank_asks_for_nothing_past_the_cloud(self, monkeypatch, threads):
+        # Rank n-1 is always deep enough to sort whole rows, here in one block.
+        threads(1)
         z = make_joint(np.random.default_rng(9).normal(size=(20, 2)))
         sorted_cols = []
         real = neighbors._sorted_columns
@@ -335,7 +342,7 @@ class TestSortedColumns:
     @pytest.mark.parametrize(
         "kind", ["random", "copied_lattice", "identical", "wide_random", "wide_lattice"]
     )
-    def test_deep_ranks_skip_the_kd_query(self, kind, workers):
+    def test_deep_ranks_skip_the_kd_query(self, kind, workers, threads):
         # Below a few hundred points numpy's partition happens to leave the
         # head sorted; the wide inputs make the head sort and the partition
         # depth matter.
@@ -350,7 +357,8 @@ class TestSortedColumns:
         ks = [3, 31, 95, 316] if kind.startswith("wide") else [1, 5, 6, 20]
         assert neighbors._SORT_DEPTH * (max(ks) + 2) >= len(z)
         tree = RecordingTree(build_index(z).tree)
-        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers)
+        threads(workers)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         # Only the tie path may still ask the tree, for its tied rows.
         assert not any(isinstance(k, list) for k in tree.ks)
@@ -359,7 +367,7 @@ class TestSortedColumns:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["random", "lattice"])
-    def test_columns_hold_the_sorted_distances(self, kind, workers, monkeypatch):
+    def test_columns_hold_the_sorted_distances(self, kind, workers, monkeypatch, threads):
         # The source's contract, ties aside: column c of a row is at the
         # c-th smallest distance of that row, self included, and its bucket
         # holds that distance's bits above the index bits. At d=2 every sum
@@ -376,7 +384,8 @@ class TestSortedColumns:
 
         monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         z = make_joint(pts)
-        neighbor_ranks(build_index(z), [1, 41, 300], workers)
+        threads(workers)
+        neighbor_ranks(build_index(z), [1, 41, 300])
         assert np.array_equal(np.sort(np.concatenate([b[0] for b in blocks])), np.arange(len(pts)))
         bits = (len(pts) - 1).bit_length()
         for rows, cols, got, bucket in blocks:
@@ -400,7 +409,7 @@ class TestSortedColumns:
         assert any(isinstance(k, list) for k in tree.ks) == (source == "kd")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sorted_rows_split_into_blocks(self, monkeypatch, workers):
+    def test_sorted_rows_split_into_blocks(self, monkeypatch, workers, threads):
         # A small byte budget, 200 sort keys, sorts a few rows at a time;
         # the threads share it.
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 200 * 8)
@@ -414,7 +423,8 @@ class TestSortedColumns:
         monkeypatch.setattr(neighbors, "_sorted_columns", recording)
         z = make_joint(copied_lattice(3, 2, 4))
         ks = [1, 4, 30]
-        got = neighbor_ranks(build_index(z), ks, workers)
+        threads(workers)
+        got = neighbor_ranks(build_index(z), ks)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         assert sum(rows for rows, _ in shapes) == len(z)
         assert len(shapes) > 2
@@ -422,7 +432,7 @@ class TestSortedColumns:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["random", "lattice", "tiny", "huge"])
-    def test_kernel_sums_coordinates_in_order(self, kind, dim, monkeypatch):
+    def test_kernel_sums_coordinates_in_order(self, kind, dim, monkeypatch, threads):
         # The squared distances the keys are made from equal a per-coordinate
         # loop bit for bit, subnormal (1e-160) and overflowing (1e155) ones
         # too, and the overflow stays silent. The bits are a property of the
@@ -446,9 +456,10 @@ class TestSortedColumns:
         monkeypatch.setattr(neighbors, "cdist", recording)
         z = make_joint(pts)
         ks = [1, len(z) // 3, len(z) - 1]
+        threads(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = neighbor_ranks(build_index(z), ks, 2)
+            got = neighbor_ranks(build_index(z), ks)
         np.testing.assert_array_equal(got, scan_columns(z, ks))
         assert sum(len(a) for a, _, _ in calls) == len(z)
         for a, b, d2 in calls:
@@ -466,41 +477,76 @@ def estimate_files_pair(dim, n, seed=0):
     return pool_pair(PointCloud(x), PointCloud(y))
 
 
+def recording_kdtree(queries):
+    """A cKDTree class that appends (rows, k) of each query to ``queries``,
+    one tuple per query, so queries from several threads stay paired."""
+
+    class Recording(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queries.append((len(x), k))
+            return super().query(x, k=k, **kwargs)
+
+    return Recording
+
+
 class TestBlockBudget:
     """Every candidate block, kd, row sort or tie window, fits one thread's
     share of _BLOCK_BYTES."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kind", ["random", "copied_lattice"])
-    def test_kd_blocks_and_tie_windows_fit_the_budget(self, kind, workers, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, workers",
+        [("random", 1), ("random", 2), ("copied_lattice", 1), ("copied_lattice", 2),
+         ("bench_trials", 2)],
+    )
+    def test_kd_blocks_and_tie_windows_fit_the_budget(
+        self, kind, workers, monkeypatch, threads, tmp_path
+    ):
         # Random points take kd blocks only; the lattice's tied rows then
-        # go through tie windows, several of them.
+        # go through tie windows, several of them. Bench trials, two at a
+        # time, resample the lattice: each trial's neighbor pass and Boruvka
+        # windows hold blocks beside the other trial's, so each takes half.
         budget = 20_000
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
         entry = neighbors._ENTRY_BYTES
         assert entry >= 8 * 8  # query index and distance, recompute and sort temporaries
+        queries = []
+        for module in (neighbors, mst):
+            monkeypatch.setattr(module, "cKDTree", recording_kdtree(queries))
+        threads(workers)
         pts, ks = {
             "random": (np.random.default_rng(8).normal(size=(600, 3)), [1, 7, 8, 40]),
             "copied_lattice": (copied_lattice(5, 3, 4), [5, 20]),
+            "bench_trials": (copied_lattice(5, 3, 4), [5, 20]),
         }[kind]
-        z = make_joint(pts)
-        assert neighbors._SORT_DEPTH * (max(ks) + 2) < len(z)  # the kd source
-        tree = RecordingTree(build_index(z).tree)
-        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), ks, workers)
-        np.testing.assert_array_equal(got, scan_columns(z, ks))
-        kd = [(rows, len(k)) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, list)]
-        ties = [(rows, k) for rows, k in zip(tree.rows, tree.ks) if isinstance(k, int)]
-        assert sum(rows for rows, _ in kd) == len(z) and len(kd) > 2
+        if kind == "bench_trials":
+            save_points(tmp_path / "lattice.csv", PointCloud(pts))
+            path, trials, n = str(tmp_path / "lattice.csv"), 4, 300
+            plan = ExperimentPlan(
+                scenario="csv", dims=3, n_grid=(n,), trials=trials, x_path=path, y_path=path,
+                methods=tuple(parse_methods("knn:5,knn:20,mst")),
+            )
+            assert len(run_plan(plan)) == 3
+            passes = [2 * n] * trials  # one neighbor pass per trial
+        else:
+            z = make_joint(pts)
+            got = neighbor_ranks(build_index(z), ks)
+            np.testing.assert_array_equal(got, scan_columns(z, ks))
+            passes = [len(z)]
+        assert neighbors._SORT_DEPTH * (max(ks) + 2) < min(passes)  # the kd source
+        kd = [(rows, len(k)) for rows, k in queries if isinstance(k, list)]
+        ties = [(rows, k) for rows, k in queries if isinstance(k, int)]
+        assert sum(rows for rows, _ in kd) == sum(passes) and len(kd) > 2
         assert all(rows * cols * entry * workers <= budget for rows, cols in kd)
         assert all(rows * k * entry * workers <= budget for rows, k in ties)
-        assert len(ties) > 2 if kind == "copied_lattice" else not ties
+        assert len(ties) > 2 if kind != "random" else not ties
 
-    def test_small_ranks_take_one_kd_query(self):
+    def test_small_ranks_take_one_kd_query(self, threads):
         # A Monte Carlo trial at N=2000 (knn:5 and knn:20, one thread): 4000
         # rows of 6 fetched columns fit the budget, so one query serves all.
         z = estimate_files_pair(2, 2000)
         tree = RecordingTree(build_index(z).tree)
-        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [5, 20], workers=1)
+        threads(1)
+        got = neighbor_ranks(NeighborIndex(tree=tree, source=z), [5, 20])
         np.testing.assert_array_equal(got, scan_rank_table(z.points, [5, 20]))
         assert tree.rows == [4000]
         assert tree.ks == [[5, 6, 7, 20, 21, 22]]
@@ -509,7 +555,7 @@ class TestBlockBudget:
         "shape, workers, limit_mb",
         [("wnn_d3", 1, 5), ("wnn_d3", 2, 5), ("knn_d2", 1, 4), ("knn_d2", 2, 4)],
     )
-    def test_neighbor_ranks_peak(self, shape, workers, limit_mb):
+    def test_neighbor_ranks_peak(self, shape, workers, limit_mb, threads):
         # The pooled inputs and ranks of the estimate command's calls: wnn at
         # d=3 on 2048 + 2048 points (the default schedule sorts whole rows),
         # knn k=1 at d=2 on 50000 + 50000 points (one kd pass).
@@ -520,9 +566,10 @@ class TestBlockBudget:
             z = estimate_files_pair(2, 50_000)
             ks = [1]
         idx = build_index(z)
+        threads(workers)
         tracemalloc.start()
         try:
-            neighbor_ranks(idx, ks, workers)
+            neighbor_ranks(idx, ks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -551,8 +598,9 @@ class TestPackedKeys:
         for depth in (0, len(z)):  # the kd query, then the row sort
             monkeypatch.setattr(neighbors, "_SORT_DEPTH", depth)
             for workers in (1, 2):
+                monkeypatch.setenv("HPDIV_THREADS", str(workers))
                 tied.append(0)
-                np.testing.assert_array_equal(neighbor_ranks(idx, ks, workers), expected)
+                np.testing.assert_array_equal(neighbor_ranks(idx, ks), expected)
         return tied
 
     @pytest.mark.parametrize("seed", range(12))
