@@ -133,7 +133,7 @@ def cmd_gen(args) -> int:
             raise HPDivError(f"--sigma needs 1 or {args.dim} values")
         if min(sigma) <= 0:  # squaring would hide the sign
             raise HPDivError(f"--sigma values must be positive, got {args.sigma}")
-        cov = np.asarray(sigma, dtype=float) ** 2
+        cov = [s * s for s in sigma]  # a Python float overflows to inf without a warning
         spec = truncated_normal(mean, cov, box)
     cloud = sample(make_state(spec, args.seed), args.n)
     hpio.save_points(args.out, cloud)

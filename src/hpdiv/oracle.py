@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class DistributionSpec:
     """
 
     kind: str
-    box: np.ndarray                 # (d, 2) finite bounds, lower < upper
+    box: np.ndarray                 # (d, 2) finite bounds and widths, lower < upper
     mean: np.ndarray | None = None  # (d,), tnorm only
     cov: np.ndarray | None = None   # (d,) per-axis variances, tnorm only
 
@@ -88,8 +88,9 @@ class DistributionSpec:
         box = np.array(self.box, dtype=np.float64)
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
             raise HPDivError("box must have shape (d, 2) with d >= 1")
-        if not np.isfinite(box).all() or not (box[:, 0] < box[:, 1]).all():
-            raise HPDivError("box bounds must be finite with lower < upper")
+        # widths in Python floats, which overflow to inf without a RuntimeWarning
+        if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box.tolist()):
+            raise HPDivError("box bounds must be finite with lower < upper and a finite width")
         box.flags.writeable = False
         object.__setattr__(self, "box", box)
         if self.kind == KIND_TRUNC_NORMAL:
@@ -116,7 +117,6 @@ class DistributionSpec:
             object.__setattr__(self, "cov", None)
         else:
             raise HPDivError(f"unknown distribution kind {self.kind!r}")
-        object.__setattr__(self, "_mass", self._truncated_mass())
 
     @property
     def dim(self) -> int:
@@ -138,7 +138,9 @@ class DistributionSpec:
             return np.full(np.broadcast(*axes).shape, 1.0 / volume)
         return _gauss(axes, self.mean, self.cov) / self._mass
 
-    def _truncated_mass(self) -> float:
+    @cached_property
+    def _mass(self) -> float:
+        """The truncation mass, integrated on first use (only the oracle reads it)."""
         if self.kind == KIND_UNIFORM:
             return 1.0
         mass = 1.0

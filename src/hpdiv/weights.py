@@ -6,9 +6,11 @@ Given index values l_1..l_L and ambient dimension d, the weights solve
                                sum_l w(l) l^(i/d) = 0  for i = 1..d.
 
 This is an equality-constrained least-norm problem with the closed form
-w = A' (A A')^{-1} b, where A is the (d+1) x L constraint matrix. The
-constraints cancel the leading neighbor-count bias terms while the norm
-objective keeps the variance amplification small.
+w = A' (A A')^{-1} b, where A is the (d+1) x L constraint matrix, and that
+closed form is what runs: exactly, for square and wide A alike, one rounding
+per weight, each power l^(i/d) one math.pow. So no weight depends on the BLAS
+kernel or on numpy's SIMD. The constraints cancel the leading neighbor-count
+bias terms while the norm objective keeps the variance amplification small.
 
 Each index value maps to a neighbor rank K(l) = floor(l * sqrt(N)) once the
 sample size N is known; resolve_schedule performs that step and is the only
@@ -72,10 +74,9 @@ class WeightSchedule:
 
 def constraint_matrix(l_values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (d+1) x L constraint matrix A and right-hand side b."""
-    ls = np.asarray(l_values, dtype=np.float64)
-    rows = [np.ones_like(ls)]
-    rows += [ls ** (i / d) for i in range(1, d + 1)]
-    a = np.vstack(rows)
+    ls = np.asarray(l_values, dtype=np.float64).tolist()
+    # math.pow, not numpy's power, whose bits follow its SIMD dispatch
+    a = np.array([[math.pow(l, i / d) for l in ls] for i in range(d + 1)])
     b = np.zeros(d + 1)
     b[0] = 1.0
     return a, b
@@ -107,13 +108,17 @@ def solve_weights(l_values, d: int) -> np.ndarray:
             f"(Gram rcond={(1.0 / cond) ** 2:.2e}); "
             f"spread the l values further apart"
         )
-    if ls.size == d + 1:
-        # square system: the feasible point is unique, no norm objective left
-        return np.linalg.solve(a, b)
-    # minimum-norm solution A'(AA')^{-1} b, computed through a QR of A' so
-    # the Gram matrix (condition number squared) is never formed explicitly
-    q, r = np.linalg.qr(a.T)
-    return q @ np.linalg.solve(r.T, b)
+    # n = s A is a full-rank integer matrix (s the largest denominator), so fraction-free
+    # Gauss-Jordan on n n' y = b needs no pivoting, divides exactly and ends at det(n n')
+    ratios = [[v.as_integer_ratio() for v in row] for row in a.tolist()]
+    s = max(den for row in ratios for _, den in row)
+    n = [[num * (s // den) for num, den in row] for row in ratios]
+    g = [[sum(x * y for x, y in zip(u, v)) for v in n] + [int(bi)] for u, bi in zip(n, b)]
+    det = 1
+    for k, p in enumerate(g):  # g changes in place, so p is row k as step k - 1 left it
+        g[:] = [r if r is p else [(p[k] * x - r[k] * y) // det for x, y in zip(r, p)] for r in g]
+        det = p[k]
+    return np.array([s * sum(x * r[-1] for x, r in zip(col, g)) / det for col in zip(*n)])
 
 
 def default_l_values(d: int) -> np.ndarray:

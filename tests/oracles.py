@@ -2,7 +2,8 @@
 
 Each oracle takes a deliberately different route from the code it checks:
 full-matrix linear scans instead of tree search, Kruskal instead of Prim,
-pseudoinverse least-squares instead of the Gram solve, adaptive
+pseudoinverse least-squares and rational Gauss-Jordan (Fraction) instead
+of the fraction-free integer Gram solve, adaptive
 Gauss-Kronrod quadrature instead of trapezoid grids, and trapezoid grids
 over materialized point arrays instead of per-axis factors.
 """
@@ -10,6 +11,7 @@ over materialized point arrays instead of per-axis factors.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -107,6 +109,20 @@ def minnorm_pinv(l_values, d: int) -> np.ndarray:
     b[0] = 1.0
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
     return w
+
+
+def minnorm_fractions(a) -> list[float]:
+    """A'(AA')^{-1} e_0 for the float matrix ``a`` in exact rationals,
+    each weight rounded once to the nearest float."""
+    a = [[Fraction(v) for v in row] for row in np.asarray(a).tolist()]
+    m = len(a)
+    g = [[sum(x * y for x, y in zip(u, v)) for v in a] + [Fraction(int(i == 0))] for i, u in enumerate(a)]
+    for k in range(m):
+        g[k] = [x / g[k][k] for x in g[k]]
+        for i in range(m):
+            if i != k:
+                g[i] = [x - g[i][k] * y for x, y in zip(g[i], g[k])]
+    return [float(sum(a[r][j] * g[r][-1] for r in range(m))) for j in range(len(a[0]))]
 
 
 def quad_divergence_1d(fx, fy, p: float, lo: float, hi: float) -> float:

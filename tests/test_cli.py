@@ -410,11 +410,24 @@ class TestGen:
         (["--dist", "tnorm", "--dim", "1", "--box=1,2,3"], "LO,HI"),
         (["--dist", "tnorm", "--dim", "2", "--mean", "0"], "--mean needs 2"),
         (["--dist", "tnorm", "--dim", "3", "--sigma", "1,2"], "--sigma needs 1 or 3"),
+        # hi - lo overflows the float range, and sigma**2 does
+        (["--dist", "uniform", "--dim", "1", "--box=-1e308,1e308"], "finite width"),
+        (["--dist", "tnorm", "--dim", "1", "--sigma", "1e200"], "finite"),
     ])
     def test_degenerate_spec_exit_2(self, capsys, tmp_path, flags, match):
         out = tmp_path / "never.csv"
         assert_usage_error(capsys, ["gen", *flags, "--n", "5", "--out", str(out)], match)
         assert not out.exists()
+
+    def test_wide_box_integrates_no_mass(self, capsys, tmp_path):
+        # a draw never reads the truncation mass, so its quadrature cannot warn
+        out = tmp_path / "wide.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, ["gen", "--dist", "tnorm", "--dim", "1", "--n", "5",
+                                            "--box=-1e300,1e300", "--out", str(out)])
+        assert (code, err) == (0, "")
+        assert len(out.read_text().splitlines()) == 5
 
 
 class TestBench:

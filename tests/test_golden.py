@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 import hpdiv
-from hpdiv import bench, true_divergence
+from hpdiv import bench, default_l_values, solve_weights, true_divergence
 from hpdiv.cli import main
 
 
@@ -53,14 +53,16 @@ BENCH_ABORTS = [
     "cell knn:300 @ n=64 aborted: ranks must lie in [1, 127], got 300..300",
     "cell knn:300 @ n=128 aborted: ranks must lie in [1, 255], got 300..300",
 ]
-BENCH_CSV = "317b0e21eb27dd60a514dc81b16cf0416dd20dfa197571deac30e95183622dfa"
+BENCH_CSV = "434a9d93cb0521e5442ecf954534278309f65c8759ef12b2c28880d98d4d4c3c"
 ESTIMATE = {
     "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
-    "wnn": "fbe1653e1efd4fe8b56656b65c8051caa39c2c329446e948e04d20e220140eab",
+    "wnn": "69bc826d06cd593fe73e33ce23f63265c0d908b1224486d69ecb034ad6c794e3",
     "mst": "eda006f65270953251c204ae5770120ddc1ea556206eda9689faa1cba6c41e0b",
 }
 # mst on the 3-D files, taken while d = 3 still ran Prim.
 ESTIMATE_MST_3D = "35954bad85fb09937bf33862c84d06c27e9e0e93fd09e3039f20ce3ebd69a157"
+# wnn on the 3-D files, on the default d = 3 grid less l = 0.05 (K = 0 at N = 300)
+ESTIMATE_WNN_3D = "3204a588a537c815532878b64d2a8a9834e71613de54eb1f8ea46d7992302d30"
 # repr of the d = 1, 2, 3 truths of each synthetic bench scenario at p = 1/2
 TRUTH = {
     bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691", "0.20404200273407191", "0.2040420103769346"),
@@ -88,6 +90,13 @@ def test_estimate_mst_3d_stdout(tmp_path, capsys):
     x, y = gen_pair(tmp_path, capsys, 3)
     out = cli(capsys, ["estimate", "--method", "mst", "--x", x, "--y", y])
     assert sha256(out.encode()) == ESTIMATE_MST_3D
+
+
+def test_estimate_wnn_3d_stdout(tmp_path, capsys):
+    x, y = gen_pair(tmp_path, capsys, 3)
+    l_values = ",".join(map(repr, default_l_values(3)[1:].tolist()))
+    out = cli(capsys, ["estimate", "--method", "wnn", "--l-values", l_values, "--x", x, "--y", y])
+    assert sha256(out.encode()) == ESTIMATE_WNN_3D
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -127,14 +136,15 @@ def test_scale_and_uniform_truths(scenario, d):
     assert truth_repr(scenario, d) == TRUTH[scenario][d - 1]
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in {"x86_64", "amd64"},
-    reason="names x86-64 OpenBLAS kernels and numpy CPU features",
-)
-def test_truths_do_not_depend_on_the_blas_kernel():
-    """The nine truths keep their pins in a fresh process on OpenBLAS's
-    oldest x86-64 kernel with numpy's SIMD held to its baseline; both
-    settings are read once, at import."""
+def weight_hexes() -> list:
+    """The default weights for d = 1..5, as float.hex strings."""
+    return [[w.hex() for w in solve_weights(default_l_values(d), d).tolist()] for d in range(1, 6)]
+
+
+def on_baseline_kernel(call: str):
+    """``call`` (a function of this module) decoded from JSON, run in a fresh
+    process on OpenBLAS's oldest x86-64 kernel with numpy's SIMD held to its
+    baseline; both settings are read once, at import."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(hpdiv.__file__))
     env = {
@@ -144,7 +154,24 @@ def test_truths_do_not_depend_on_the_blas_kernel():
         "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, test_golden; print(json.dumps(test_golden.truth_reprs()))"],
+        [sys.executable, "-c", f"import json, test_golden; print(json.dumps(test_golden.{call}()))"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert json.loads(proc.stdout) == {scenario: list(r) for scenario, r in TRUTH.items()}
+    return json.loads(proc.stdout)
+
+
+x86_64 = pytest.mark.skipif(
+    platform.machine().lower() not in {"x86_64", "amd64"},
+    reason="names x86-64 OpenBLAS kernels and numpy CPU features",
+)
+
+
+@x86_64
+def test_truths_do_not_depend_on_the_blas_kernel():
+    assert on_baseline_kernel("truth_reprs") == {scenario: list(r) for scenario, r in TRUTH.items()}
+
+
+@x86_64
+def test_weights_do_not_depend_on_the_blas_kernel():
+    """The default weights take no LAPACK path and no SIMD power."""
+    assert on_baseline_kernel("weight_hexes") == weight_hexes()

@@ -13,6 +13,7 @@ from hpdiv import (
     RefinementCapWarning,
     bayes_bounds,
     bench,
+    synth,
     true_divergence,
     truncated_normal,
     oracle,
@@ -206,7 +207,7 @@ coarse_cap_warnings = pytest.mark.filterwarnings("ignore::hpdiv.RefinementCapWar
 @pytest.fixture
 def coarse_grids(monkeypatch):
     """Start grids and caps small enough for the point-array reference at
-    d = 2, 3; d = 1 keeps its own. Specs built under it take their masses
+    d = 2, 3; d = 1 keeps its own. Specs read under it take their masses
     on these grids too."""
     monkeypatch.setattr(oracle, "_GRID_START", {1: 2001, 2: 41, 3: 11})
     monkeypatch.setattr(oracle, "_GRID_CAP", {1: 32001, 2: 321, 3: 81})
@@ -255,6 +256,29 @@ class TestMatchesPointArrays:
         for a, b in [("diag", "own"), *_PAIRS]:
             fx, fy = specs[a], specs[b]
             assert true_divergence(fx, fy, 0.4) == points_divergence(fx, fy, 0.4), (a, b)
+
+
+class TestLazyMass:
+    """A truncated normal integrates its mass on first read, so building and
+    sampling a spec run no quadrature."""
+
+    def test_only_the_oracle_integrates(self, monkeypatch):
+        calls = []
+        real = oracle._refined_trapezoid
+        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a) or real(*a))
+        plan = bench.ExperimentPlan(
+            bench.SCENARIO_GAUSS_SHIFT, 2, (100,), tuple(bench.parse_methods("knn:1")), 2
+        )
+        fx, fy = bench.scenario_specs(plan)
+        wide = truncated_normal([0.0], 1.0, (-1e300, 1e300))
+        for spec in (fx, fy, wide):
+            synth.sample(synth.make_state(spec, 0), 50)
+        assert calls == []
+        assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
+        # one call per axis of each mass, once, and one for the divergence
+        assert len(calls) == 2 + 2 + 1
+        mass = fx._mass  # cached: no further call
+        assert len(calls) == 5 and fx._mass is mass
 
 
 class TestWorkingSet:

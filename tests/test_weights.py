@@ -7,7 +7,7 @@ from hpdiv import KCollision, KTooLarge, SingularConstraints, default_l_values, 
 from hpdiv.core import HPDivError
 from hpdiv.weights import WeightSchedule, constraint_matrix
 
-from oracles import minnorm_pinv
+from oracles import minnorm_fractions, minnorm_pinv
 
 
 class TestSolveWeights:
@@ -55,6 +55,24 @@ class TestSolveWeights:
         for j in range(len(null)):
             z = null[j]
             assert np.linalg.norm(w + 0.1 * z) >= norm - 1e-9 * max(1.0, norm)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_closed_form_rounded_once(self, d):
+        # square and wide systems alike: each weight is the exact
+        # A'(AA')^{-1} b rounded once, for the default grid and random sets
+        rng = np.random.default_rng(d)
+        sets = [default_l_values(d), np.linspace(0.5, 6.0, d + 1) ** 2]
+        for size in rng.integers(d + 1, d + 9, size=40):
+            sets.append(np.sort(rng.uniform(0.05, 20.0, size)) + np.arange(size) * 0.05)
+        solved = 0
+        for ls in sets:
+            try:
+                w = solve_weights(ls, d)
+            except SingularConstraints:
+                continue
+            solved += 1
+            assert w.tolist() == minnorm_fractions(constraint_matrix(ls, d)[0])
+        assert solved >= 5
 
     def test_too_few_values(self):
         with pytest.raises(SingularConstraints):
