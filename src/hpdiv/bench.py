@@ -113,7 +113,10 @@ def parse_methods(text: str) -> list[MethodSpec]:
                 raise HPDivError(f"mst takes no argument (got {token!r})")
             specs.append(MethodSpec(kind="mst"))
         elif name == "const":
-            specs.append(MethodSpec(kind="const", value=parse_number(float, arg, what)))
+            value = parse_number(float, arg, what)
+            if not math.isfinite(value):
+                raise HPDivError(f"const needs a finite value (got {token!r})")
+            specs.append(MethodSpec(kind="const", value=value))
         else:
             raise HPDivError(f"unknown method {token!r}")
     if not specs:
@@ -147,8 +150,8 @@ class ExperimentPlan:
             raise HPDivError("trials must be >= 2")
         if not 0 <= self.base_seed < 1 << 127:  # trial_seed shifts it left by one
             raise HPDivError(f"base_seed must lie in [0, 2**127), got {self.base_seed}")
-        if self.truth is not None and not math.isfinite(self.truth):
-            raise HPDivError(f"truth must be finite, got {self.truth}")
+        if self.truth is not None and not 0.0 <= self.truth <= 1.0:
+            raise HPDivError(f"truth must be a finite divergence in [0, 1], got {self.truth}")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise HPDivError("n_grid must be nonempty and strictly increasing")
@@ -190,26 +193,17 @@ def scenario_specs(plan: ExperimentPlan) -> tuple[DistributionSpec, Distribution
     return fx, uniform_box(np.tile(box, (d, 1)))
 
 
-# (scenario, dims, shift, p) -> truth, stored only when the quadrature returns.
-# Pays off where one process repeats a plan (a Monte Carlo sweep), not in `hpdiv bench`.
-_TRUTHS: dict[tuple, float | None] = {}
-
-
 def resolve_truth(plan: ExperimentPlan) -> float | None:
-    """True divergence for the plan: user-supplied, analytic, or None. The
-    quadrature, and any warning it gives, comes once per key and process."""
+    """True divergence for the plan: user-supplied, analytic, or None (csv
+    without --truth, or specs that differ on more than 3 axes)."""
     if plan.truth is not None:
         return float(plan.truth)
     if plan.scenario == SCENARIO_CSV:
         return None
-    key = (plan.scenario, plan.dims, plan.shift, plan.p)
-    if key not in _TRUTHS:
-        fx, fy = scenario_specs(plan)
-        try:
-            _TRUTHS[key] = 0.0 if fx == fy else true_divergence(fx, fy, plan.p)
-        except DimTooHigh:
-            _TRUTHS[key] = None
-    return _TRUTHS[key]
+    try:
+        return true_divergence(*scenario_specs(plan), plan.p)
+    except DimTooHigh:
+        return None
 
 
 def _draw_m(plan: ExperimentPlan, n: int) -> int:

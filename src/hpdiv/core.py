@@ -151,7 +151,10 @@ class EstimateResult:
 def expected_m(n: int, p: float) -> int:
     """Balanced-design size floor(N q / p) for the second sample."""
     mix = MixtureParam(p)
-    return int(math.floor(n * mix.q / mix.p))
+    m = n * mix.q / mix.p
+    if not math.isfinite(m):
+        raise InvalidP(f"the balanced design floor(N q / p) overflows at N={n}, p={p!r}")
+    return int(math.floor(m))
 
 
 def validate_pair(x: PointCloud, y: PointCloud, p: float) -> JointSet:

@@ -3,14 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from hpdiv import PointCloud, bench
-
-
-@pytest.fixture(autouse=True)
-def fresh_truth_memo():
-    """Each test runs its own quadratures: no truth is served from the
-    per-process memo that an earlier test filled."""
-    bench._TRUTHS.clear()
+from hpdiv import PointCloud
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from hpdiv.bench import (
     summarize_csv,
 )
 from hpdiv.core import HPDivError, InvalidP
-from hpdiv.oracle import RefinementCapWarning
 from hpdiv.io import load_points, save_points
 from hpdiv.weights import default_l_values, resolve_schedule
 from hpdiv import PointCloud
@@ -56,6 +55,11 @@ class TestParseMethods:
     @pytest.mark.parametrize("text", ["knn:abc", "wnn:1|x", "const:y", "wnn:", "mst:7", "mst:"])
     def test_malformed_number(self, text):
         with pytest.raises(HPDivError):
+            parse_methods(text)
+
+    @pytest.mark.parametrize("text", ["const:inf", "const:-inf", "const:nan"])
+    def test_const_must_be_finite(self, text):
+        with pytest.raises(HPDivError, match="finite"):
             parse_methods(text)
 
     @pytest.mark.parametrize("text, match", [("knn", "needs a rank"), (", ,,", "no methods")])
@@ -99,6 +103,11 @@ class TestPlanValidation:
         with pytest.raises(InvalidP):
             small_plan(p=1.5)
 
+    @pytest.mark.parametrize("truth", [1e308, 1.5, -0.1, float("inf"), float("nan")])
+    def test_truth_is_a_divergence(self, truth):
+        with pytest.raises(HPDivError, match="finite divergence in \\[0, 1\\]"):
+            small_plan(truth=truth)
+
     @pytest.mark.parametrize("dims", [0, -1])
     def test_dims_floor(self, dims):
         with pytest.raises(HPDivError, match="dims"):
@@ -107,16 +116,22 @@ class TestPlanValidation:
 
 class TestTruth:
     def test_user_truth_wins(self):
-        assert resolve_truth(small_plan(truth=0.42)) == 0.42
+        for truth in (0.42, 0.0, 1.0):  # a divergence's bounds included
+            assert resolve_truth(small_plan(truth=truth)) == truth
 
     def test_identical_specs_yield_zero(self):
-        plan = small_plan(shift=0.0)
-        fx, fy = scenario_specs(plan)
-        assert fx == fy
-        assert resolve_truth(plan) == 0.0
+        # shift 0: the two specs share every axis, so nothing is integrated
+        for dims in (1, 10):
+            assert resolve_truth(small_plan(shift=0.0, dims=dims)) == 0.0
 
     def test_high_dim_without_truth_is_none(self):
-        assert resolve_truth(small_plan(dims=10)) is None
+        # gauss-scale differs on every axis, more than the quadrature takes
+        assert resolve_truth(small_plan(scenario="gauss-scale", dims=10)) is None
+
+    @pytest.mark.parametrize("dims", [2, 4, 10])
+    def test_gauss_shift_truth_at_any_dim(self, dims):
+        # gauss-shift differs on axis 0 alone: the d = 1 truth, bytes and all
+        assert resolve_truth(small_plan(dims=dims)) == resolve_truth(small_plan(dims=1))
 
     def test_csv_without_truth_is_none(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -127,62 +142,13 @@ class TestTruth:
         assert resolve_truth(plan) is None
 
 
-    def test_truth_once_per_process(self, monkeypatch):
-        # Plans that share scenario, dims, shift and p share one quadrature,
-        # in resolve_truth and in run_plan alike. run_plan builds the specs
-        # for its draws, and resolve_truth builds them again only to compute.
-        calls, built = [], []
-        real, real_specs = bench.true_divergence, bench.scenario_specs
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        def counting_specs(plan):
-            built.append(plan)
-            return real_specs(plan)
-
-        monkeypatch.setattr(bench, "true_divergence", counting)
-        monkeypatch.setattr(bench, "scenario_specs", counting_specs)
-        rows = run_plan(small_plan(shift=0.75, base_seed=2, trials=2))
-        assert len(calls) == 1 and len(built) == 2
-        run_plan(small_plan(shift=0.75, base_seed=3, trials=2))
-        assert len(calls) == 1 and len(built) == 3
-        truth = resolve_truth(small_plan(shift=0.75, base_seed=1))
-        assert truth == real(*real_specs(small_plan(shift=0.75)), 0.5)  # the unmemoised value
-        assert all(r.bias == r.mean_est - truth for r in rows)
-        assert resolve_truth(small_plan(shift=0.75, n_grid=(8,))) == truth
-        assert len(calls) == 1
-        assert resolve_truth(small_plan(shift=0.5)) != truth
-        assert len(calls) == 2
-
-    def test_truth_warning_raised_as_error_is_not_memoised(self, monkeypatch):
-        # A quadrature warning comes with the call that computes the truth.
-        # Raised by an "error" filter it stores nothing, so the next call
-        # computes (and raises) again; once stored, the value is served silently.
-        calls = []
-
-        def warning(*args):
-            calls.append(args)
-            warnings.warn("refinement stopped", RefinementCapWarning)
-            return 0.25
-
-        monkeypatch.setattr(bench, "true_divergence", warning)
-        for expected in (1, 2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RefinementCapWarning)
-                with pytest.raises(RefinementCapWarning):
-                    resolve_truth(small_plan())
-            assert len(calls) == expected
-        with pytest.warns(RefinementCapWarning, match="refinement stopped"):
-            assert resolve_truth(small_plan()) == 0.25
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_truth(small_plan()) == 0.25
-        assert len(calls) == 3
-
-
 class TestRunPlan:
+    def test_gauss_shift_d4_reports_bias_and_mse(self):
+        (row,) = run_plan(small_plan(dims=4, n_grid=(64,), trials=3))
+        truth = resolve_truth(small_plan(dims=1))
+        assert row.bias == row.mean_est - truth
+        assert row.mse is not None and row.mse > 0
+
     def test_constant_stub_moments(self):
         plan = small_plan(
             methods=tuple(parse_methods("const:0.3")), truth=0.5, trials=10
@@ -399,7 +365,7 @@ class TestCsvRoundTrip:
         assert csv_cells(path) == summary_cells(out)
 
     def test_round_trip_with_missing_truth(self, tmp_path):
-        plan = small_plan(dims=10, trials=4)  # no truth in 10-D
+        plan = small_plan(scenario="gauss-scale", dims=10, trials=4)  # no truth: 10 axes differ
         out = run_plan(plan)
         assert out[0].bias is None
         path = tmp_path / "r.csv"

@@ -99,6 +99,12 @@ class TestEstimate:
         assert payload["n"] == 2 and payload["m"] == 2
         assert type(payload["dichotomous_count"]) is int and payload["dichotomous_count"] == 4
 
+    def test_overflowing_design_exit_2(self, capsys, hand_files):
+        # floor(N q / p) is not a finite float at p = 1e-320
+        x, y = hand_files
+        argv = ["estimate", "--method", "knn", "--k", "1", "--p", "1e-320", "--x", x, "--y", y]
+        assert_usage_error(capsys, argv, "overflows at N=2, p=1e-320")
+
     def test_mst_hand(self, capsys, hand_files):
         x, y = hand_files
         code, out, _ = run_cli(
@@ -502,6 +508,10 @@ class TestBench:
         ("--shift", "-inf", "finite"),
         ("--truth", "nan", "finite"),
         ("--truth", "inf", "finite"),
+        ("--truth", "1e308", "finite divergence in [0, 1]"),
+        ("--truth", "-0.5", "finite divergence in [0, 1]"),
+        ("--methods", "const:inf", "const needs a finite value"),
+        ("--p", "1e-320", "overflows at N=32, p=1e-320"),
         ("--seed", str(2**127), "2**127"),
         ("--seed", "-1", "2**127"),
     ])
@@ -512,6 +522,12 @@ class TestBench:
         else:
             argv += [f"{flag}={value}"]
         assert_usage_error(capsys, argv, match)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_zero_truncation_mass_exit_2(self, capsys, tmp_path, bench_argv):
+        # the truth, before any draw, finds N(60, 1) with no mass in the box
+        argv = bench_argv + ["--shift", "60"]
+        assert_usage_error(capsys, argv, "truncation mass of axis 0 is 0")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("methods", ["knn:5", "mst"])

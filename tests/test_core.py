@@ -190,6 +190,14 @@ def test_expected_m():
     assert expected_m(7, 2 / 3) == 3   # floor(7 * (1/3) / (2/3)) = floor(3.5)
 
 
+@pytest.mark.parametrize(
+    "n, p", [(1, 1e-320), (50, 5e-324), (10**300, 1e-10)], ids=["tiny-p", "subnormal-p", "huge-n"]
+)
+def test_expected_m_overflow_is_invalid_p(n, p):
+    with pytest.raises(InvalidP, match=f"N={n}, p={p!r}"):
+        expected_m(n, p)
+
+
 def test_estimate_result_clamps():
     z = pool_pair(PointCloud([[0.0], [1.0]]), PointCloud([[2.0], [3.0]]))
 

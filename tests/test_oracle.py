@@ -45,17 +45,18 @@ class TestDensity:
 
     def test_uniform_volume(self):
         u = uniform_box([(-5, 5), (-5, 5)])
-        assert u._on_grid(np.ix_([0.0, 1.0], [0.0, 2.0, 3.0])).tolist() == [[1 / 100] * 3] * 2
+        assert u._on_grid(np.ix_([0.0, 1.0], [0.0, 2.0, 3.0]), [0, 1]).tolist() == [[1 / 100] * 3] * 2
+        assert u._on_grid((np.array([4.0]),), [1]).tolist() == [1 / 10]
 
     def test_gaussian_ratio_cancels_normalizer(self):
         f = truncated_normal([0.0], 1.0, (-5, 5))
-        at_0, at_1 = f._on_grid((np.array([0.0, 1.0]),))
+        at_0, at_1 = f._on_grid((np.array([0.0, 1.0]),), [0])
         assert at_0 / at_1 == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_integrates_to_one(self):
         f = truncated_normal([0.0, 0.5], [1.0, 2.0], (-4, 4))
         grid = np.linspace(-4, 4, 501)
-        vals = f._on_grid(np.ix_(grid, grid))
+        vals = f._on_grid(np.ix_(grid, grid), [0, 1])
         h = grid[1] - grid[0]
         w = np.full(501, h)
         w[0] = w[-1] = h / 2
@@ -67,9 +68,28 @@ class TestTrueDivergence:
         with pytest.raises(HPDivError, match="ambient dimension"):
             true_divergence(uniform_box((0.0, 1.0)), uniform_box([[0.0, 1.0]] * 2), 0.5)
 
-    def test_identical_specs_zero(self):
-        f = truncated_normal([0.0], 1.0, (-5, 5))
-        assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=2e-6)
+    def test_identical_specs_zero(self, monkeypatch):
+        # No axis differs, so nothing is integrated, at any dimension.
+        calls = []
+        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (1, 3, 10):
+                f = truncated_normal(np.zeros(d), 1.0, (-5, 5))
+                assert true_divergence(f, truncated_normal(np.zeros(d), 1.0, (-5, 5)), 0.3) == 0.0
+                assert true_divergence(f, f, 0.5) == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_shared_axes_integrate_to_one(self, d):
+        # Specs that differ on axis 0 alone have the 1-D pair's truth, bytes and all.
+        one = true_divergence(
+            truncated_normal([0.0], 1.0, (-5, 5)), truncated_normal([1.0], 1.5, (-5, 5)), 0.4
+        )
+        mean, cov = np.linspace(-1, 1, d), np.linspace(0.5, 2.0, d)
+        fx = truncated_normal(np.r_[0.0, mean[1:]], np.r_[1.0, cov[1:]], (-5, 5))
+        fy = truncated_normal(np.r_[1.0, mean[1:]], np.r_[1.5, cov[1:]], (-5, 5))
+        assert true_divergence(fx, fy, 0.4) == one
 
     @pytest.mark.parametrize("fx, fy", [
         (uniform_box((0.0, 1.0)), uniform_box((2.0, 3.0))),
@@ -84,9 +104,13 @@ class TestTrueDivergence:
             with pytest.raises(HPDivError, match="specs must share one box"):
                 true_divergence(fx, fy, 0.5)
 
-    def test_identical_uniforms_zero(self):
-        u = uniform_box([(-1.0, 2.0), (0.5, 4.0)])
-        assert true_divergence(u, u, 0.5) == pytest.approx(0.0, abs=1e-12)
+    def test_identical_uniforms_zero(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a))
+        for d in (2, 10):
+            u = uniform_box([(-1.0, 2.0), *[(0.5, 4.0)] * (d - 1)])
+            assert true_divergence(u, uniform_box(u.box), 0.5) == 0.0
+        assert calls == []
 
     def test_frozen_shift_value(self):
         fx = truncated_normal([0.0], 1.0, (-5, 5))
@@ -111,16 +135,24 @@ class TestTrueDivergence:
         assert 0.0 <= a <= 1.0
 
     def test_dim_cap(self):
-        f = truncated_normal(np.zeros(4), 1.0, (-5, 5))
-        with pytest.raises(DimTooHigh):
-            true_divergence(f, f, 0.5)
+        # four differing axes: the cap counts the axes where the specs differ
+        f = truncated_normal(np.zeros(5), 1.0, (-5, 5))
+        g = truncated_normal([0.5, 0.5, 0.0, 0.5, 0.5], 1.0, (-5, 5))
+        with pytest.raises(DimTooHigh, match="differ on 4 axes"):
+            true_divergence(f, g, 0.5)
+        with pytest.raises(DimTooHigh, match="differ on 5 axes"):
+            true_divergence(f, uniform_box([(-5.0, 5.0)] * 5), 0.5)
 
     def test_3d_identical_and_disjoint(self, coarse_grids):
         f = truncated_normal(np.zeros(3), 1.0, (-3, 3))
-        # Doubling from 11 nodes stops at the coarse 3-D cap of 81, short of
-        # _REFINE_TOL.
+        g = truncated_normal(np.full(3, 0.5), 1.0, (-3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert true_divergence(f, truncated_normal(np.zeros(3), 1.0, (-3, 3)), 0.5) == 0.0
+        # g differs on all three axes: doubling from 11 nodes stops at the
+        # coarse 3-D cap of 81, short of _REFINE_TOL.
         with pytest.warns(RefinementCapWarning, match="cap of 81 nodes"):
-            assert true_divergence(f, f, 0.5) == pytest.approx(0.0, abs=5e-4)
+            assert true_divergence(f, g, 0.5) == pytest.approx(0.1557, abs=5e-4)
         a = uniform_box([(0.0, 1.0)] * 3)
         b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(HPDivError, match="one box"):
@@ -131,6 +163,16 @@ class TestTrueDivergence:
         f = truncated_normal([0.0], 1.0, (-5, 5))
         with pytest.raises(InvalidP):
             true_divergence(f, f, p)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_truncation_mass_raises(self, d):
+        # N(60, 1) has no mass in [-5, 5] on the last axis: a typed error, not 0/0
+        fx = truncated_normal(np.zeros(d), 1.0, (-5, 5))
+        fy = truncated_normal(np.r_[np.zeros(d - 1), 60.0], 1.0, (-5, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HPDivError, match=f"truncation mass of axis {d - 1} is 0"):
+                true_divergence(fx, fy, 0.5)
 
 
 class TestSpecValidation:
@@ -169,12 +211,6 @@ class TestSpecValidation:
         with pytest.raises(HPDivError, match=match):
             make()
 
-    def test_equality(self):
-        box = uniform_box([[0.0, 1.0], [0.0, 2.0]])
-        assert box == uniform_box([[0.0, 1.0], [0.0, 2.0]])
-        assert box != uniform_box([[0.0, 1.0], [0.0, 3.0]])
-        assert box.__eq__("box") is NotImplemented and box != "box"
-
     def test_rejects_full_covariance(self):
         with pytest.raises(HPDivError, match="per-axis variances"):
             truncated_normal([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], (-5, 5))
@@ -182,7 +218,9 @@ class TestSpecValidation:
 
 def _specs(d: int) -> dict:
     """Truncated normal and uniform specs; "odd" and "odd_unif" share an
-    asymmetric box, every other spec the box (-5, 5) per axis."""
+    asymmetric box, every other spec the box (-5, 5) per axis. "shift",
+    "ends" and "last" keep the factors of "diag" except on axis 0, on
+    axes 0 and d - 1, and on axis d - 1."""
     odd_box = np.column_stack([np.linspace(-3, -2, d), np.linspace(2.5, 4, d)])
     return {
         "diag": truncated_normal(np.zeros(d), 1.0, (-5, 5)),
@@ -191,11 +229,37 @@ def _specs(d: int) -> dict:
         "unif": uniform_box(np.tile([-5.0, 5.0], (d, 1))),
         "odd": truncated_normal(np.full(d, 0.2), np.linspace(1.3, 0.6, d), odd_box),
         "odd_unif": uniform_box(odd_box),
+        "shift": truncated_normal(np.r_[1.0, np.zeros(d - 1)], 1.0, (-5, 5)),
+        "ends": truncated_normal(np.r_[0.5, np.zeros(d - 1)], np.r_[np.ones(d - 1), 1.5], (-5, 5)),
+        "last": truncated_normal(np.zeros(d), np.r_[np.ones(d - 1), 0.6], (-5, 5)),
     }
 
 
-# normal x normal, normal x uniform, normal x uniform on the odd box, uniform x uniform
-_PAIRS = [("diag", "diag2"), ("diag", "unif"), ("odd", "odd_unif"), ("unif", "unif")]
+# normal x normal, normal x uniform, normal x uniform on the odd box, uniform x
+# uniform, and normal pairs that share every axis but the ones _differing names
+_PAIRS = [
+    ("diag", "diag2"), ("diag", "unif"), ("odd", "odd_unif"), ("unif", "unif"),
+    ("diag", "shift"), ("diag", "ends"), ("diag", "last"),
+]
+
+
+def _differing(pair, d: int) -> list:
+    """The axes where the factors of a pair of _specs(d) differ, as built."""
+    shared = {("unif", "unif"): [], ("diag", "shift"): [0], ("diag", "last"): [d - 1],
+              ("diag", "ends"): sorted({0, d - 1})}
+    return shared.get(pair, list(range(d)))
+
+
+def _marginal(spec, axes):
+    """The spec's factors on ``axes`` alone, as a spec of its own."""
+    if spec.kind == "uniform":
+        return uniform_box(spec.box[axes])
+    return truncated_normal(spec.mean[axes], spec.cov[axes], spec.box[axes])
+
+
+def reference(fx, fy, p, axes) -> float:
+    """The point-array quadrature over the marginals on ``axes``; 0 with none."""
+    return points_divergence(_marginal(fx, axes), _marginal(fy, axes), p) if axes else 0.0
 
 
 # The coarse caps stop many refinements short of _REFINE_TOL; the tests
@@ -214,17 +278,21 @@ def coarse_grids(monkeypatch):
 
 
 class TestMatchesPointArrays:
-    """The per-axis grid evaluation gives the point-array quadrature's bytes."""
+    """The per-axis grid evaluation over the differing axes gives the
+    point-array quadrature's bytes on those axes; the reference integrates
+    every axis it is given."""
 
     @coarse_cap_warnings
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_masses_and_densities(self, coarse_grids, d):
         rng = np.random.default_rng(d)
+        axes = list(range(d))
         for spec in _specs(d).values():
-            assert spec._mass == points_mass(spec)
+            mass = 1.0 if spec.kind == "uniform" else math.prod(map(spec._mass, axes))
+            assert mass == points_mass(spec)
             pts = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(500, d))
             np.testing.assert_array_equal(
-                spec._on_grid(tuple(pts.T)), points_density(spec, pts, spec._mass)
+                spec._on_grid(tuple(pts.T), axes), points_density(spec, pts, mass)
             )
 
     @coarse_cap_warnings
@@ -234,12 +302,19 @@ class TestMatchesPointArrays:
     def test_true_divergence(self, coarse_grids, d, pair, p):
         specs = _specs(d)
         fx, fy = specs[pair[0]], specs[pair[1]]
-        assert true_divergence(fx, fy, p) == points_divergence(fx, fy, p)
+        axes = _differing(pair, d)
+        value = true_divergence(fx, fy, p)
+        assert value == reference(fx, fy, p, axes)
+        if 0 < len(axes) < d:
+            # a shared axis integrates to 1 on the full grid too
+            assert value == pytest.approx(points_divergence(fx, fy, p), abs=1e-6)
 
     def test_default_grids_on_the_bench_pair(self):
         fx = truncated_normal(np.zeros(2), 1.0, (-5, 5))
         fy = truncated_normal([1.0, 0.0], 1.0, (-5, 5))
-        assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
+        value = true_divergence(fx, fy, 0.5)
+        assert value == reference(fx, fy, 0.5, [0])
+        assert value == pytest.approx(points_divergence(fx, fy, 0.5), abs=1e-6)
 
     @coarse_cap_warnings
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -253,14 +328,16 @@ class TestMatchesPointArrays:
             monkeypatch.setattr(oracle, "_GRID_CAP", {1: 1025, 2: 33, 3: 9})
         monkeypatch.setattr(oracle, "_PIECE", piece)
         specs = _specs(d)
-        for a, b in [("diag", "own"), *_PAIRS]:
-            fx, fy = specs[a], specs[b]
-            assert true_divergence(fx, fy, 0.4) == points_divergence(fx, fy, 0.4), (a, b)
+        for pair in [("diag", "own"), *_PAIRS]:
+            fx, fy = specs[pair[0]], specs[pair[1]]
+            axes = _differing(pair, d)
+            assert true_divergence(fx, fy, 0.4) == reference(fx, fy, 0.4, axes), pair
 
 
 class TestLazyMass:
-    """A truncated normal integrates its mass on first read, so building and
-    sampling a spec run no quadrature."""
+    """A truncated normal integrates an axis's mass on the first read of that
+    axis, so building and sampling a spec run no quadrature, and a truth
+    reads only the axes it integrates."""
 
     def test_only_the_oracle_integrates(self, monkeypatch):
         calls = []
@@ -274,11 +351,12 @@ class TestLazyMass:
         for spec in (fx, fy, wide):
             synth.sample(synth.make_state(spec, 0), 50)
         assert calls == []
-        assert true_divergence(fx, fy, 0.5) == points_divergence(fx, fy, 0.5)
-        # one call per axis of each mass, once, and one for the divergence
-        assert len(calls) == 2 + 2 + 1
-        mass = fx._mass  # cached: no further call
-        assert len(calls) == 5 and fx._mass is mass
+        assert true_divergence(fx, fy, 0.5) == reference(fx, fy, 0.5, [0])
+        # the one integrated axis: its mass in each spec, and the divergence
+        assert len(calls) == 1 + 1 + 1
+        mass = fx._mass(0)  # cached: no further call
+        assert len(calls) == 3 and fx._mass(0) is mass
+        assert list(fx._masses) == [0] and list(fy._masses) == [0]
 
 
 class TestWorkingSet:
@@ -288,8 +366,9 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_default_grid_truth_peak(self, d):
+        # gauss-scale differs on every axis, so its truth spans a d-axis grid
         plan = bench.ExperimentPlan(
-            bench.SCENARIO_GAUSS_SHIFT, d, (100,), tuple(bench.parse_methods("knn:1")), 2
+            bench.SCENARIO_GAUSS_SCALE, d, (100,), tuple(bench.parse_methods("knn:1")), 2
         )
         fx, fy = bench.scenario_specs(plan)
         tracemalloc.start()
