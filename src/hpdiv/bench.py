@@ -10,13 +10,14 @@ run on its thread within that thread's share of the neighbor byte budget,
 as in an estimate call. Each trial keys its own counter-based streams from
 (base seed, trial), so results do not depend on HPDIV_THREADS.
 
-Every draw at one n pools n + ``_draw_m(plan, n)`` points, so the ranks of
-each knn and wnn (method, n) cell are resolved, and checked by
-``neighbors.checked_ranks``, once, before its trials. A rank or schedule
-error (an HPDivError) aborts only its own cell: the error is reported as a
-CellErrorWarning, the cell runs no trial and the remaining cells still
-run; an n whose every cell aborted draws no sample. Any other exception is
-a bug and propagates out of run_plan.
+In every scenario a draw at n pools n points of the plan's first source and
+``_draw_m(plan, n)`` = floor(n q / p) of its second (csv resamples its
+files' rows), so the ranks of each knn and wnn (method, n) cell are
+resolved, and checked by ``neighbors.checked_ranks``, once, before its
+trials. A rank or schedule error (an HPDivError) aborts only its own cell:
+the error is reported as a CellErrorWarning, the cell runs no trial and the
+remaining cells still run; an n whose every cell aborted draws no sample.
+Any other exception is a bug and propagates out of run_plan.
 """
 
 from __future__ import annotations
@@ -207,20 +208,21 @@ def resolve_truth(plan: ExperimentPlan) -> float | None:
 
 
 def _draw_m(plan: ExperimentPlan, n: int) -> int:
-    """Size m of the second sample of every draw at n: n for csv,
-    max(expected_m(n, p), 1) otherwise."""
-    return n if plan.scenario == SCENARIO_CSV else max(expected_m(n, plan.p), 1)
+    """Balanced size max(floor(n q / p), 1) of every second sample at n."""
+    return max(expected_m(n, plan.p), 1)
 
 
-def _draw_pair(plan: ExperimentPlan, specs, clouds, n: int, t: int):
+def _draw_pair(plan: ExperimentPlan, sources, n: int, t: int):
+    """n points of sources[0] and _draw_m(plan, n) of sources[1]: a spec is
+    sampled, a PointCloud's rows are resampled with replacement."""
     pair = []
-    for role, size in enumerate((n, _draw_m(plan, n))):
+    for role, (source, size) in enumerate(zip(sources, (n, _draw_m(plan, n)))):
         key = trial_seed(plan.base_seed, t, role)
-        if clouds:  # csv: resample the files' rows
-            rows = seeded_rng(key).integers(0, len(clouds[role]), size=size)
-            pair.append(PointCloud(clouds[role].points[rows]))
+        if isinstance(source, PointCloud):
+            rows = seeded_rng(key).integers(0, len(source), size=size)
+            pair.append(PointCloud(source.points[rows]))
         else:
-            pair.append(sample(make_state(specs[role], key), size))
+            pair.append(sample(make_state(source, key), size))
     return tuple(pair)
 
 
@@ -249,10 +251,10 @@ def _neighbor_cells(plan: ExperimentPlan, n: int, dim: int) -> tuple[dict, set]:
     return cells, failed
 
 
-def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
+def _run_trial(plan, sources, sums, n, t) -> dict[str, float]:
     """All method values for one (n, trial); ``sums`` holds the checked
     ranks and weights of the knn and wnn cells that run."""
-    x, y = _draw_pair(plan, specs, clouds, n, t)
+    x, y = _draw_pair(plan, sources, n, t)
     z = pool_pair(x, y)  # p is checked by the plan
     stats = neighbor_statistics(z, sums)
     out = {label: affine_map(stat, z.n_x, z.n_y) for label, stat in stats.items()}
@@ -266,18 +268,15 @@ def _run_trial(plan, specs, clouds, sums, n, t) -> dict[str, float]:
 
 def run_plan(plan: ExperimentPlan) -> list[TrialSummary]:
     """Execute the full plan and aggregate per-(method, n) summaries."""
-    specs = scenario_specs(plan)
-    clouds = None
-    if plan.scenario == SCENARIO_CSV:
-        clouds = (load_points(plan.x_path), load_points(plan.y_path))
+    sources = scenario_specs(plan) or (load_points(plan.x_path), load_points(plan.y_path))
     truth = resolve_truth(plan)
-    dim = clouds[0].dim if clouds else plan.dims
+    dim = sources[0].dim
     summaries: list[TrialSummary] = []
     for n in plan.n_grid:
         sums, failed = _neighbor_cells(plan, n, dim)
         if len(failed) == len(plan.methods):
             continue
-        trial = partial(_run_trial, plan, specs, clouds, sums, n)
+        trial = partial(_run_trial, plan, sources, sums, n)
         results = thread_map(trial, range(plan.trials))
         for label in (s.label for s in plan.methods if s.label not in failed):
             vals = np.asarray([r[label] for r in results], float)

@@ -2,8 +2,8 @@
 
 Primary output is machine-parsable (JSON on stdout, CSV files for tables)
 and deterministic for a fixed seed. Exit codes: 0 success, 2 usage or
-validation error, 3 numeric runtime failure. Every error, a usage error
-from argument parsing included, is reported as one JSON line on stderr.
+validation error, 3 numeric runtime failure or out of memory. Every error,
+a usage error from argument parsing included, is one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .weights import (
     solve_weights,
 )
 
-# errors that indicate a numeric failure at runtime rather than bad input
-_NUMERIC_ERRORS = (SingularConstraints, RejectionStall)
+# errors that indicate a numeric or memory failure at runtime rather than bad input
+_NUMERIC_ERRORS = (SingularConstraints, RejectionStall, MemoryError)
 
 
 def _emit(obj) -> None:
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (HPDivError, OSError) as exc:
+    except (HPDivError, OSError, MemoryError) as exc:
         return _fail(exc)
 
 

@@ -149,10 +149,10 @@ class EstimateResult:
 
 
 def expected_m(n: int, p: float) -> int:
-    """Balanced-design size floor(N q / p) for the second sample."""
+    """Balanced-design size floor(N q / p) for the second sample, below 2**53."""
     mix = MixtureParam(p)
     m = n * mix.q / mix.p
-    if not math.isfinite(m):
+    if not m < 2.0**53:  # from 2**53 on a float64 skips whole numbers
         raise InvalidP(f"the balanced design floor(N q / p) overflows at N={n}, p={p!r}")
     return int(math.floor(m))
 

@@ -224,22 +224,46 @@ class TestRunPlan:
             scenario=scenario, dims=2, n_grid=(160,), p=0.4, x_path=str(xp), y_path=str(yp),
             methods=tuple(parse_methods("knn:5,wnn,mst")),
         )
-        specs = scenario_specs(plan)
-        clouds = (load_points(xp), load_points(yp)) if scenario == "csv" else None
+        sources = scenario_specs(plan) or (load_points(xp), load_points(yp))
         sums, failed = bench._neighbor_cells(plan, 160, 2)
         assert failed == set()
         t = 3
-        got = bench._run_trial(plan, specs, clouds, sums, 160, t)
-        x, y = bench._draw_pair(plan, specs, clouds, 160, t)
+        got = bench._run_trial(plan, sources, sums, 160, t)
+        x, y = bench._draw_pair(plan, sources, 160, t)
         schedule = resolve_schedule(default_l_values(2), 2, 160)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the csv pair is off the balanced ratio
+            warnings.simplefilter("error")  # both pairs follow the balanced design
             want = {
                 "knn:5": knn_estimate(x, y, 5, plan.p).value,
                 "wnn": wnn_estimate(x, y, schedule, plan.p).value,
                 "mst": mst_estimate(x, y, plan.p).value,
             }
         assert got == want
+
+    @pytest.mark.parametrize("p, m", [(0.4, 240), (0.5, 160)])
+    def test_csv_pool_follows_the_balanced_design(self, monkeypatch, tmp_path, p, m):
+        # The files' rows are resampled to n and floor(n q / p), as a
+        # synthetic scenario draws, whatever the files' own sizes.
+        rng = np.random.default_rng(9)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        save_points(xp, PointCloud(rng.normal(size=(50, 2))))
+        save_points(yp, PointCloud(rng.normal(size=(70, 2))))
+        pools = []
+        real = bench.pool_pair
+
+        def spy(x, y):
+            z = real(x, y)
+            pools.append((z.n_x, z.n_y))
+            return z
+
+        monkeypatch.setattr(bench, "pool_pair", spy)
+        plan = small_plan(
+            scenario="csv", n_grid=(160,), trials=3, p=p, x_path=str(xp), y_path=str(yp),
+            methods=tuple(parse_methods("knn:3,mst")),
+        )
+        knn, mst = run_plan(plan)
+        assert pools == [(160, m)] * 3
+        assert (knn.method, mst.method) == ("knn:3", "mst")
 
     def test_neighbor_pass_sees_only_passing_cells(self, monkeypatch):
         # Ranks must fit |Z| - 1 = 63 at n=32 and 127 at n=64: knn:100 runs at
@@ -290,9 +314,9 @@ class TestRunPlan:
         draws = []
         real = bench._draw_pair
 
-        def spy(plan, specs, clouds, n, t):
+        def spy(plan, sources, n, t):
             draws.append(n)
-            return real(plan, specs, clouds, n, t)
+            return real(plan, sources, n, t)
 
         monkeypatch.setattr(bench, "_draw_pair", spy)
         with pytest.warns(CellErrorWarning) as caught:

@@ -554,6 +554,25 @@ class TestBench:
         assert_usage_error(capsys, argv, "2**127")
         assert not out.exists()
 
+    def test_csv_balanced_size_past_2_53_exit_2(self, capsys, tmp_path, csv_files):
+        # floor(N q / p) = 5e18 at N = 50 is a finite float that skips whole numbers
+        out = tmp_path / "r.csv"
+        argv = ["bench", *csv_files, "--p", "1e-17", "--n-grid", "50", "--trials", "2",
+                "--methods", "knn:1", "--out", str(out)]
+        assert_usage_error(capsys, argv, "overflows at N=50, p=1e-17")
+        assert not out.exists()
+
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch, bench_argv, tmp_path):
+        def refused(plan):
+            raise MemoryError("Unable to allocate 364. TiB")
+
+        monkeypatch.setattr(hpdiv.bench, "run_plan", refused)
+        code, out, err = run_cli(capsys, bench_argv)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "MemoryError", "message": "Unable to allocate 364. TiB"}
+        assert not (tmp_path / "r.csv").exists()
+
     def test_csv_wnn_ignores_dims(self, capsys, tmp_path, csv_files):
         # --dims sets the synthetic scenarios only: a csv plan solves its wnn
         # weights at the dimension of its files.

@@ -191,7 +191,10 @@ def test_expected_m():
 
 
 @pytest.mark.parametrize(
-    "n, p", [(1, 1e-320), (50, 5e-324), (10**300, 1e-10)], ids=["tiny-p", "subnormal-p", "huge-n"]
+    "n, p",
+    [(1, 1e-320), (50, 5e-324), (10**300, 1e-10), (128, 1e-300), (50, 1e-17)],
+    # the last two are finite floats past 2**53, where whole numbers are skipped
+    ids=["tiny-p", "subnormal-p", "huge-n", "m-1e302", "m-5e18"],
 )
 def test_expected_m_overflow_is_invalid_p(n, p):
     with pytest.raises(InvalidP, match=f"N={n}, p={p!r}"):

@@ -54,6 +54,8 @@ BENCH_ABORTS = [
     "cell knn:300 @ n=128 aborted: ranks must lie in [1, 255], got 300..300",
 ]
 BENCH_CSV = "805da05c2c8d168955bdc17b26991bb2c01bff0f87abb59834a635be448e1dec"
+# the csv scenario on the gen files at p = 1/2, where floor(n q / p) = n
+BENCH_CSV_FILES = "926f10f02361692dfad5851faba51032fc9b2293ade9b640164f9f4c84dcd325"
 ESTIMATE = {
     "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
     "wnn": "69bc826d06cd593fe73e33ce23f63265c0d908b1224486d69ecb034ad6c794e3",
@@ -115,6 +117,17 @@ def test_bench_csv(tmp_path, capsys, monkeypatch, threads):
     assert [str(w.message) for w in seen] == BENCH_ABORTS
     assert all(w.category is bench.CellErrorWarning for w in seen)
     assert sha256(out.read_bytes()) == BENCH_CSV
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_csv_files(tmp_path, capsys, monkeypatch, gen_files, threads):
+    monkeypatch.setenv("HPDIV_THREADS", threads)
+    x, y = gen_files
+    out = tmp_path / "bench.csv"
+    cli(capsys, ["bench", "--scenario", "csv", "--x", x, "--y", y, "--n-grid", "50,100",
+                 "--trials", "4", "--seed", "5", "--methods", "knn:3,wnn:1|2|3,mst",
+                 "--out", str(out)])
+    assert sha256(out.read_bytes()) == BENCH_CSV_FILES
 
 
 def truth_repr(scenario, d):
