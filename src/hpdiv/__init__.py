@@ -3,9 +3,9 @@
 Three estimators over the pooled sample Z = X u Y share one statistic
 family (an affine map of a dichotomous count): a single-rank neighbor
 estimator, a weighted neighbor ensemble, and the MST dichotomous-edge
-count. A quadrature oracle supplies ground truth for synthetic densities,
-and divergence values translate into Bayes classification error bounds at
-p = 1/2.
+count. A quadrature oracle supplies ground truth for synthetic densities
+at any dimension, and divergence values translate into Bayes
+classification error bounds at any prior p.
 """
 
 from .core import (
@@ -27,7 +27,6 @@ from .mst import SpanningTree, TooFewPoints, build_emst, mst_estimate
 from .neighbors import NeighborIndex, build_index, neighbor_table
 from .oracle import (
     BayesBounds,
-    DimTooHigh,
     DistributionSpec,
     RefinementCapWarning,
     bayes_bounds,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesBounds",
-    "DimTooHigh",
     "DimensionMismatch",
     "DistributionSpec",
     "EmptyCloud",

@@ -43,7 +43,7 @@ from .estimators import neighbor_statistics
 from .io import load_points
 from .mst import build_emst, dichotomous_edge_count
 from .neighbors import checked_ranks
-from .oracle import DimTooHigh, DistributionSpec, true_divergence, truncated_normal, uniform_box
+from .oracle import DistributionSpec, true_divergence, truncated_normal, uniform_box
 from .synth import make_state, sample, seeded_rng, trial_seed
 from .weights import default_l_values, resolve_schedule
 
@@ -195,16 +195,13 @@ def scenario_specs(plan: ExperimentPlan) -> tuple[DistributionSpec, Distribution
 
 
 def resolve_truth(plan: ExperimentPlan) -> float | None:
-    """True divergence for the plan: user-supplied, analytic, or None (csv
-    without --truth, or specs that differ on more than 3 axes)."""
+    """True divergence for the plan: user-supplied, the oracle's for a
+    synthetic scenario at any --dims, or None (csv without --truth)."""
     if plan.truth is not None:
         return float(plan.truth)
     if plan.scenario == SCENARIO_CSV:
         return None
-    try:
-        return true_divergence(*scenario_specs(plan), plan.p)
-    except DimTooHigh:
-        return None
+    return true_divergence(*scenario_specs(plan), plan.p)
 
 
 def _draw_m(plan: ExperimentPlan, n: int) -> int:

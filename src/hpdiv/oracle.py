@@ -1,41 +1,31 @@
 """Ground-truth divergence by deterministic quadrature, plus the
 translation of a divergence value into Bayes classification error bounds.
 
-The divergence functional is
+With q = 1 - p and g(S) = 1 / (p e^(-S) + q),
 
-    D_p(f_X, f_Y) = 1 - integral  f_X(x) f_Y(x) / (p f_X(x) + q f_Y(x)) dx
+    D_p(f_X, f_Y) = 1 - integral f_X f_Y / (p f_X + q f_Y) dx = 1 - E_X[g(S)],
 
-Both densities are products of per-axis factors. On an axis where the two
-factors agree (same kind and, for truncated normals, same mean_j and
-variance_j) the factor integrates out to 1, so the integral runs over the
-differing axes alone (exactly 0 with none, DimTooHigh past 3), on
-tensor-product trapezoid grids refined by node doubling until successive
-values agree to 1e-6. Deterministic quadrature keeps regression values
-stable, which Monte Carlo would not.
+where S = sum_j phi_j(X_j) and phi_j = log f_Y,j - log f_X,j. Both densities
+are products of per-axis factors, so the law of S is a convolution of 1-D
+laws, at every dimension. An axis where the two factors agree (same kind
+and, for truncated normals, same mean_j and variance_j) has phi_j = 0 and
+drops out: identical specs give exactly 0.0 with no quadrature.
 
-Both specs must carry one box, the grid's; specs on different boxes raise
-HPDivError. Every grid node lies in that box, so the integrand evaluates
-each density with no box mask: a uniform is 1/volume everywhere, and a
-truncated normal is its Gaussian over the truncation masses of those
-axes, each integrated on its first read. The integrand comes from
-per-axis factors: each call is an open mesh of the lines' lead
-coordinates against the last axis, and a diagonal Gaussian's exponent is
-the broadcast sum, in axis order, of (x_j - mu_j)^2/s2_j. Each grid value
-is the same operations on the same operands, in the same order, as on a
-materialized (points, k) array of the k integrated axes, so its bytes are
-too. Truncated normals are per-axis (diagonal covariance) only.
+On a differing axis, trapezoid node x_i carries X-mass w_i f_X,j(x_i) at
+phi_j(x_i), both factors normalized on those nodes; phi_j is the difference
+of the two log factors in closed form (a quadratic, 0 for a uniform), so no
+log of a density is taken. One axis is summed exactly at its nodes. Two or
+more are binned linearly at width h, clipped where S no longer moves g
+(|S - log(p/q)| > 40, where g is within e^-40 of its limits, widened by the
+other axes' spans) and convolved by a fixed-order tap loop. One refinement
+loop doubles the nodes (2001, at most 64001) and halves h (0.032 first)
+until two values agree to 1e-6. Each exp is one math.exp call and each sum
+a math.fsum or the tap loop, so no truth depends on numpy's SIMD exp or on
+BLAS (np.convolve goes through it). Both specs must carry one box, the
+nodes'; specs on different boxes raise HPDivError.
 
-One summation level fixes every sum: numpy sums each line along the last
-axis against its weights, in the call that computes it; each line sum is
-scaled by the product of its lead weights in axis order; math.fsum adds
-the lines. No sum depends on how lines group into calls, and none goes
-through BLAS, so a truth does not depend on the BLAS kernel. A call holds
-whole lines, at most _PIECE points unless one line is longer, so a
-default-grid truth peaks at about 0.8 MB of traced memory over 2 axes
-and 1.1 MB over 3.
-
-At any prior p (q = 1 - p) the divergence brackets the two-class Bayes
-error: with u = 4pq D_p + (p - q)^2,
+At any prior p the divergence brackets the two-class Bayes error: with
+u = 4pq D_p + (p - q)^2,
 
     (1 - sqrt(u))/2  <=  error  <=  min((1 - u)/2, p, q),
 
@@ -46,8 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,39 +45,28 @@ from .core import HPDivError, MixtureParam
 KIND_TRUNC_NORMAL = "tnorm"
 KIND_UNIFORM = "uniform"
 
-# starting nodes per axis and refinement caps, by dimension
-_GRID_START = {1: 2001, 2: 401, 3: 101}
-_GRID_CAP = {1: 32001, 2: 1601, 3: 401}
+# first level's nodes per axis and bin width; each level doubles one, halves the other
+_NODES = 2001
+_NODES_CAP = 64001
+_BIN_WIDTH = 0.032
 _REFINE_TOL = 1e-6
-# Max grid points per integrand call; a call holds at least one whole line.
-# Its float64 temporaries then stay under glibc's 128 KiB mmap threshold: at
-# 2**15 a fresh process took about 22.7k minor page faults per d = 3 truth,
-# against about 350, and ran 1.15x slower (median of 6, 2 cores).
-_PIECE = 1 << 14
-
-
-class DimTooHigh(HPDivError):
-    """The specs differ on more than 3 axes, the most a tensor grid integrates."""
+# g(S) is within e^-40 of its limits once |S - log(p/q)| passes this
+_WINDOW = 40.0
 
 
 class RefinementCapWarning(UserWarning):
-    """Grid doubling reached its cap before two values agreed to _REFINE_TOL."""
+    """Node doubling reached its cap before two values agreed to _REFINE_TOL."""
 
 
 @dataclass(frozen=True, eq=False)
 class DistributionSpec:
-    """Analytic density on an axis-aligned box: truncated normal or uniform.
-
-    Truncated normals have a diagonal covariance and renormalize the
-    Gaussian mass inside the box; the normalizer is the product of per-axis
-    masses, each by the trapezoid quadrature the divergence integral uses.
-    """
+    """Analytic density on an axis-aligned box: a truncated normal with a
+    diagonal covariance, renormalized to the box, or a uniform."""
 
     kind: str
     box: np.ndarray                 # (d, 2) finite bounds and widths, lower < upper
     mean: np.ndarray | None = None  # (d,), tnorm only
     cov: np.ndarray | None = None   # (d,) per-axis variances, tnorm only
-    _masses: dict = field(default_factory=dict, init=False, repr=False)  # axis -> mass
 
     def __post_init__(self):
         box = np.array(self.box, dtype=np.float64)
@@ -132,33 +110,11 @@ class DistributionSpec:
         """What fixes the density's factor on axis j, besides the box row."""
         return (self.kind,) if self.mean is None else (self.kind, self.mean[j], self.cov[j])
 
-    def _on_grid(self, grid, axes) -> np.ndarray:
-        """Normalized marginal density on the axes ``axes`` at the broadcast
-        of the per-axis coordinate arrays ``grid``, every node inside the box."""
-        if self.kind == KIND_UNIFORM:
-            volume = float(np.prod(self.box[axes, 1] - self.box[axes, 0]))
-            return np.full(np.broadcast(*grid).shape, 1.0 / volume)
-        mass = math.prod(map(self._mass, axes))
-        return _gauss(grid, self.mean[axes], self.cov[axes]) / mass
-
-    def _mass(self, j: int) -> float:
-        """Truncation mass of axis j, integrated on its first read (only the oracle reads it)."""
-        if j not in self._masses:
-            axis = partial(_gauss, mean=self.mean[j : j + 1], cov=self.cov[j : j + 1])
-            mass = _refined_trapezoid(axis, self.box[j : j + 1], 1)
-            if not mass > 0:
-                raise HPDivError(f"truncation mass of axis {j} is 0 in box {self.box[j].tolist()}")
-            self._masses[j] = mass
-        return self._masses[j]
-
-
-def _gauss(axes, mean, cov) -> np.ndarray:
-    """Diagonal Gaussian density, without a truncation renormalizer, at the
-    broadcast of the per-axis coordinate arrays ``axes``."""
-    # added in axis order, as numpy sums the last axis of a points array
-    quad = sum(((x - mu) * (x - mu)) / s2 for x, mu, s2 in zip(axes, mean, cov))
-    norm = math.sqrt((2 * math.pi) ** len(mean) * float(np.prod(cov)))
-    return np.exp(-0.5 * quad) / norm
+    def _exponent(self, j: int, x: np.ndarray) -> np.ndarray:
+        """Log of the factor on axis j at the nodes x, up to its normalizer."""
+        if self.mean is None:
+            return np.zeros_like(x)
+        return -0.5 * (((x - self.mean[j]) * (x - self.mean[j])) / self.cov[j])
 
 
 def truncated_normal(mean, cov, box) -> DistributionSpec:
@@ -180,74 +136,120 @@ def _as_box(box, dim: int) -> np.ndarray:
     return box
 
 
-def _tensor_trapezoid(f, box: np.ndarray, n_nodes: int) -> float:
-    """Composite trapezoid of f over the box with n_nodes per axis; f maps
-    an open grid (one broadcastable array per axis) to values on the grid."""
-    dim = box.shape[0]
-    axes, weights = [], []
-    for j in range(dim):
-        lo, hi = box[j]
-        nodes = np.linspace(lo, hi, n_nodes)
-        h = (hi - lo) / (n_nodes - 1)
-        wj = np.full(n_nodes, h)
-        wj[0] = wj[-1] = h / 2.0
-        axes.append(nodes)
-        weights.append(wj)
-    # one weighted sum per line along the last axis, whole lines per call
-    sums = np.empty(n_nodes ** (dim - 1))
-    step = max(1, _PIECE // n_nodes)
-    for start in range(0, len(sums), step):
-        lines = np.arange(start, min(start + step, len(sums)))
-        lead = [lines // n_nodes ** (dim - 2 - j) % n_nodes for j in range(dim - 1)]
-        vals = f([*(x[i][:, None] for x, i in zip(axes, lead)), axes[-1][None, :]])
-        line_w = math.prod(w[i] for w, i in zip(weights, lead))
-        sums[start : start + step] = (vals * weights[-1]).sum(axis=-1) * line_w
-    return math.fsum(sums)
+def _exp(a: np.ndarray) -> np.ndarray:
+    """math.exp of each entry: numpy's SIMD exp differs by CPU feature set."""
+    return np.fromiter(map(math.exp, memoryview(a)), np.float64, len(a))
 
 
-def _refined_trapezoid(f, box: np.ndarray, dim: int) -> float:
-    n = _GRID_START[dim]
-    prev = _tensor_trapezoid(f, box, n)
-    change = None
-    while 2 * (n - 1) + 1 <= _GRID_CAP[dim]:
-        n = 2 * (n - 1) + 1
-        cur = _tensor_trapezoid(f, box, n)
-        change = abs(cur - prev)
-        if change < _REFINE_TOL:
-            return cur
-        prev = cur
-    if change is not None:
-        warnings.warn(
-            f"quadrature refinement stopped at its cap of {n} nodes per axis; "
-            f"the last doubling moved the value by {change:.3g} (tolerance {_REFINE_TOL:g})",
-            RefinementCapWarning,
-            stacklevel=3,
-        )
-    return prev
+def _axis_law(fx: DistributionSpec, fy: DistributionSpec, j: int, n: int):
+    """(phi, mass): n trapezoid nodes on axis j, each carrying X-mass
+    w_i f_X,j(x_i) at phi_j(x_i) = log f_Y,j(x_i) - log f_X,j(x_i), both
+    factors normalized on the nodes."""
+    lo, hi = fx.box[j]
+    x = np.linspace(lo, hi, n)
+    ex, ey = fx._exponent(j, x), fy._exponent(j, x)
+    mass, y_mass = _exp(ex), _exp(ey)
+    for f in (mass, y_mass):  # times the trapezoid weights
+        f *= (hi - lo) / (n - 1)
+        f[[0, -1]] /= 2.0
+    mx, my = math.fsum(memoryview(mass)), math.fsum(memoryview(y_mass))
+    if not (mx > 0 and my > 0):
+        raise HPDivError(f"truncation mass of axis {j} is 0 in box {fx.box[j].tolist()}")
+    ey -= ex
+    ey += math.log(mx) - math.log(my)
+    mass /= mx
+    return ey, mass
+
+
+def _binned(phi: np.ndarray, mass: np.ndarray, h: float) -> tuple[float, np.ndarray]:
+    """(base, bins): the law on the grid base + k h, each node's mass split
+    linearly between the two bins around it; phi and mass are overwritten."""
+    base = float(phi.min())
+    phi -= base
+    phi /= h
+    k = phi.astype(np.int64)
+    phi -= k
+    phi *= mass  # the upper bin's share
+    mass -= phi
+    top = int(k.max()) + 2
+    bins = np.bincount(k, mass, top)
+    k += 1
+    bins += np.bincount(k, phi, top)
+    return base, bins
+
+
+def _clipped(base: float, bins: np.ndarray, lo: float, hi: float, h: float):
+    """(base, bins) with the mass of the bins below lo and above hi moved onto
+    the outermost bins kept."""
+    a = min(max(math.ceil((lo - base) / h), 0), len(bins) - 1)
+    b = max(min(math.floor((hi - base) / h) + 1, len(bins)), a + 1)
+    kept = bins[a:b].copy()
+    kept[0] += math.fsum(memoryview(bins[:a]))
+    kept[-1] += math.fsum(memoryview(bins[b:]))
+    return base + a * h, kept
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution, one tap of the shorter operand at a time."""
+    if len(b) > len(a):
+        a, b = b, a
+    out, term = np.zeros(len(a) + len(b) - 1), np.empty(len(a))
+    for k, tap in enumerate(b.tolist()):
+        window = out[k : k + len(a)]
+        np.add(window, np.multiply(a, tap, out=term), out=window)
+    return out
+
+
+def _mean_g(fx: DistributionSpec, fy: DistributionSpec, axes, prior, n: int, h: float) -> float:
+    """E[g(S)] on n nodes per axis and, past one axis, bins of width h."""
+    centre = math.log(prior.p / prior.q)
+    if len(axes) == 1:
+        s, mass = _axis_law(fx, fy, axes[0], n)
+    else:
+        shared, laws = {}, []  # axes with the same two factors and box row share one law
+        for j in axes:
+            key = (fx._factor(j), fy._factor(j), *fx.box[j].tolist())
+            if key not in shared:
+                shared[key] = _binned(*_axis_law(fx, fy, j, n), h)
+            laws.append(shared[key])
+        lows = [base for base, _ in laws]
+        highs = [base + (len(bins) - 1) * h for base, bins in laws]
+        s, mass = 0.0, np.ones(1)
+        for (base, bins), low, high in zip(laws, lows, highs):
+            # past these, S leaves the window whatever the other axes give
+            base, bins = _clipped(base, bins, centre - _WINDOW - (sum(highs) - high),
+                                  centre + _WINDOW - (sum(lows) - low), h)
+            s, mass = s + base, _convolve(mass, bins)
+        s = s + np.arange(len(mass)) * h
+    s = np.clip(s, centre - _WINDOW, centre + _WINDOW)
+    return math.fsum(memoryview(mass / (prior.p * _exp(-s) + prior.q)))
 
 
 def true_divergence(fx: DistributionSpec, fy: DistributionSpec, p: float) -> float:
-    """Quadrature value of D_p between two analytic specs on one box, over the
-    axes where their factors differ: exactly 0.0 with none, DimTooHigh past 3."""
+    """Quadrature value of D_p between two analytic specs on one box, from the
+    law of S over the axes where their factors differ: exactly 0.0 with none."""
     if fx.dim != fy.dim:
         raise HPDivError("specs must share an ambient dimension")
     if not np.array_equal(fx.box, fy.box):
         raise HPDivError("specs must share one box")
     prior = MixtureParam(p)  # raises InvalidP
-    p, q = prior.p, prior.q
     axes = [j for j in range(fx.dim) if fx._factor(j) != fy._factor(j)]
     if not axes:
         return 0.0
-    if len(axes) not in _GRID_START:
-        raise DimTooHigh(f"the specs differ on {len(axes)} axes, more than {max(_GRID_START)}")
-
-    def integrand(grid):
-        a = fx._on_grid(grid, axes)
-        b = fy._on_grid(grid, axes)
-        den = p * a + q * b  # 0 where both Gaussians underflow
-        return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
-
-    value = _refined_trapezoid(integrand, fx.box[axes], len(axes))
+    n, h = _NODES, _BIN_WIDTH
+    value = _mean_g(fx, fy, axes, prior, n, h)
+    while 2 * n - 1 <= _NODES_CAP:
+        n, h, prev = 2 * n - 1, h / 2, value
+        value = _mean_g(fx, fy, axes, prior, n, h)
+        if abs(value - prev) < _REFINE_TOL:
+            break
+    else:
+        warnings.warn(
+            f"quadrature refinement stopped at its cap of {n} nodes per axis; the last doubling "
+            f"moved the value by {abs(value - prev):.3g} (tolerance {_REFINE_TOL:g})",
+            RefinementCapWarning,
+            stacklevel=2,
+        )
     return float(min(1.0, max(0.0, 1.0 - value)))
 
 

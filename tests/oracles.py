@@ -4,8 +4,9 @@ Each oracle takes a deliberately different route from the code it checks:
 full-matrix linear scans instead of tree search, Kruskal instead of Prim,
 pseudoinverse least-squares and rational Gauss-Jordan (Fraction) instead
 of the fraction-free integer Gram solve, adaptive
-Gauss-Kronrod quadrature instead of trapezoid grids, and trapezoid grids
-over materialized point arrays instead of per-axis factors.
+Gauss-Kronrod quadrature instead of trapezoid grids, and a tensor
+trapezoid grid over every integrated axis at once instead of the law of the
+log density ratio.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
-
-from hpdiv import oracle
 
 
 def scan_rank_table(points: np.ndarray, ranks=None) -> np.ndarray:
@@ -146,88 +145,97 @@ def quad_bayes_error_1d(fx, fy, lo: float, hi: float, p: float = 0.5) -> float:
     return val
 
 
-# The package's tensor-grid quadrature with every grid value taken from a
-# materialized (points, d) array, summed in the package's order: each line
-# along the last axis, then math.fsum over the weighted lines. The per-axis
-# evaluation must match it bit for bit, so the arithmetic here is kept op for
-# op; the grid constants are read from the package at call time so a test can
-# shrink them for both sides at once.
+# The tensor trapezoid grid the package integrated on before it summed the law
+# of the log density ratio, kept as the reference for it: every integrated
+# axis gridded at once, the integrand evaluated on an open mesh of whole lines
+# along the last axis, doubled from GRID_START[d] nodes per axis until two
+# values agree to GRID_TOL or GRID_CAP[d] stops it. A truncation mass is the
+# product of per-axis masses, each refined on its own 1-D grid.
+GRID_START = {1: 2001, 2: 401, 3: 101}
+GRID_CAP = {1: 32001, 2: 1601, 3: 401}
+GRID_TOL = 1e-6
+_LINE_POINTS = 1 << 14
 
 
-def _points_gauss(spec, x):
-    diff = x - spec.mean
-    quad = ((diff * diff) / spec.cov).sum(axis=-1)
-    norm = math.sqrt((2 * math.pi) ** spec.dim * float(np.prod(spec.cov)))
-    return np.exp(-0.5 * quad) / norm
+def grid_trapezoid(f, box, n: int) -> np.ndarray:
+    """Composite trapezoid over the box, n nodes per axis, of each integrand
+    in the stack f returns for an open mesh (one broadcastable array per
+    axis): one value per integrand."""
+    dim = len(box)
+    nodes = [np.linspace(lo, hi, n) for lo, hi in box]
+    weights = []
+    for lo, hi in box:
+        w = np.full(n, (hi - lo) / (n - 1))
+        w[0] = w[-1] = w[1] / 2.0
+        weights.append(w)
+    sums = []
+    lines = n ** (dim - 1)
+    step = max(1, _LINE_POINTS // n)
+    for start in range(0, lines, step):
+        idx = np.arange(start, min(start + step, lines))
+        lead = [idx // n ** (dim - 2 - j) % n for j in range(dim - 1)]
+        vals = f([*(x[i][:, None] for x, i in zip(nodes, lead)), nodes[-1][None, :]])
+        line_w = math.prod(w[i] for w, i in zip(weights, lead))
+        sums.append((vals * weights[-1]).sum(axis=-1) * line_w)
+    return np.array([math.fsum(row) for row in np.concatenate(sums, axis=-1)])
 
 
-def _points_trapezoid(f, box, n_nodes):
-    dim = box.shape[0]
-    axes, weights = [], []
-    for j in range(dim):
-        lo, hi = box[j]
-        h = (hi - lo) / (n_nodes - 1)
-        wj = np.full(n_nodes, h)
-        wj[0] = wj[-1] = h / 2.0
-        axes.append(np.linspace(lo, hi, n_nodes))
-        weights.append(wj)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    vals = np.asarray(f(pts)).reshape(-1, n_nodes)
-    # each line along the last axis, weighted by its lead nodes in axis order
-    line_w = np.ones(1)
-    for wj in weights[:-1]:
-        line_w = np.multiply.outer(line_w, wj).reshape(-1)
-    return math.fsum((vals * weights[-1]).sum(axis=-1) * line_w)
-
-
-def _points_refined(f, box, dim):
-    n = oracle._GRID_START[dim]
-    prev = _points_trapezoid(f, box, n)
-    while 2 * (n - 1) + 1 <= oracle._GRID_CAP[dim]:
+def grid_refined(f, box) -> tuple[np.ndarray, np.ndarray]:
+    """(values, changes) of grid_trapezoid refined by node doubling, each
+    integrand stopped at its first doubling that moves it by less than
+    GRID_TOL; changes holds that last move (GRID_TOL or more where the cap
+    stopped it)."""
+    n = GRID_START[len(box)]
+    prev = grid_trapezoid(f, box, n)
+    values, changes = prev.copy(), np.full(len(prev), np.inf)
+    open_ = np.ones(len(prev), dtype=bool)
+    while open_.any() and 2 * (n - 1) + 1 <= GRID_CAP[len(box)]:
         n = 2 * (n - 1) + 1
-        cur = _points_trapezoid(f, box, n)
-        if abs(cur - prev) < oracle._REFINE_TOL:
-            return cur
+        cur = grid_trapezoid(f, box, n)
+        changes[open_] = np.abs(cur - prev)[open_]
+        values[open_] = cur[open_]
+        open_ &= ~(changes < GRID_TOL)
         prev = cur
-    return prev
+    return values, changes
 
 
-def points_mass(spec) -> float:
-    """Truncation mass of a spec, from point arrays."""
+def truncated_normal_factor(mu: float, s2: float):
+    """The N(mu, s2) density on one axis, without truncation."""
+    return lambda x: np.exp(-0.5 * (x - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)
+
+
+def grid_mass(spec) -> float:
+    """Truncation mass of a spec: 1 for a uniform."""
     if spec.kind == "uniform":
         return 1.0
     mass = 1.0
     for (lo, hi), mu, s2 in zip(spec.box, spec.mean, spec.cov):
-        mu, s2 = float(mu), float(s2)
-
-        def axis_pdf(t, mu=mu, s2=s2):
-            return np.exp(-0.5 * (t[:, 0] - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)
-
-        mass *= _points_refined(axis_pdf, np.array([[lo, hi]]), 1)
+        axis = truncated_normal_factor(float(mu), float(s2))
+        mass *= grid_refined(lambda mesh: axis(mesh[0])[None], np.array([[lo, hi]]))[0][0]
     return mass
 
 
-def points_density(spec, pts, mass: float):
-    """Density of a spec at the rows of a (points, d) array, given its mass."""
-    inside = ((pts >= spec.box[:, 0]) & (pts <= spec.box[:, 1])).all(axis=1)
+def grid_density(spec, mesh, mass: float) -> np.ndarray:
+    """Density of a spec on an open mesh inside its box, given its mass."""
     if spec.kind == "uniform":
         volume = float(np.prod(spec.box[:, 1] - spec.box[:, 0]))
-        return np.where(inside, 1.0 / volume, 0.0)
-    return np.where(inside, _points_gauss(spec, pts) / mass, 0.0)
+        return np.full(np.broadcast(*mesh).shape, 1.0 / volume)
+    value = 1.0
+    for x, mu, s2 in zip(mesh, spec.mean, spec.cov):
+        value = value * truncated_normal_factor(float(mu), float(s2))(x)
+    return value / mass
 
 
-def points_divergence(fx, fy, p: float) -> float:
-    """D_p by the tensor trapezoid over (points, d) arrays, on the union box."""
-    box = np.column_stack(
-        [np.minimum(fx.box[:, 0], fy.box[:, 0]), np.maximum(fx.box[:, 1], fy.box[:, 1])]
-    )
-    mx, my = points_mass(fx), points_mass(fy)
+def grid_divergences(fx, fy, ps) -> tuple[np.ndarray, np.ndarray]:
+    """(D_p, last change) for each p of ps, by the refined tensor trapezoid
+    over the specs' one box, with one density evaluation for all of them."""
+    mx, my = grid_mass(fx), grid_mass(fy)
+    ps = np.asarray(ps, dtype=np.float64).reshape(-1, 1, 1)
 
-    def integrand(pts):
-        a = points_density(fx, pts, mx)
-        b = points_density(fy, pts, my)
-        den = p * a + (1 - p) * b
+    def integrand(mesh):
+        a, b = grid_density(fx, mesh, mx), grid_density(fy, mesh, my)
+        den = ps * a + (1 - ps) * b
         return np.divide(a * b, den, out=np.zeros_like(den), where=den > 0)
 
-    value = _points_refined(integrand, box, fx.dim)
-    return float(min(1.0, max(0.0, 1.0 - value)))
+    values, changes = grid_refined(integrand, fx.box)
+    return np.clip(1.0 - values, 0.0, 1.0), changes

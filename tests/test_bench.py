@@ -124,9 +124,11 @@ class TestTruth:
         for dims in (1, 10):
             assert resolve_truth(small_plan(shift=0.0, dims=dims)) == 0.0
 
-    def test_high_dim_without_truth_is_none(self):
-        # gauss-scale differs on every axis, more than the quadrature takes
-        assert resolve_truth(small_plan(scenario="gauss-scale", dims=10)) is None
+    def test_high_dim_truth(self):
+        # gauss-scale differs on all 10 axes: the law of S is 10 convolved laws
+        (row,) = run_plan(small_plan(scenario="gauss-scale", dims=10, n_grid=(64,), trials=3))
+        assert row.mean_est - row.bias == pytest.approx(0.455426, abs=1e-6)
+        assert row.mse is not None and row.mse > 0
 
     @pytest.mark.parametrize("dims", [2, 4, 10])
     def test_gauss_shift_truth_at_any_dim(self, dims):
@@ -389,7 +391,12 @@ class TestCsvRoundTrip:
         assert csv_cells(path) == summary_cells(out)
 
     def test_round_trip_with_missing_truth(self, tmp_path):
-        plan = small_plan(scenario="gauss-scale", dims=10, trials=4)  # no truth: 10 axes differ
+        # the csv scenario without --truth: the one case left with no truth
+        rng = np.random.default_rng(5)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        save_points(xp, PointCloud(rng.normal(size=(40, 2))))
+        save_points(yp, PointCloud(rng.normal(size=(40, 2)) + 0.5))
+        plan = small_plan(scenario="csv", x_path=str(xp), y_path=str(yp), dims=2, trials=4)
         out = run_plan(plan)
         assert out[0].bias is None
         path = tmp_path / "r.csv"

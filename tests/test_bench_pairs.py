@@ -247,3 +247,23 @@ def test_emst_clouds_are_built_and_timed(tmp_path):
     ranks = scan_rank_table(pts, [1, 5])
     assert record["ranks_ms"] > 0
     assert record["ranks_sha256"] == hashlib.sha256(ranks.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case, truth", [
+    ({"scenario": "gauss-shift", "d": 2}, "0.2040420024018691"),
+    ({"x": [60.0, 1.0], "y": [0.0, 1.0], "d": 1, "p": 0.5}, "HPDivError"),
+])
+def test_truth_call_reports_the_value_or_the_error(case, truth):
+    """The truth probe's fresh-interpreter call on this tree's sources: a bench
+    scenario's truth repr, or the type of the error the oracle raised (N(60, 1)
+    has no mass in [-5, 5])."""
+    repo = Path(__file__).resolve().parents[1]
+    record = json.loads(bench_pairs._python(repo, bench_pairs._TRUTH_CALL, json.dumps(case), threads=1))
+    assert record["truth"] == truth and record["wall_ms"] > 0
+
+
+def test_truth_cases_cover_every_scenario_and_tight_pair():
+    cases = bench_pairs.TRUTH_CASES
+    assert len(cases) == 3 * 6 + 7 * 2
+    assert cases["gauss-scale_d10"] == {"scenario": "gauss-scale", "d": 10}
+    assert cases["tight_uniform_normal_0.1_d3"] == {"x": None, "y": [0.0, 0.1], "d": 3, "p": 0.3}

@@ -65,13 +65,21 @@ ESTIMATE = {
 ESTIMATE_MST_3D = "35954bad85fb09937bf33862c84d06c27e9e0e93fd09e3039f20ce3ebd69a157"
 # wnn on the 3-D files, on the default d = 3 grid less l = 0.05 (K = 0 at N = 300)
 ESTIMATE_WNN_3D = "3204a588a537c815532878b64d2a8a9834e71613de54eb1f8ea46d7992302d30"
-# repr of the d = 1, 2, 3 truths of each synthetic bench scenario at p = 1/2;
-# gauss-shift differs on axis 0 alone, so its truth is the d = 1 value at every d
+# repr of the truths of each synthetic bench scenario at p = 1/2 and d in
+# TRUTH_DIMS; gauss-shift differs on axis 0 alone, so its truth is the d = 1
+# value at every d
+TRUTH_DIMS = (1, 2, 3, 4, 6)
 TRUTH = {
-    bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691",) * 3,
-    bench.SCENARIO_GAUSS_SCALE: ("0.17104674355342386", "0.21147652829467667", "0.24919362827990665"),
-    bench.SCENARIO_GAUSS_VS_UNIFORM: ("0.3994379200255387", "0.6445962916096035", "0.7843918387080235"),
+    bench.SCENARIO_GAUSS_SHIFT: ("0.2040420024018691",) * 5,
+    bench.SCENARIO_GAUSS_SCALE: ("0.17104674355342397", "0.21147629490340725", "0.2491935174799056",
+                                 "0.28444818381975767", "0.3484599957584099"),
+    bench.SCENARIO_GAUSS_VS_UNIFORM: ("0.3994379200255388", "0.6445959598776083", "0.7843914863516231",
+                                      "0.8661185738133585", "0.9459223213491736"),
 }
+# gauss-scale at d = 4 and p = 0.2: with numpy's exp in place of math.exp
+# per node, numpy's AVX-512 exp moved it by 4 ulps against its X86_V2 and
+# X86_V3 paths
+TRUTH_SCALE_4D_P02 = "0.18463888928907468"
 
 
 def test_gen_file(gen_files):
@@ -130,13 +138,14 @@ def test_bench_csv_files(tmp_path, capsys, monkeypatch, gen_files, threads):
     assert sha256(out.read_bytes()) == BENCH_CSV_FILES
 
 
-def truth_repr(scenario, d):
+def truth_repr(scenario, d, p=0.5):
     plan = bench.ExperimentPlan(scenario, d, (100,), tuple(bench.parse_methods("knn:1")), 2)
-    return repr(true_divergence(*bench.scenario_specs(plan), 0.5))
+    return repr(true_divergence(*bench.scenario_specs(plan), p))
 
 
 def truth_reprs() -> dict:
-    return {scenario: [truth_repr(scenario, d) for d in (1, 2, 3)] for scenario in TRUTH}
+    reprs = {scenario: [truth_repr(scenario, d) for d in TRUTH_DIMS] for scenario in TRUTH}
+    return {**reprs, "gauss-scale d=4 p=0.2": truth_repr(bench.SCENARIO_GAUSS_SCALE, 4, 0.2)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
@@ -144,10 +153,14 @@ def test_gauss_shift_truth(d):
     assert truth_repr(bench.SCENARIO_GAUSS_SHIFT, d) == TRUTH[bench.SCENARIO_GAUSS_SHIFT][0]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", TRUTH_DIMS)
 @pytest.mark.parametrize("scenario", [bench.SCENARIO_GAUSS_SCALE, bench.SCENARIO_GAUSS_VS_UNIFORM])
 def test_scale_and_uniform_truths(scenario, d):
-    assert truth_repr(scenario, d) == TRUTH[scenario][d - 1]
+    assert truth_repr(scenario, d) == TRUTH[scenario][TRUTH_DIMS.index(d)]
+
+
+def test_scale_truth_at_other_p():
+    assert truth_repr(bench.SCENARIO_GAUSS_SCALE, 4, 0.2) == TRUTH_SCALE_4D_P02
 
 
 def weight_hexes() -> list:
@@ -182,7 +195,8 @@ x86_64 = pytest.mark.skipif(
 
 @x86_64
 def test_truths_do_not_depend_on_the_blas_kernel():
-    assert on_baseline_kernel("truth_reprs") == {scenario: list(r) for scenario, r in TRUTH.items()}
+    expected = {scenario: list(r) for scenario, r in TRUTH.items()}
+    assert on_baseline_kernel("truth_reprs") == {**expected, "gauss-scale d=4 p=0.2": TRUTH_SCALE_4D_P02}
 
 
 @x86_64

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from hpdiv import (
-    DimTooHigh,
     HPDivError,
     InvalidP,
     RefinementCapWarning,
@@ -20,10 +20,12 @@ from hpdiv import (
     uniform_box,
 )
 
+import oracles
 from oracles import (
-    points_density,
-    points_divergence,
-    points_mass,
+    GRID_TOL,
+    grid_density,
+    grid_divergences,
+    grid_mass,
     quad_bayes_error_1d,
     quad_divergence_1d,
 )
@@ -40,27 +42,81 @@ def tnorm_pdf(mu, s2, lo, hi):
     )
 
 
+@pytest.fixture
+def law_calls(monkeypatch):
+    """The (j, n) of every per-axis law a truth builds, in order."""
+    calls = []
+    real = oracle._axis_law
+    monkeypatch.setattr(oracle, "_axis_law", lambda fx, fy, j, n: calls.append((j, n)) or real(fx, fy, j, n))
+    return calls
+
+
 class TestDensity:
-    """The integrand's per-spec density, on nodes inside the box."""
+    """An axis's law: X-masses from the trapezoid weights and the X factor
+    normalized on the nodes, at the closed-form log density ratio."""
 
     def test_uniform_volume(self):
-        u = uniform_box([(-5, 5), (-5, 5)])
-        assert u._on_grid(np.ix_([0.0, 1.0], [0.0, 2.0, 3.0]), [0, 1]).tolist() == [[1 / 100] * 3] * 2
-        assert u._on_grid((np.array([4.0]),), [1]).tolist() == [1 / 10]
+        # a uniform X: masses are the trapezoid weights over the width; against
+        # it phi is the Y exponent plus a constant
+        u = uniform_box([(-5, 5), (-2, 2)])
+        f = truncated_normal([0.0, 0.5], [1.0, 2.0], u.box)
+        phi, mass = oracle._axis_law(u, f, 1, 401)
+        assert mass[1:-1] == pytest.approx(np.full(399, 1 / 400), rel=1e-13)
+        assert mass[0] == mass[-1] == pytest.approx(1 / 800, rel=1e-13)
+        x = np.linspace(-2, 2, 401)
+        shifted = phi + 0.25 * (x - 0.5) ** 2
+        assert shifted == pytest.approx(np.full(401, shifted[0]), abs=1e-13)
 
     def test_gaussian_ratio_cancels_normalizer(self):
+        # phi(x) - phi(0) of N(0, 1) against N(1, 2) is the difference of the
+        # two exponents: the normalizers cancel
         f = truncated_normal([0.0], 1.0, (-5, 5))
-        at_0, at_1 = f._on_grid((np.array([0.0, 1.0]),), [0])
-        assert at_0 / at_1 == pytest.approx(math.exp(0.5), rel=1e-12)
+        g = truncated_normal([1.0], 2.0, (-5, 5))
+        phi, _ = oracle._axis_law(f, g, 0, 2001)
+        x = np.linspace(-5, 5, 2001)
+        quad = -0.25 * (x - 1.0) ** 2 + 0.5 * x * x
+        assert phi - phi[1000] == pytest.approx(quad - quad[1000], abs=1e-12)
 
     def test_integrates_to_one(self):
-        f = truncated_normal([0.0, 0.5], [1.0, 2.0], (-4, 4))
-        grid = np.linspace(-4, 4, 501)
-        vals = f._on_grid(np.ix_(grid, grid), [0, 1])
-        h = grid[1] - grid[0]
-        w = np.full(501, h)
-        w[0] = w[-1] = h / 2
-        assert w @ vals @ w == pytest.approx(1.0, abs=1e-6)
+        # each axis's masses sum to 1, for either spec as X
+        specs = _specs(3)
+        for a, b in [("diag", "diag2"), ("odd", "odd_unif"), ("unif", "own")]:
+            for fx, fy in [(specs[a], specs[b]), (specs[b], specs[a])]:
+                for j in range(3):
+                    _, mass = oracle._axis_law(fx, fy, j, 4001)
+                    assert math.fsum(mass) == pytest.approx(1.0, abs=1e-14)
+                    assert (mass >= 0).all()
+
+
+class TestLaw:
+    """Binning, clipping and convolution of the laws keep their mass."""
+
+    def test_binned_keeps_mass_and_mean(self):
+        rng = np.random.default_rng(3)
+        phi, mass = rng.normal(size=500), rng.random(500)
+        mass /= mass.sum()
+        mean = math.fsum(phi * mass)
+        base, bins = oracle._binned(phi.copy(), mass.copy(), 0.03)
+        assert base == phi.min()
+        assert math.fsum(bins) == pytest.approx(1.0, abs=1e-15)
+        at = base + np.arange(len(bins)) * 0.03
+        assert math.fsum(bins * at) == pytest.approx(mean, abs=1e-14)
+
+    def test_clipped_keeps_mass(self):
+        bins = np.arange(1.0, 11.0)
+        base, kept = oracle._clipped(-1.0, bins, 0.2, 1.6, 0.5)  # bins at -1, -0.5, ..., 3.5
+        assert base == 0.5 and kept.tolist() == [1 + 2 + 3 + 4, 5, 6 + 7 + 8 + 9 + 10]
+        assert oracle._clipped(-1.0, bins, -9.0, 9.0, 0.5)[1].tolist() == bins.tolist()
+        # a window past either end keeps one bin with all the mass
+        assert oracle._clipped(-1.0, bins, 7.0, 90.0, 0.5) == (3.5, pytest.approx([55.0]))
+        assert oracle._clipped(-1.0, bins, -90.0, -7.0, 0.5) == (-1.0, pytest.approx([55.0]))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 9), (7, 3), (300, 1000)])
+    def test_convolve_is_the_full_convolution(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        a, b = rng.random(sizes[0]), rng.random(sizes[1])
+        np.testing.assert_allclose(oracle._convolve(a, b), np.convolve(a, b), rtol=1e-13)
+        assert oracle._convolve(a, b).tobytes() == oracle._convolve(b, a).tobytes()
 
 
 class TestTrueDivergence:
@@ -68,17 +124,15 @@ class TestTrueDivergence:
         with pytest.raises(HPDivError, match="ambient dimension"):
             true_divergence(uniform_box((0.0, 1.0)), uniform_box([[0.0, 1.0]] * 2), 0.5)
 
-    def test_identical_specs_zero(self, monkeypatch):
+    def test_identical_specs_zero(self, law_calls):
         # No axis differs, so nothing is integrated, at any dimension.
-        calls = []
-        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for d in (1, 3, 10):
                 f = truncated_normal(np.zeros(d), 1.0, (-5, 5))
                 assert true_divergence(f, truncated_normal(np.zeros(d), 1.0, (-5, 5)), 0.3) == 0.0
                 assert true_divergence(f, f, 0.5) == 0.0
-        assert calls == []
+        assert law_calls == []
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_shared_axes_integrate_to_one(self, d):
@@ -104,13 +158,11 @@ class TestTrueDivergence:
             with pytest.raises(HPDivError, match="specs must share one box"):
                 true_divergence(fx, fy, 0.5)
 
-    def test_identical_uniforms_zero(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a))
+    def test_identical_uniforms_zero(self, law_calls):
         for d in (2, 10):
             u = uniform_box([(-1.0, 2.0), *[(0.5, 4.0)] * (d - 1)])
             assert true_divergence(u, uniform_box(u.box), 0.5) == 0.0
-        assert calls == []
+        assert law_calls == []
 
     def test_frozen_shift_value(self):
         fx = truncated_normal([0.0], 1.0, (-5, 5))
@@ -131,27 +183,37 @@ class TestTrueDivergence:
         fy = truncated_normal([1.0, 0.0], 2.0, (-5, 5))
         a = true_divergence(fx, fy, 0.5)
         b = true_divergence(fy, fx, 0.5)
-        assert a == pytest.approx(b, abs=1e-9)
+        # each from its own X-law, binned on both axes: equal to the tolerance
+        assert a == pytest.approx(b, abs=1e-6)
         assert 0.0 <= a <= 1.0
 
-    def test_dim_cap(self):
-        # four differing axes: the cap counts the axes where the specs differ
+    def test_any_number_of_differing_axes(self):
+        # 4 and 5 differing axes: no cap on their count, and the axis order
+        # moves the value by rounding only
         f = truncated_normal(np.zeros(5), 1.0, (-5, 5))
         g = truncated_normal([0.5, 0.5, 0.0, 0.5, 0.5], 1.0, (-5, 5))
-        with pytest.raises(DimTooHigh, match="differ on 4 axes"):
-            true_divergence(f, g, 0.5)
-        with pytest.raises(DimTooHigh, match="differ on 5 axes"):
-            true_divergence(f, uniform_box([(-5.0, 5.0)] * 5), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            four = true_divergence(f, g, 0.5)
+            five = true_divergence(f, uniform_box([(-5.0, 5.0)] * 5), 0.5)
+            swapped = true_divergence(f, truncated_normal([0.5, 0.0, 0.5, 0.5, 0.5], 1.0, (-5, 5)), 0.5)
+        # four shifts of 0.5 are one shift of 1 along the diagonal, up to the
+        # box, which cuts the two pairs differently (about 8e-6 here)
+        assert four == pytest.approx(D_SHIFT_1D, abs=2e-5)
+        assert swapped == pytest.approx(four, abs=1e-12)
+        assert 0.9 < five < 1.0
 
-    def test_3d_identical_and_disjoint(self, coarse_grids):
+    def test_3d_identical_and_disjoint(self, monkeypatch):
         f = truncated_normal(np.zeros(3), 1.0, (-3, 3))
         g = truncated_normal(np.full(3, 0.5), 1.0, (-3, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert true_divergence(f, truncated_normal(np.zeros(3), 1.0, (-3, 3)), 0.5) == 0.0
-        # g differs on all three axes: doubling from 11 nodes stops at the
-        # coarse 3-D cap of 81, short of _REFINE_TOL.
-        with pytest.warns(RefinementCapWarning, match="cap of 81 nodes"):
+        # g differs on all three axes: one doubling, to the lowered cap of
+        # 4001 nodes, short of a tolerance nothing meets
+        monkeypatch.setattr(oracle, "_NODES_CAP", 4001)
+        monkeypatch.setattr(oracle, "_REFINE_TOL", 0.0)
+        with pytest.warns(RefinementCapWarning, match="cap of 4001 nodes"):
             assert true_divergence(f, g, 0.5) == pytest.approx(0.1557, abs=5e-4)
         a = uniform_box([(0.0, 1.0)] * 3)
         b = uniform_box([(2.0, 3.0), (0.0, 1.0), (0.0, 1.0)])
@@ -241,6 +303,7 @@ _PAIRS = [
     ("diag", "diag2"), ("diag", "unif"), ("odd", "odd_unif"), ("unif", "unif"),
     ("diag", "shift"), ("diag", "ends"), ("diag", "last"),
 ]
+_PS = (0.2, 0.5, 0.73)
 
 
 def _differing(pair, d: int) -> list:
@@ -257,92 +320,87 @@ def _marginal(spec, axes):
     return truncated_normal(spec.mean[axes], spec.cov[axes], spec.box[axes])
 
 
-def reference(fx, fy, p, axes) -> float:
-    """The point-array quadrature over the marginals on ``axes``; 0 with none."""
-    return points_divergence(_marginal(fx, axes), _marginal(fy, axes), p) if axes else 0.0
-
-
-# The coarse caps stop many refinements short of _REFINE_TOL; the tests
-# that use them compare bytes with the reference at the same caps, and
-# TestRefinementCap checks the warning itself.
-coarse_cap_warnings = pytest.mark.filterwarnings("ignore::hpdiv.RefinementCapWarning")
-
-
-@pytest.fixture
-def coarse_grids(monkeypatch):
-    """Start grids and caps small enough for the point-array reference at
-    d = 2, 3; d = 1 keeps its own. Specs read under it take their masses
-    on these grids too."""
-    monkeypatch.setattr(oracle, "_GRID_START", {1: 2001, 2: 41, 3: 11})
-    monkeypatch.setattr(oracle, "_GRID_CAP", {1: 32001, 2: 321, 3: 81})
+@lru_cache(maxsize=None)
+def reference(d: int, pair: tuple) -> dict:
+    """p -> (D_p, last change) of the tensor grid over the marginals of a pair
+    of _specs(d) on their differing axes, for every p of _PS; (0, 0) with none."""
+    axes = _differing(pair, d)
+    if not axes:
+        return {p: (0.0, 0.0) for p in _PS}
+    fx, fy = (_marginal(_specs(d)[name], axes) for name in pair)
+    values, changes = grid_divergences(fx, fy, _PS)
+    return dict(zip(_PS, zip(values.tolist(), changes.tolist())))
 
 
 class TestMatchesPointArrays:
-    """The per-axis grid evaluation over the differing axes gives the
-    point-array quadrature's bytes on those axes; the reference integrates
-    every axis it is given."""
+    """The law of S against the tensor-grid reference of tests/oracles.py,
+    which integrates every axis it is given at once."""
 
-    @coarse_cap_warnings
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_masses_and_densities(self, coarse_grids, d):
-        rng = np.random.default_rng(d)
-        axes = list(range(d))
-        for spec in _specs(d).values():
-            mass = 1.0 if spec.kind == "uniform" else math.prod(map(spec._mass, axes))
-            assert mass == points_mass(spec)
-            pts = rng.uniform(spec.box[:, 0], spec.box[:, 1], size=(500, d))
-            np.testing.assert_array_equal(
-                spec._on_grid(tuple(pts.T), axes), points_density(spec, pts, mass)
-            )
+    def test_masses_and_densities(self, d):
+        # at the first level's nodes: each axis's X-masses sum to 1, and phi
+        # is the log of the reference densities' ratio
+        specs = _specs(d)
+        for pair in _PAIRS:
+            fx, fy = specs[pair[0]], specs[pair[1]]
+            for j in _differing(pair, d):
+                phi, mass = oracle._axis_law(fx, fy, j, oracle._NODES)
+                assert math.fsum(mass) == pytest.approx(1.0, abs=1e-14)
+                mx, my = (_marginal(s, [j]) for s in (fx, fy))
+                mesh = [np.linspace(*fx.box[j], oracle._NODES)]
+                log_ratio = np.log(grid_density(my, mesh, grid_mass(my)) / grid_density(mx, mesh, grid_mass(mx)))
+                # the same function of x, up to the masses, which the law takes
+                # on these nodes and the reference refines to 1e-6
+                np.testing.assert_allclose(np.diff(phi), np.diff(log_ratio), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(phi, log_ratio, rtol=0, atol=GRID_TOL, err_msg=str(pair))
 
-    @coarse_cap_warnings
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.73])
+    @pytest.mark.parametrize("p", _PS)
     @pytest.mark.parametrize("pair", _PAIRS)
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_true_divergence(self, coarse_grids, d, pair, p):
+    def test_true_divergence(self, d, pair, p):
+        # within 1e-6 of the reference, or of its last move where it stops at
+        # its cap short of 1e-6 (d = 3 on the odd box: moves up to 1.2e-5, and
+        # the law is within 4.3e-6 of its last value)
         specs = _specs(d)
-        fx, fy = specs[pair[0]], specs[pair[1]]
-        axes = _differing(pair, d)
-        value = true_divergence(fx, fy, p)
-        assert value == reference(fx, fy, p, axes)
-        if 0 < len(axes) < d:
-            # a shared axis integrates to 1 on the full grid too
-            assert value == pytest.approx(points_divergence(fx, fy, p), abs=1e-6)
+        value = true_divergence(specs[pair[0]], specs[pair[1]], p)
+        expected, change = reference(d, pair)[p]
+        assert value == pytest.approx(expected, abs=max(GRID_TOL, change))
+        if not _differing(pair, d):
+            assert value == 0.0
 
     def test_default_grids_on_the_bench_pair(self):
+        # gauss-shift differs on axis 0 alone: the 1-D law is summed at its
+        # nodes, and the 2-D reference over both axes agrees
         fx = truncated_normal(np.zeros(2), 1.0, (-5, 5))
         fy = truncated_normal([1.0, 0.0], 1.0, (-5, 5))
         value = true_divergence(fx, fy, 0.5)
-        assert value == reference(fx, fy, 0.5, [0])
-        assert value == pytest.approx(points_divergence(fx, fy, 0.5), abs=1e-6)
+        assert value == pytest.approx(grid_divergences(fx, fy, [0.5])[0][0], abs=1e-6)
+        assert value == pytest.approx(D_SHIFT_1D, abs=1e-9)
 
-    @coarse_cap_warnings
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("piece", [1, 7, 5000])
-    def test_many_pieces(self, coarse_grids, monkeypatch, piece, d):
-        """One line per call, a few lines per call or many: each line sum is
-        the point-array reference's, so the fsum over them is too."""
-        if piece < 100:
-            # one integrand call per line: smaller grids
-            monkeypatch.setattr(oracle, "_GRID_START", {1: 513, 2: 17, 3: 5})
-            monkeypatch.setattr(oracle, "_GRID_CAP", {1: 1025, 2: 33, 3: 9})
-        monkeypatch.setattr(oracle, "_PIECE", piece)
+    def test_many_pieces(self, monkeypatch, piece, d):
+        """The reference sums each grid line along the last axis and adds the
+        lines with math.fsum: one line per call, a few lines per call or many
+        give the same bytes."""
+        monkeypatch.setattr(oracles, "GRID_START", {1: 513, 2: 17, 3: 5})
+        monkeypatch.setattr(oracles, "GRID_CAP", {1: 1025, 2: 33, 3: 9})
         specs = _specs(d)
-        for pair in [("diag", "own"), *_PAIRS]:
-            fx, fy = specs[pair[0]], specs[pair[1]]
-            axes = _differing(pair, d)
-            assert true_divergence(fx, fy, 0.4) == reference(fx, fy, 0.4, axes), pair
+        pairs = [(specs[a], specs[b]) for a, b in [("diag", "own"), ("diag", "unif"), ("odd", "odd_unif")]]
+        whole = [grid_divergences(fx, fy, _PS) for fx, fy in pairs]
+        monkeypatch.setattr(oracles, "_LINE_POINTS", piece)
+        for (fx, fy), (values, changes) in zip(pairs, whole):
+            got_values, got_changes = grid_divergences(fx, fy, _PS)
+            assert got_values.tobytes() == values.tobytes()
+            assert got_changes.tobytes() == changes.tobytes()
 
 
 class TestLazyMass:
-    """A truncated normal integrates an axis's mass on the first read of that
-    axis, so building and sampling a spec run no quadrature, and a truth
-    reads only the axes it integrates."""
+    """Building and sampling a spec run no quadrature; a truth builds the law
+    of each differing axis once per level, and none of a shared axis."""
 
-    def test_only_the_oracle_integrates(self, monkeypatch):
-        calls = []
-        real = oracle._refined_trapezoid
-        monkeypatch.setattr(oracle, "_refined_trapezoid", lambda *a: calls.append(a) or real(*a))
+    def test_only_the_oracle_integrates(self, law_calls):
         plan = bench.ExperimentPlan(
             bench.SCENARIO_GAUSS_SHIFT, 2, (100,), tuple(bench.parse_methods("knn:1")), 2
         )
@@ -350,23 +408,28 @@ class TestLazyMass:
         wide = truncated_normal([0.0], 1.0, (-1e300, 1e300))
         for spec in (fx, fy, wide):
             synth.sample(synth.make_state(spec, 0), 50)
-        assert calls == []
-        assert true_divergence(fx, fy, 0.5) == reference(fx, fy, 0.5, [0])
-        # the one integrated axis: its mass in each spec, and the divergence
-        assert len(calls) == 1 + 1 + 1
-        mass = fx._mass(0)  # cached: no further call
-        assert len(calls) == 3 and fx._mass(0) is mass
-        assert list(fx._masses) == [0] and list(fy._masses) == [0]
+        assert law_calls == []
+        assert true_divergence(fx, fy, 0.5) == pytest.approx(D_SHIFT_1D, abs=1e-9)
+        # axis 0 alone, at 2001 nodes and again at 4001, where it converged
+        assert law_calls == [(0, 2001), (0, 4001)]
+
+    def test_axes_with_one_law_share_it(self, law_calls):
+        # gauss-scale at d = 4: axis 0 has its own law, axes 1-3 share one
+        plan = bench.ExperimentPlan(
+            bench.SCENARIO_GAUSS_SCALE, 4, (100,), tuple(bench.parse_methods("knn:1")), 2
+        )
+        true_divergence(*bench.scenario_specs(plan), 0.5)
+        assert {j for j, _ in law_calls} == {0, 1}
+        assert [j for j, _ in law_calls] == [0, 1] * (len(law_calls) // 2)
 
 
 class TestWorkingSet:
-    """Calls of whole lines, at most _PIECE points unless one line is
-    longer, and one float64 per line bound a truth's memory; no grid-sized
-    buffer is held."""
+    """A truth holds per-node arrays of one axis at a time, and small binned
+    laws for the rest; no grid-sized buffer is held."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_default_grid_truth_peak(self, d):
-        # gauss-scale differs on every axis, so its truth spans a d-axis grid
+        # gauss-scale differs on every axis, so its truth convolves d laws
         plan = bench.ExperimentPlan(
             bench.SCENARIO_GAUSS_SCALE, d, (100,), tuple(bench.parse_methods("knn:1")), 2
         )
@@ -381,9 +444,9 @@ class TestWorkingSet:
 
 
 class TestRefinementCap:
-    """Refinement that reaches its grid cap unconverged says so."""
+    """Refinement that reaches its node cap unconverged says so."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize(
         "scenario", [bench.SCENARIO_GAUSS_SHIFT, bench.SCENARIO_GAUSS_SCALE, bench.SCENARIO_GAUSS_VS_UNIFORM]
     )
@@ -392,6 +455,14 @@ class TestRefinementCap:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RefinementCapWarning)
             assert 0.0 < bench.resolve_truth(plan) < 1.0
+
+    def test_stalled_refinement_warns(self, monkeypatch):
+        # a tolerance of 0 is never met: the nodes double to the cap
+        monkeypatch.setattr(oracle, "_REFINE_TOL", 0.0)
+        fx = truncated_normal([0.0], 1.0, (-5, 5))
+        fy = truncated_normal([1.0], 1.0, (-5, 5))
+        with pytest.warns(RefinementCapWarning, match="cap of 64001 nodes per axis"):
+            assert true_divergence(fx, fy, 0.5) == pytest.approx(D_SHIFT_1D, abs=1e-9)
 
 
 class TestBayesBounds:

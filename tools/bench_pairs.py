@@ -9,7 +9,8 @@ workload runs its pair i before any runs pair i+1. Run from anywhere:
     python3 tools/bench_pairs.py --parent P --change C \\
         --workload estimate-files --workload mc-shift-knn \\
         --pairs 10 --seed 1101 --seconds 45 --out BENCH_<date>_<name>.json \\
-        [--traced-seed S] [--tier1] [--fresh N] [--emst N] [--attach KEY=FILE.json]
+        [--traced-seed S] [--tier1] [--fresh N] [--emst N] [--truth N]
+        [--attach KEY=FILE.json]
 
 The output holds the machine (hpbench's record at its thread count, taken
 once), the seeds, every run's end-to-end metrics, each side's median and
@@ -20,7 +21,7 @@ after every pair, so an interrupted run keeps what it measured.
 ``--traced-seed`` adds a ``--trace 1`` run per side and workload with the
 mean of every span; ``--tier1`` times the test suite in both trees.
 
-``--fresh N`` and ``--emst N`` are probes: per side and case, N fresh
+``--fresh N``, ``--emst N`` and ``--truth N`` are probes: per side and case, N fresh
 interpreters each run one call script on the case's JSON argument and print
 one record, the side that goes first alternating. A case's summary has one
 rule per record field: a number every run reports gives each side's median
@@ -34,7 +35,9 @@ its exit code and stdout, then a repeat for the tracemalloc peak of
 ``neighbor_ranks``. ``--emst`` runs each cloud of EMST_CLOUDS at one thread:
 one timed ``build_emst``, a repeat for its tracemalloc peak, the construction
 and an edge digest, then one timed ``neighbor_ranks(idx, [1, 5])`` and a
-rank digest. ``--pairs 0`` runs the probes alone. ``--attach`` copies a JSON
+rank digest. ``--truth`` runs each case of TRUTH_CASES at one thread: one
+timed ``true_divergence`` call and the repr of its value, or the type of the
+error it raised. ``--pairs 0`` runs the probes alone. ``--attach`` copies a JSON
 file in under KEY.
 """
 
@@ -243,6 +246,48 @@ print(json.dumps({
 """
 
 
+# Truth probe cases: name -> JSON argument. A bench scenario at p = 1/2 is
+# {"scenario", "d"}; a pair on the box [-5, 5]^d is {"x", "y", "d", "p"},
+# each side [mu, var] for N(mu 1, var I) or null for the uniform.
+TRUTH_CASES = {
+    **{f"{s}_d{d}": {"scenario": s, "d": d}
+       for s in ("gauss-shift", "gauss-scale", "gauss-vs-uniform") for d in (1, 2, 3, 4, 6, 10)},
+    **{f"tight_{name}_d{d}": {"x": x, "y": y, "d": d, "p": p}
+       for d in (2, 3)
+       for name, x, y, p in [
+           ("shift_0.05_1", [0.0, 0.05], [1.0, 0.05], 0.5),
+           ("shift_0.1_1", [0.0, 0.1], [1.0, 0.1], 0.5),
+           ("shift_0.05_0.3", [0.0, 0.05], [0.3, 0.05], 0.5),
+           ("normal_uniform_0.05", [0.0, 0.05], None, 0.3),
+           ("uniform_normal_0.05", None, [0.0, 0.05], 0.3),
+           ("normal_uniform_0.1", [0.0, 0.1], None, 0.3),
+           ("uniform_normal_0.1", None, [0.0, 0.1], 0.3),
+       ]},
+}
+
+_TRUTH_CALL = """
+import json, sys, time
+import numpy as np
+from hpdiv import bench, true_divergence, truncated_normal, uniform_box
+case = json.loads(sys.argv[1])
+d = case["d"]
+if "scenario" in case:
+    plan = bench.ExperimentPlan(case["scenario"], d, (100,), tuple(bench.parse_methods("knn:1")), 2)
+    specs, p = bench.scenario_specs(plan), 0.5
+else:
+    specs = [uniform_box([(-5.0, 5.0)] * d) if side is None
+             else truncated_normal(np.full(d, side[0]), side[1], (-5.0, 5.0))
+             for side in (case["x"], case["y"])]
+    p = case["p"]
+t0 = time.perf_counter()
+try:
+    truth = repr(true_divergence(*specs, p))
+except Exception as exc:
+    truth = type(exc).__name__
+print(json.dumps({"wall_ms": (time.perf_counter() - t0) * 1e3, "truth": truth}))
+"""
+
+
 _MACHINE = """
 import json, sys
 sys.path.insert(0, "hpbench")
@@ -359,6 +404,8 @@ def main(argv=None) -> int:
                         help="N fresh interpreters per side for each estimate-files call kind")
     parser.add_argument("--emst", type=int, default=0, metavar="N",
                         help="N fresh interpreters per side for each EMST probe cloud")
+    parser.add_argument("--truth", type=int, default=0, metavar="N",
+                        help="N fresh interpreters per side for each truth probe case")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--title", default="parent vs change")
     parser.add_argument("--out", type=Path, required=True)
@@ -420,6 +467,9 @@ def main(argv=None) -> int:
     if args.emst:
         cases = {s: EMST_CLOUDS for s in SIDES}
         out["emst"] = {"clouds": EMST_CLOUDS, **_probe(trees, _EMST_CALL, cases, args.emst, 1)}
+    if args.truth:
+        cases = {s: TRUTH_CASES for s in SIDES}
+        out["truth"] = {"cases": TRUTH_CASES, **_probe(trees, _TRUTH_CALL, cases, args.truth, 1)}
     write()
     return 0
 
