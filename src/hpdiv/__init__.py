@@ -24,7 +24,7 @@ from .core import (
 )
 from .estimators import knn_estimate, wnn_estimate
 from .mst import SpanningTree, TooFewPoints, build_emst, mst_estimate
-from .neighbors import NeighborIndex, build_index, neighbor_table
+from .neighbors import NeighborIndex, build_index
 from .oracle import (
     BayesBounds,
     DistributionSpec,
@@ -34,7 +34,7 @@ from .oracle import (
     truncated_normal,
     uniform_box,
 )
-from .synth import RejectionStall, SamplerState, make_state, sample, trial_seed
+from .synth import RejectionStall, make_state, sample, trial_seed
 from .weights import (
     SingularConstraints,
     WeightSchedule,
@@ -61,7 +61,6 @@ __all__ = [
     "PointCloud",
     "RefinementCapWarning",
     "RejectionStall",
-    "SamplerState",
     "SampleRatioWarning",
     "SingularConstraints",
     "SpanningTree",
@@ -74,7 +73,6 @@ __all__ = [
     "knn_estimate",
     "make_state",
     "mst_estimate",
-    "neighbor_table",
     "resolve_schedule",
     "sample",
     "solve_weights",

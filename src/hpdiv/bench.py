@@ -22,6 +22,7 @@ Any other exception is a bug and propagates out of run_plan.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -303,30 +304,16 @@ def _summarize(label: str, n: int, vals: np.ndarray, truth: float | None) -> Tri
     )
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def summarize_csv(results: list[TrialSummary], path) -> None:
-    """Write plot-ready rows; refuses to create a file for empty input."""
+    """Write plot-ready rows under CSV_HEADER; refuses to create a file for
+    empty input. Floats are written by ``repr``, a missing bias or MSE as an
+    empty cell."""
     if not results:
         raise HPDivError("no summaries to write")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for s in results:
-            fh.write(
-                ",".join(
-                    [
-                        s.method,
-                        str(s.n),
-                        _fmt(s.mean_est),
-                        _fmt(s.bias),
-                        _fmt(s.variance),
-                        _fmt(s.mse),
-                        _fmt(s.ci_low),
-                        _fmt(s.ci_high),
-                        str(s.trials),
-                    ]
-                )
-                + "\n"
-            )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_HEADER.split(","))
+        out.writerows(
+            (s.method, s.n, s.mean_est, s.bias, s.variance, s.mse, s.ci_low, s.ci_high, s.trials)
+            for s in results
+        )

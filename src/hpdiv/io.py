@@ -14,6 +14,7 @@ take the line parser.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from codecs import BOM_UTF8
 from collections import Counter
@@ -137,10 +138,10 @@ def load_points(path) -> PointCloud:
 
 
 def save_points(path, cloud: PointCloud) -> None:
-    """Write a point cloud as CSV with round-trip-exact decimal text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in cloud.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write a point cloud as CSV, one row per point, each cell the float's
+    round-trip-exact ``repr`` (csv.writer's text for a float)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(cloud.points.tolist())
 
 
 def load_labeled(path) -> LabeledDataset:

@@ -197,5 +197,7 @@ def neighbor_ranks(idx: NeighborIndex, ranks) -> np.ndarray:
 
 
 def neighbor_table(idx: NeighborIndex, k_max: int) -> np.ndarray:
-    """(n, k_max) table: entry [i, r-1] is the rank-r neighbor of point i."""
+    """(n, k_max) table: entry [i, r-1] is the rank-r neighbor of point i. Its
+    one caller is hpbench's traced replay (``neighbors.table_ms``); it leaves
+    with that replay (ROADMAP item 6). Tests read ranks by neighbor_ranks."""
     return neighbor_ranks(idx, np.arange(1, k_max + 1))

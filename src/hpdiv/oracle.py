@@ -14,10 +14,11 @@ drops out: identical specs give exactly 0.0 with no quadrature.
 On a differing axis, trapezoid node x_i carries X-mass w_i f_X,j(x_i) at
 phi_j(x_i), both factors normalized on those nodes; phi_j is the difference
 of the two log factors in closed form (a quadratic, 0 for a uniform), so no
-log of a density is taken. One axis is summed exactly at its nodes. Two or
-more are binned linearly at width h, clipped where S no longer moves g
-(|S - log(p/q)| > 40, where g is within e^-40 of its limits, widened by the
-other axes' spans) and convolved by a fixed-order tap loop. One refinement
+log of a density is taken; a node whose X-mass underflowed to 0 is dropped.
+One axis is summed exactly at its nodes. Two or more are binned linearly at
+width h, clipped where S no longer moves g (|S - log(p/q)| > 40, where g is
+within e^-40 of its limits, widened by the other axes' spans) and convolved
+by a fixed-order tap loop. One refinement
 loop doubles the nodes (2001, at most 64001) and halves h (0.032 first)
 until two values agree to 1e-6. Each exp is one math.exp call and each sum
 a math.fsum or the tap loop, so no truth depends on numpy's SIMD exp or on
@@ -142,8 +143,8 @@ def _exp(a: np.ndarray) -> np.ndarray:
 
 
 def _axis_law(fx: DistributionSpec, fy: DistributionSpec, j: int, n: int):
-    """(phi, mass): n trapezoid nodes on axis j, each carrying X-mass
-    w_i f_X,j(x_i) at phi_j(x_i) = log f_Y,j(x_i) - log f_X,j(x_i), both
+    """(phi, mass): of n trapezoid nodes on axis j, those carrying X-mass
+    w_i f_X,j(x_i) > 0 at phi_j(x_i) = log f_Y,j(x_i) - log f_X,j(x_i), both
     factors normalized on the nodes."""
     lo, hi = fx.box[j]
     x = np.linspace(lo, hi, n)
@@ -158,7 +159,8 @@ def _axis_law(fx: DistributionSpec, fy: DistributionSpec, j: int, n: int):
     ey -= ex
     ey += math.log(mx) - math.log(my)
     mass /= mx
-    return ey, mass
+    kept = mass > 0  # a node whose exp underflowed adds nothing to E[g(S)]
+    return ey[kept], mass[kept]
 
 
 def _binned(phi: np.ndarray, mass: np.ndarray, h: float) -> tuple[float, np.ndarray]:

@@ -1,8 +1,11 @@
 """Seeded synthetic samplers for the benchmark scenarios.
 
-Streams are counter-based (Philox), so identical (spec, seed) pairs
-reproduce bit-identical samples, and parallel trials key their own streams
-from ``trial_seed(base_seed, trial_index, role)`` without coordination.
+A sampling state is the plain pair (spec, numpy Generator) that
+``make_state`` returns and ``sample`` unpacks. Streams are counter-based
+(Philox), so identical (spec, seed) pairs reproduce bit-identical samples,
+two ``sample`` calls on one state continue one stream, and parallel trials
+key their own streams from ``trial_seed(base_seed, trial_index, role)``
+without coordination.
 Those keys are distinct within one base seed, but not across bases: the
 set {base_seed XOR t : t < T} is the same for many bases, so nearby base
 seeds draw largely the same trials.
@@ -13,8 +16,6 @@ essentially 1 and nothing smarter is warranted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,18 +35,6 @@ class RejectionStall(HPDivError):
     """The box excludes essentially all Gaussian mass; sampling cannot finish."""
 
 
-@dataclass
-class SamplerState:
-    """Single-owner sampling stream for one spec. Not thread-shared."""
-
-    spec: DistributionSpec
-    seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._rng = seeded_rng(self.seed)
-
-
 def seeded_rng(seed: int) -> np.random.Generator:
     """A Philox stream keyed by ``seed``, a key in [0, 2**128)."""
     if not 0 <= seed < 1 << 128:
@@ -53,8 +42,10 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def make_state(spec: DistributionSpec, seed: int) -> SamplerState:
-    return SamplerState(spec=spec, seed=int(seed))
+def make_state(spec: DistributionSpec, seed: int) -> tuple[DistributionSpec, np.random.Generator]:
+    """(spec, seeded_rng(seed)), the state ``sample`` draws from. Single
+    owner, not thread-shared: each draw continues the Generator's stream."""
+    return spec, seeded_rng(int(seed))
 
 
 def trial_seed(base_seed: int, trial_index: int, role: int = 0) -> int:
@@ -63,11 +54,11 @@ def trial_seed(base_seed: int, trial_index: int, role: int = 0) -> int:
     return ((int(base_seed) ^ int(trial_index)) << 1) | (role & 1)
 
 
-def sample(state: SamplerState, n: int) -> PointCloud:
-    """Draw n i.i.d. points from the state's spec."""
+def sample(state: tuple[DistributionSpec, np.random.Generator], n: int) -> PointCloud:
+    """Draw n i.i.d. points from the spec of a ``make_state`` pair."""
     if n < 1:
         raise HPDivError(f"sample size must be >= 1, got {n}")
-    spec, rng = state.spec, state._rng
+    spec, rng = state
     lo, hi = spec.box[:, 0], spec.box[:, 1]
     if spec.kind == KIND_UNIFORM:
         return PointCloud(rng.uniform(lo, hi, size=(n, spec.dim)))

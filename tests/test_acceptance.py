@@ -22,7 +22,6 @@ from hpdiv import (
     build_index,
     knn_estimate,
     mst_estimate,
-    neighbor_table,
     resolve_schedule,
     solve_weights,
     true_divergence,
@@ -32,6 +31,7 @@ from hpdiv import (
 )
 from hpdiv.bench import ExperimentPlan, parse_methods, run_plan
 from hpdiv.io import class_pair, load_labeled, save_points
+from hpdiv.neighbors import neighbor_ranks
 from hpdiv.weights import constraint_matrix
 
 from conftest import tie_free
@@ -161,7 +161,7 @@ def test_criterion_8_structural_oracles():
                 z = validate_pair(
                     PointCloud(pts[:half]), PointCloud(pts[half:]), 0.5
                 )
-            table = neighbor_table(build_index(z), n - 1)
+            table = neighbor_ranks(build_index(z), np.arange(1, n))
             np.testing.assert_array_equal(table, scan_rank_table(pts))
         for trial in range(50):
             n = int(rng.integers(5, 301))

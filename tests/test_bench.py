@@ -403,6 +403,29 @@ class TestCsvRoundTrip:
         summarize_csv(out, path)
         assert csv_cells(path) == summary_cells(out)
 
+    def test_bytes_of_empty_and_extreme_cells(self, tmp_path):
+        # a None bias or MSE is an empty cell, every other float its repr
+        label = MethodSpec(kind="const", value=1e300).label
+        rows = [
+            bench.TrialSummary(label, 64, 1e300, None, 0.0, None, 1e300, 1e300, 2),
+            bench.TrialSummary("knn:5", 128, 0.1 + 0.2, -0.0, 5e-324, 1e-300, -1.5,
+                               1.7976931348623157e308, 3),
+        ]
+        path = tmp_path / "edge.csv"
+        summarize_csv(rows, path)
+        want = "".join(
+            ",".join([s.method, str(s.n),
+                      *("" if v is None else repr(float(v))
+                        for v in (s.mean_est, s.bias, s.variance, s.mse, s.ci_low, s.ci_high)),
+                      str(s.trials)]) + "\n"
+            for s in rows
+        )
+        assert path.read_bytes() == (bench.CSV_HEADER + "\n" + want).encode()
+        assert want.splitlines() == [
+            "const:1e+300,64,1e+300,,0.0,,1e+300,1e+300,2",
+            "knn:5,128,0.30000000000000004,-0.0,5e-324,1e-300,-1.5,1.7976931348623157e+308,3",
+        ]
+
     def test_single_summary_two_lines(self, tmp_path):
         plan = small_plan(n_grid=(32,), trials=4)
         out = run_plan(plan)

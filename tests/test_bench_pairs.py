@@ -264,6 +264,7 @@ def test_truth_call_reports_the_value_or_the_error(case, truth):
 
 def test_truth_cases_cover_every_scenario_and_tight_pair():
     cases = bench_pairs.TRUTH_CASES
-    assert len(cases) == 3 * 6 + 7 * 2
+    assert len(cases) == 3 * 6 + 8 * 2
+    assert cases["tight_shift_0.01_1_d3"] == {"x": [0.0, 0.01], "y": [1.0, 0.01], "d": 3, "p": 0.5}
     assert cases["gauss-scale_d10"] == {"scenario": "gauss-scale", "d": 10}
     assert cases["tight_uniform_normal_0.1_d3"] == {"x": None, "y": [0.0, 0.1], "d": 3, "p": 0.3}

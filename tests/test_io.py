@@ -75,6 +75,16 @@ class TestLoadPoints:
         back = load_points(f)
         np.testing.assert_array_equal(back.points, cloud.points)
 
+    def test_save_points_bytes(self, tmp_path):
+        # values no golden pin holds: each line is the cells' float reprs
+        # joined by commas
+        pts = [[-0.0, 5e-324, 1e-300], [0.1 + 0.2, 1.7976931348623157e308, -1.5]]
+        f = tmp_path / "edge.csv"
+        save_points(f, PointCloud(pts))
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in pts)
+        assert f.read_bytes() == want.encode()
+        assert want == "-0.0,5e-324,1e-300\n0.30000000000000004,1.7976931348623157e+308,-1.5\n"
+
 
 def line_parser(path):
     """The rows as the line parser alone reads them (after one leading BOM)."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpdiv import HPDivError, JointSet, KCollision, KTooLarge, PointCloud, build_index, neighbor_table, validate_pair
+from hpdiv import HPDivError, JointSet, KCollision, KTooLarge, PointCloud, build_index, validate_pair
 from hpdiv import mst, neighbors
 from hpdiv.bench import ExperimentPlan, parse_methods, run_plan
 from hpdiv.core import pool_pair
@@ -82,7 +82,7 @@ class TestOracleEquivalence:
         n = int(rng.integers(5, 60))
         z = make_joint(rng.normal(size=(n, dim)))
         idx = build_index(z)
-        table = neighbor_table(idx, n - 1)
+        table = neighbor_ranks(idx, np.arange(1, n))
         np.testing.assert_array_equal(table, scan_rank_table(z.points))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -92,7 +92,7 @@ class TestOracleEquivalence:
         pts = np.vstack([base, base[:5], base[:3]])  # heavy duplication
         z = make_joint(pts)
         idx = build_index(z)
-        table = neighbor_table(idx, len(pts) - 1)
+        table = neighbor_ranks(idx, np.arange(1, len(pts)))
         np.testing.assert_array_equal(table, scan_rank_table(z.points))
 
     def test_integer_grid_ties_match_scan(self):
@@ -101,7 +101,7 @@ class TestOracleEquivalence:
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         z = make_joint(pts)
         idx = build_index(z)
-        table = neighbor_table(idx, len(pts) - 1)
+        table = neighbor_ranks(idx, np.arange(1, len(pts)))
         np.testing.assert_array_equal(table, scan_rank_table(z.points))
 
     @given(st.integers(0, 10_000), st.integers(2, 24), st.integers(1, 3))
@@ -130,7 +130,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         z = make_joint(rng.normal(size=(40, 3)))
         idx = build_index(z)
-        table = neighbor_table(idx, 39)
+        table = neighbor_ranks(idx, np.arange(1, 40))
         for i in range(40):
             assert i not in table[i]
             d = np.linalg.norm(z.points[table[i]] - z.points[i], axis=1)
@@ -140,7 +140,7 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         z = make_joint(rng.normal(size=(30, 2)))
         idx = build_index(z)
-        table = neighbor_table(idx, 29)
+        table = neighbor_ranks(idx, np.arange(1, 30))
         for i in [0, 7, 29]:
             for k in [1, 5, 29]:
                 assert kth_neighbor(idx, i, k) == table[i, k - 1]
@@ -282,7 +282,7 @@ class TestSelectedRanks:
         z = make_joint(rng.normal(size=(400, 3)))
         ks = sorted({int(l * np.sqrt(200)) for l in (0.1, 0.35, 0.6, 1.0, 1.5, 2.2, 9.0)})
         idx = build_index(z)
-        table = neighbor_table(idx, ks[-1])
+        table = neighbor_ranks(idx, np.arange(1, ks[-1] + 1))
         np.testing.assert_array_equal(neighbor_ranks(idx, ks), scan_columns(z, ks))
         np.testing.assert_array_equal(table[:, np.asarray(ks) - 1], scan_columns(z, ks))
 

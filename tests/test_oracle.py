@@ -87,6 +87,16 @@ class TestDensity:
                     assert math.fsum(mass) == pytest.approx(1.0, abs=1e-14)
                     assert (mass >= 0).all()
 
+    def test_underflowed_nodes_leave(self):
+        # N(0, 0.01) on [-5, 5]: exp underflows to 0 past |x| ~ 3.86, and those
+        # nodes, which add nothing to E[g(S)], leave the law
+        fx = truncated_normal([0.0, 0.0], 0.01, (-5, 5))
+        fy = truncated_normal([1.0, 1.0], 0.01, (-5, 5))
+        phi, mass = oracle._axis_law(fx, fy, 0, oracle._NODES)
+        assert len(phi) == len(mass) < oracle._NODES
+        assert (mass > 0).all()
+        assert math.fsum(mass) == pytest.approx(1.0, abs=1e-14)
+
 
 class TestLaw:
     """Binning, clipping and convolution of the laws keep their mass."""

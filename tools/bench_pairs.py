@@ -255,6 +255,7 @@ TRUTH_CASES = {
     **{f"tight_{name}_d{d}": {"x": x, "y": y, "d": d, "p": p}
        for d in (2, 3)
        for name, x, y, p in [
+           ("shift_0.01_1", [0.0, 0.01], [1.0, 0.01], 0.5),
            ("shift_0.05_1", [0.0, 0.05], [1.0, 0.05], 0.5),
            ("shift_0.1_1", [0.0, 0.1], [1.0, 0.1], 0.5),
            ("shift_0.05_0.3", [0.0, 0.05], [0.3, 0.05], 0.5),
