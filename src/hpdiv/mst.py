@@ -3,9 +3,10 @@ dichotomous-edge count statistic R, mapped like the neighbor counts:
 value = 1 - R (N+M)/(2NM).
 
 The tree is exact and unique under the edge order (squared length, min endpoint,
-max endpoint). d = 1 joins sorted neighbors ("path") unless a tie could reroute the
-tree; any other input runs a kd-tree Boruvka ("boruvka"; March, Ram & Gray, KDD 2010)
-over ``neighbors.windows``. Each returns the n - 1 edges, sorted once by ``build_emst``.
+max endpoint). ``build_emst`` finds exact copies once, joins each later copy to the smallest
+index at length 0 and sorts the n - 1 edges once. The distinct points form a path of sorted
+neighbors ("path") at d = 1 unless a zero gap or a tie could reroute the tree; any other input
+runs a kd-tree Boruvka ("boruvka"; March, Ram & Gray, KDD 2010) over ``neighbors.windows``.
 """
 
 from __future__ import annotations
@@ -38,17 +39,15 @@ class SpanningTree:
         return self.edges.shape[0]
 
 
-def _path_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted-neighbor edges in 1-D, or None when a tie could reroute the tree. A
-    non-adjacent pair is at least as long as a 2-step (i, i+2) it spans; when each
-    2-step beats its two gaps strictly, every such pair tops a cycle: the path is the MST."""
-    order = np.argsort(points[:, 0], kind="stable")
-    gap = _sq_dists(points, order[:-1], order[1:])
-    if len(order) > 2:
-        step2 = _sq_dists(points, order[:-2], order[2:])
-        if not (step2 > np.maximum(gap[:-1], gap[1:])).all():
-            return None
-    return order[:-1], order[1:]
+def _path_edges(pts: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Neighbor edges of distinct 1-D points in value ``order``, or None when a gap
+    underflows to 0 or a tie could reroute the tree. A non-adjacent pair is at least as
+    long as a 2-step (i, i+2) it spans; when each 2-step beats its two gaps strictly,
+    every such pair tops a cycle: the path is the MST, and no point has another at 0."""
+    gap = _sq_dists(pts, order[:-1], order[1:])
+    step2 = _sq_dists(pts, order[:-2], order[2:])
+    ok = (gap > 0).all() and (step2 > np.maximum(gap[:-1], gap[1:])).all()
+    return (order[:-1], order[1:]) if ok else None
 
 
 def _joined(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -62,24 +61,17 @@ def _joined(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n - 1 tree edges: exact copies starred, then Boruvka rounds in
-    which every component takes its least outgoing edge. A point's window
-    lists its nearest distinct points by (squared length, smallest index),
-    self included; no point outside the window comes before an entry below
-    its horizon (the last length less the tie tolerance). A component takes
-    its least edge once each point whose window does not prove its own has a
-    horizon above that edge's length; if none can, those windows double."""
-    n = len(points)
-    order = np.lexsort(points.T[::-1])  # stable: exact copies run in index order
-    new = np.r_[True, (np.diff(points[order], axis=0) != 0).any(axis=1)]
-    low = np.empty(n, dtype=np.int64)  # each point's first copy
-    low[order] = order[new][np.cumsum(new) - 1]
-    reps = np.flatnonzero(low == np.arange(n))
-    size = len(reps)
-    pts = points if size == n else points[reps]
-    tree = cKDTree(pts)
-    width, horizon, first = np.full(size, _WINDOW // 2), np.empty(size), np.empty(size, np.int64)
+def _boruvka_edges(pts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The tree edges of distinct points less each point's link to its first (the smallest
+    index at length 0, itself unless a length underflows), and the firsts. Links join the
+    first components, then in each Boruvka round every component takes its least outgoing
+    edge. A point's window lists its nearest points by (squared length, smallest index),
+    self included; no point outside the window comes before an entry below its horizon
+    (the last length less the tie tolerance). A component takes its least edge once each
+    point whose window does not prove its own has a horizon above that edge's length; if
+    none can, those windows double."""
+    size, tree = len(pts), cKDTree(pts)
+    width, horizon, head = np.full(size, _WINDOW // 2), np.empty(size), np.empty(size, np.int64)
     pieces = []  # (rows, their windows); a grown row's window lives in a later piece
 
     def grow(rows: np.ndarray, domain: np.ndarray | None = None) -> None:
@@ -89,16 +81,14 @@ def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for part, cand, h in windows(near, pts, rows, k, ids=domain):
             here = rows[part]
             horizon[here] = h
-            first[here] = cand[:, 0]
+            head[here] = cand[:, 0]
             pieces.append((here, np.where(cand < size, cand, here[:, None]).astype(np.int32)))
 
     grow(np.arange(size))
     while (flat := np.flatnonzero((horizon == 0) & (width < size))).size:
         grow(flat)  # until every point at distance 0 is in
-    # Each copy joins the smallest index at zero distance: its first copy, or an underflow.
-    hub = reps[first][np.searchsorted(reps, low)]
-    star = np.flatnonzero(hub != np.arange(n))
-    edges = [(hub[star], star)]
+    first = head.copy()  # windows outside a component, grown later, skip self
+    edges = [(np.empty(0, np.int64),) * 2]
     comp = _joined(size, np.arange(size), first)  # labelled by least member
     while (comp != comp[0]).any():
         live, found = [], [(np.empty(0, np.int64),) * 4]
@@ -128,22 +118,32 @@ def _boruvka_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 grow(np.flatnonzero(far & (comp == c)), np.flatnonzero(comp != c))
             continue
         lo, hi = np.divmod(np.unique(pick[done]), size)  # two components may take one edge
-        edges.append((reps[lo], reps[hi]))
+        edges.append((lo, hi))
         comp = _joined(size, comp[lo], comp[hi])[comp]
-    return tuple(np.concatenate(side) for side in zip(*edges))
+    return tuple(np.concatenate(side) for side in zip(*edges)), first
 
 
 def build_emst(z: JointSet | PointCloud) -> SpanningTree:
-    """Exact Euclidean MST of the pooled points under the
-    (length, min endpoint, max endpoint) order, built by dimension."""
-    points = z.points
-    if len(points) < 2:
+    """Exact Euclidean MST of the pooled points under the (length, min endpoint,
+    max endpoint) order: copies starred, distinct points joined by dimension."""
+    points, n = z.points, len(z.points)
+    if n < 2:
         raise TooFewPoints("an MST needs at least 2 points")
-    uv = _path_edges(points) if points.shape[1] == 1 else None
-    algorithm, uv = ("path", uv) if uv is not None else ("boruvka", _boruvka_edges(points))
-    lo, hi = np.minimum(*uv), np.maximum(*uv)
+    order = np.lexsort(points.T[::-1])  # stable: exact copies run in index order
+    new = np.r_[True, (points[order[1:]] != points[order[:-1]]).any(axis=1)]
+    low = np.empty(n, dtype=np.int64)  # each point's first copy
+    low[order] = order[new][np.cumsum(new) - 1]
+    rep = low == np.arange(n)
+    reps, pos = np.flatnonzero(rep), np.cumsum(rep) - 1  # distinct points; each rep's row
+    uv = _path_edges(points[reps], pos[order[new]]) if points.shape[1] == 1 else None
+    algorithm, first = "path", np.arange(len(reps))
+    if uv is None:
+        algorithm, (uv, first) = "boruvka", _boruvka_edges(points[reps])
+    hub = reps[first[pos[low]]]  # the smallest index at length 0: first copy or underflow
+    star = np.flatnonzero(hub != np.arange(n))
+    lo, hi = np.r_[hub[star], reps[np.minimum(*uv)]], np.r_[star, reps[np.maximum(*uv)]]
     len2 = _sq_dists(points, lo, hi)
-    order = np.lexsort((hi, lo, len2))
+    order = np.lexsort((lo * n + hi, len2))  # (lo, hi) packed in one key
     return SpanningTree(edges=np.column_stack([lo[order], hi[order]]),
                         lengths=np.sqrt(len2[order]), algorithm=algorithm)
 

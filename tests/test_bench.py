@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hpdiv import bench, estimators, knn_estimate, mst_estimate, wnn_estimate
+from hpdiv import bench, estimators, knn_estimate, mst, mst_estimate, wnn_estimate
 from hpdiv.bench import (
     CellErrorWarning,
     ExperimentPlan,
@@ -266,6 +266,34 @@ class TestRunPlan:
         knn, mst = run_plan(plan)
         assert pools == [(160, m)] * 3
         assert (knn.method, mst.method) == ("knn:3", "mst")
+
+    def test_1d_csv_trials_run_the_path(self, monkeypatch, tmp_path):
+        # 160 rows resampled from 60 repeat values; the EMST stars the copies
+        # and joins the distinct values as a path, with no Boruvka.
+        rng = np.random.default_rng(10)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        save_points(xp, PointCloud(rng.normal(size=(60, 1))))
+        save_points(yp, PointCloud(rng.normal(size=(60, 1)) + 1.0))
+        trees, boruvka = [], []
+        real_build, real_boruvka = bench.build_emst, mst._boruvka_edges
+
+        def build(z):
+            trees.append(real_build(z))
+            return trees[-1]
+
+        def spy(pts):
+            boruvka.append(len(pts))
+            return real_boruvka(pts)
+
+        monkeypatch.setattr(bench, "build_emst", build)
+        monkeypatch.setattr(mst, "_boruvka_edges", spy)
+        plan = small_plan(
+            scenario="csv", n_grid=(160,), trials=3, x_path=str(xp), y_path=str(yp),
+            methods=tuple(parse_methods("knn:3,mst")),
+        )
+        run_plan(plan)
+        assert [(len(t), t.algorithm) for t in trees] == [(319, "path")] * 3
+        assert boruvka == []
 
     def test_neighbor_pass_sees_only_passing_cells(self, monkeypatch):
         # Ranks must fit |Z| - 1 = 63 at n=32 and 127 at n=64: knn:100 runs at

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hpdiv import PointCloud, build_emst
+
 from oracles import scan_rank_table
 
 _spec = importlib.util.spec_from_file_location(
@@ -247,6 +249,21 @@ def test_emst_clouds_are_built_and_timed(tmp_path):
     ranks = scan_rank_table(pts, [1, 5])
     assert record["ranks_ms"] > 0
     assert record["ranks_sha256"] == hashlib.sha256(ranks.tobytes()).hexdigest()
+
+
+def test_emst_resample_draws_rows_with_replacement():
+    """The probe's ``resample`` kind on this tree's sources: n rows drawn with
+    replacement from n normal rows repeat values, yet the 1-D tree is the path."""
+    repo = Path(__file__).resolve().parents[1]
+    record = json.loads(bench_pairs._python(repo, bench_pairs._EMST_CALL,
+                                            json.dumps(["resample", 1, 200]), threads=1))
+    rng = np.random.default_rng(20261019)
+    pts = rng.normal(size=(200, 1))[rng.integers(0, 200, size=200)]
+    assert len(np.unique(pts)) < 200
+    assert record["points"] == 200 and record["algorithm"] == "path"
+    tree = build_emst(PointCloud(pts))
+    assert record["edges_sha256"] == hashlib.sha256(tree.edges.tobytes()).hexdigest()
+    assert record["ranks_sha256"] == hashlib.sha256(scan_rank_table(pts, [1, 5]).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case, truth", [

@@ -34,11 +34,11 @@ def cli(capsys, argv) -> str:
 def gen_pair(tmp_path, capsys, dim):
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"
     zeros = ",0" * (dim - 1)
+    sigma = "1,1.5" + ",1" * (dim - 2) if dim > 1 else "1.5"
     cli(capsys, ["gen", "--dist", "tnorm", "--dim", str(dim), "--n", "300", "--seed", "3",
                  "--out", str(x)])
     cli(capsys, ["gen", "--dist", "tnorm", "--dim", str(dim), "--n", "300", "--seed", "4",
-                 "--mean", "0.5" + zeros, "--sigma", "1,1.5" + ",1" * (dim - 2),
-                 "--out", str(y)])
+                 "--mean", "0.5" + zeros, "--sigma", sigma, "--out", str(y)])
     return str(x), str(y)
 
 
@@ -56,6 +56,8 @@ BENCH_ABORTS = [
 BENCH_CSV = "805da05c2c8d168955bdc17b26991bb2c01bff0f87abb59834a635be448e1dec"
 # the csv scenario on the gen files at p = 1/2, where floor(n q / p) = n
 BENCH_CSV_FILES = "926f10f02361692dfad5851faba51032fc9b2293ade9b640164f9f4c84dcd325"
+# the csv scenario on the 1-D gen files: resampled rows repeat values
+BENCH_CSV_FILES_1D = "952e37955dc65bfe34e67fdc2a02b17131c25de7dbd25535306c6d6e73d59826"
 ESTIMATE = {
     "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
     "wnn": "69bc826d06cd593fe73e33ce23f63265c0d908b1224486d69ecb034ad6c794e3",
@@ -136,6 +138,16 @@ def test_bench_csv_files(tmp_path, capsys, monkeypatch, gen_files, threads):
                  "--trials", "4", "--seed", "5", "--methods", "knn:3,wnn:1|2|3,mst",
                  "--out", str(out)])
     assert sha256(out.read_bytes()) == BENCH_CSV_FILES
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_csv_files_1d(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("HPDIV_THREADS", threads)
+    x, y = gen_pair(tmp_path, capsys, 1)
+    out = tmp_path / "bench.csv"
+    cli(capsys, ["bench", "--scenario", "csv", "--x", x, "--y", y, "--n-grid", "50,200",
+                 "--trials", "4", "--seed", "5", "--methods", "knn:3,mst", "--out", str(out)])
+    assert sha256(out.read_bytes()) == BENCH_CSV_FILES_1D
 
 
 def truth_repr(scenario, d, p=0.5):

@@ -136,8 +136,47 @@ class TestEdgeSets:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_d1_duplicates(self, seed):
+        # copies are starred on their first copy; the 20 values form the path
         pts = np.random.default_rng(seed).integers(0, 20, size=(80, 1)).astype(float)
+        self.check(pts, "path")
+
+    def test_d1_one_repeated_row(self):
+        pts = np.random.default_rng(20).normal(size=(300, 1))
+        self.check(np.vstack([pts, pts[[17]]]), "path")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d1_resampled_rows(self, seed):
+        # rows drawn with replacement, as a csv bench trial draws them
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(300, 1))
+        self.check(pts[rng.integers(0, len(pts), size=len(pts))], "path")
+
+    def test_d1_copies_at_both_ends(self):
+        pts = np.random.default_rng(21).normal(size=(50, 1))
+        ends = [int(pts.argmin()), int(pts.argmax())]
+        self.check(np.vstack([pts[ends * 2], pts, pts[ends]]), "path")
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_d1_one_value(self, n):
+        tree = self.check(np.full((n, 1), 2.5), "path")
+        assert edge_set(tree.edges) == [(0, i) for i in range(1, n)]
+
+    def test_d1_two_copies(self):
+        tree = self.check(np.array([[3.0], [1.0], [3.0], [2.0]]), "path")
+        assert edge_set(tree.edges) == [(0, 2), (0, 3), (1, 3)]
+
+    def test_d1_copies_beside_a_rounding_tie(self):
+        # the rounding tie of test_d1_rounding_tie, each value copied
+        pts = np.array([[-1e20], [2.0], [1.0], [1.0], [-1e20], [2.0]])
         self.check(pts, "boruvka")
+
+    def test_d1_underflowed_gaps(self):
+        # Both gaps underflow to 0 but the 2-step does not, so the 2-step test
+        # alone would pass; 4, a copy of 2, must join 1 (at length 0 from it),
+        # which the Boruvka's first links find.
+        pts = np.array([[2e-162], [1e-162], [0.0], [2e-162], [0.0]])
+        tree = self.check(pts, "boruvka")
+        assert (1, 4) in edge_set(tree.edges)
 
     def test_d1_rounding_tie(self):
         # |(-1e20) - 1| and |(-1e20) - 2| round to the same length, and the
@@ -147,7 +186,7 @@ class TestEdgeSets:
     def test_d1_eight_values(self):
         # tie groups of about 250 copies: starred, not windowed one by one
         pts = np.random.default_rng(12).integers(0, 8, size=(2000, 1)).astype(float)
-        self.check(pts, "boruvka")
+        self.check(pts, "path")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_d2_random(self, seed):
@@ -290,11 +329,14 @@ class TestEdgeSets:
 
     def test_tree_does_not_depend_on_path(self):
         pts = np.random.default_rng(11).normal(size=(200, 1))
-        path = _path_edges(pts)
+        path = _path_edges(pts, np.argsort(pts[:, 0]))
         assert path is not None
-        assert edge_set(np.column_stack(path)) == edge_set(np.column_stack(_boruvka_edges(pts)))
-        for dim in (1, 2, 3):
-            pts = np.random.default_rng(11).normal(size=(200, dim))
+        uv, first = _boruvka_edges(pts)
+        np.testing.assert_array_equal(first, np.arange(len(pts)))
+        assert edge_set(np.column_stack(path)) == edge_set(np.column_stack(uv))
+        # edges come in (length, min endpoint, max endpoint) order, ties included
+        clouds = [np.random.default_rng(11).normal(size=(200, dim)) for dim in (1, 2, 3)]
+        for pts in clouds + [np.repeat(np.arange(6.0), 3)[:, None], lattice(6), cube(4)]:
             tree = build_emst(PointCloud(pts))
             lo, hi = tree.edges[:, 0], tree.edges[:, 1]
             assert (lo < hi).all()
@@ -308,7 +350,7 @@ class TestOneSort:
 
     @pytest.mark.parametrize("pts, algorithm", [
         (np.arange(30.0)[:, None] ** 1.5, "path"),
-        (np.repeat(np.arange(6.0), 3)[:, None], "boruvka"),
+        (np.repeat(np.arange(6.0), 3)[:, None], "path"),
         (lattice(6), "boruvka"),
         (cube(4), "boruvka"),
         (np.random.default_rng(2).normal(size=(40, 4)), "boruvka"),
@@ -321,20 +363,21 @@ class TestOneSort:
             calls["lexsort"] += 1
             return real_lexsort(*args, **kwargs)
 
-        def recording(real):
-            def construct(points):
-                uv = real(points)
-                if uv is not None:  # sorts from here on are build_emst's
-                    calls["edges"].append(len(uv[0]))
+        def recording(real, edges):
+            def construct(*args):
+                out = real(*args)
+                if out is not None:  # sorts from here on are build_emst's
+                    calls["edges"].append(len(edges(out)[0]))
                     monkeypatch.setattr(np, "lexsort", counting)
-                return uv
+                return out
             return construct
 
-        for name in ("_path_edges", "_boruvka_edges"):
-            monkeypatch.setattr(mst, name, recording(getattr(mst, name)))
+        monkeypatch.setattr(mst, "_path_edges", recording(mst._path_edges, lambda uv: uv))
+        monkeypatch.setattr(mst, "_boruvka_edges", recording(mst._boruvka_edges, lambda out: out[0]))
         tree = build_emst(PointCloud(pts))
         assert tree.algorithm == algorithm
-        assert calls == {"lexsort": 1, "edges": [len(pts) - 1]}
+        # each construction joins the distinct points; build_emst stars the copies
+        assert calls == {"lexsort": 1, "edges": [len(np.unique(pts, axis=0)) - 1]}
 
 
 class TestMstEstimate:

@@ -186,10 +186,11 @@ print(json.dumps({
 
 
 # Fixed-seed clouds of the EMST probe: name -> (kind, d, n). "normal" draws
-# N(0, I); "repeat" repeats row 0 once in place of the last row; "values"
-# takes 8 integer values; "lattice" is a sqrt(n)-square grid plus 500 rows
-# repeated; "flat" puts the last coordinate at twice the first (collinear
-# at d = 2, coplanar at d = 3).
+# N(0, I); "repeat" repeats row 0 once in place of the last row; "resample"
+# draws n rows with replacement from n normal rows, as a csv bench trial
+# does; "values" takes 8 integer values; "lattice" is a sqrt(n)-square grid
+# plus 500 rows repeated; "flat" puts the last coordinate at twice the first
+# (collinear at d = 2, coplanar at d = 3).
 EMST_CLOUDS = {
     "d2_normal_4096": ("normal", 2, 4096),
     "d2_normal_10000": ("normal", 2, 10000),
@@ -203,6 +204,9 @@ EMST_CLOUDS = {
     "d2_flat_4000": ("flat", 2, 4000),
     "d3_flat_3000": ("flat", 3, 3000),
     "d1_values_8000": ("values", 1, 8000),
+    "d1_normal_8000": ("normal", 1, 8000),
+    "d1_repeat_8000": ("repeat", 1, 8000),
+    "d1_resample_8000": ("resample", 1, 8000),
 }
 
 _EMST_CALL = """
@@ -217,6 +221,8 @@ if kind == "normal":
 elif kind == "repeat":
     pts = rng.normal(size=(n, d))
     pts[-1] = pts[0]
+elif kind == "resample":
+    pts = rng.normal(size=(n, d))[rng.integers(0, n, size=n)]
 elif kind == "values":
     pts = rng.integers(0, 8, size=(n, d)).astype(float)
 elif kind == "lattice":
