@@ -7,8 +7,9 @@ through one ``estimators.neighbor_statistics`` call per trial, the engine
 of the public estimators, so one neighbor pass serves all their ranks.
 Trials run on ``core.thread_map``, and each trial's neighbor pass and EMST
 run on its thread within that thread's share of the neighbor byte budget,
-as in an estimate call. Each trial keys its own counter-based streams from
-(base seed, trial), so results do not depend on HPDIV_THREADS.
+as in an estimate call. Each trial keys its streams from (base seed, trial,
+role), so results do not depend on HPDIV_THREADS; its draws at every n share
+them (common random numbers), and no two base seeds share a stream.
 
 In every scenario a draw at n pools n points of the plan's first source and
 ``_draw_m(plan, n)`` = floor(n q / p) of its second (csv resamples its
@@ -150,8 +151,8 @@ class ExperimentPlan:
             raise HPDivError(f"dims must be >= 1, got {self.dims}")
         if self.trials < 2:
             raise HPDivError("trials must be >= 2")
-        if not 0 <= self.base_seed < 1 << 127:  # trial_seed shifts it left by one
-            raise HPDivError(f"base_seed must lie in [0, 2**127), got {self.base_seed}")
+        if self.base_seed < 0:
+            raise HPDivError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.truth is not None and not 0.0 <= self.truth <= 1.0:
             raise HPDivError(f"truth must be a finite divergence in [0, 1], got {self.truth}")
         grid = tuple(int(n) for n in self.n_grid)

@@ -5,10 +5,8 @@ A sampling state is the plain pair (spec, numpy Generator) that
 (Philox), so identical (spec, seed) pairs reproduce bit-identical samples,
 two ``sample`` calls on one state continue one stream, and parallel trials
 key their own streams from ``trial_seed(base_seed, trial_index, role)``
-without coordination.
-Those keys are distinct within one base seed, but not across bases: the
-set {base_seed XOR t : t < T} is the same for many bases, so nearby base
-seeds draw largely the same trials.
+without coordination: SeedSequence hashes each triple to its own Philox
+key, so two base seeds, or the X and Y draws of one trial, share no stream.
 
 Truncated normals are drawn by rejection from the untruncated Gaussian:
 the benchmark boxes sit at several standard deviations, so acceptance is
@@ -49,9 +47,10 @@ def make_state(spec: DistributionSpec, seed: int) -> tuple[DistributionSpec, np.
 
 
 def trial_seed(base_seed: int, trial_index: int, role: int = 0) -> int:
-    """Stream seed for one trial, distinct across the trials of one base
-    seed; role separates paired streams (0 for the X sample, 1 for Y)."""
-    return ((int(base_seed) ^ int(trial_index)) << 1) | (role & 1)
+    """128-bit Philox key of one trial's stream (role 0 for X, 1 for Y): SeedSequence
+    hashes the nonnegative triple, so distinct triples key independent streams."""
+    w = np.random.SeedSequence((base_seed, trial_index, role)).generate_state(2, np.uint64)
+    return int(w[0]) | int(w[1]) << 64
 
 
 def sample(state: tuple[DistributionSpec, np.random.Generator], n: int) -> PointCloud:

@@ -512,8 +512,7 @@ class TestBench:
         ("--truth", "-0.5", "finite divergence in [0, 1]"),
         ("--methods", "const:inf", "const needs a finite value"),
         ("--p", "1e-320", "overflows at N=32, p=1e-320"),
-        ("--seed", str(2**127), "2**127"),
-        ("--seed", "-1", "2**127"),
+        ("--seed", "-1", "base_seed must be >= 0, got -1"),
     ])
     def test_degenerate_plan_exit_2(self, capsys, tmp_path, bench_argv, flag, value, match):
         argv = bench_argv[:]
@@ -523,6 +522,18 @@ class TestBench:
             argv += [f"{flag}={value}"]
         assert_usage_error(capsys, argv, match)
         assert not (tmp_path / "r.csv").exists()
+
+    def test_every_seed_draws_its_own_trials(self, capsys, tmp_path, bench_argv):
+        # trial keys hash (seed, trial, role), so any nonnegative seed runs
+        # and two seeds never replay one set of trials
+        outs = []
+        for seed in (0, 1, 2**127, 2**200):
+            argv = bench_argv[:]
+            outs.append(tmp_path / f"r{seed}.csv")
+            argv[argv.index("--out") + 1] = str(outs[-1])
+            code, _, err = run_cli(capsys, argv + ["--seed", str(seed)])
+            assert (code, err) == (0, "")
+        assert len({o.read_bytes() for o in outs}) == 4
 
     def test_zero_truncation_mass_exit_2(self, capsys, tmp_path, bench_argv):
         # the truth, before any draw, finds N(60, 1) with no mass in the box
@@ -551,7 +562,7 @@ class TestBench:
         out = tmp_path / "r.csv"
         argv = ["bench", *csv_files, "--seed", "-1", "--n-grid", "50", "--trials", "2",
                 "--methods", "knn:1", "--out", str(out)]
-        assert_usage_error(capsys, argv, "2**127")
+        assert_usage_error(capsys, argv, "base_seed must be >= 0, got -1")
         assert not out.exists()
 
     def test_csv_balanced_size_past_2_53_exit_2(self, capsys, tmp_path, csv_files):

@@ -53,11 +53,11 @@ BENCH_ABORTS = [
     "cell knn:300 @ n=64 aborted: ranks must lie in [1, 127], got 300..300",
     "cell knn:300 @ n=128 aborted: ranks must lie in [1, 255], got 300..300",
 ]
-BENCH_CSV = "805da05c2c8d168955bdc17b26991bb2c01bff0f87abb59834a635be448e1dec"
+BENCH_CSV = "9a9d8ce5cb48e104ce5af9c653c2a313c9a294cbc865613573dfdedcbaad8c08"
 # the csv scenario on the gen files at p = 1/2, where floor(n q / p) = n
-BENCH_CSV_FILES = "926f10f02361692dfad5851faba51032fc9b2293ade9b640164f9f4c84dcd325"
+BENCH_CSV_FILES = "5c1cb902e524573e9d27be2661a22203295a1a4756c1810aa5dc6878ea46c489"
 # the csv scenario on the 1-D gen files: resampled rows repeat values
-BENCH_CSV_FILES_1D = "952e37955dc65bfe34e67fdc2a02b17131c25de7dbd25535306c6d6e73d59826"
+BENCH_CSV_FILES_1D = "eeddc9cfaca3ae5ac96092eae95b9638086cedf36c6686f38f0e7fcf68c7f680"
 ESTIMATE = {
     "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
     "wnn": "69bc826d06cd593fe73e33ce23f63265c0d908b1224486d69ecb034ad6c794e3",

@@ -30,10 +30,13 @@ class TestDeterminism:
         assert not np.array_equal(a.points, b.points)
 
     def test_trial_seed_split(self):
-        seen = {
-            trial_seed(99, t, role) for t in range(50) for role in (0, 1)
-        }
-        assert len(seen) == 100  # x/y streams never collide across trials
+        # the key hashes (base, trial, role), so x/y streams never collide
+        # across trials, and no two bases share a trial stream, however close
+        # or large they are
+        bases = [*range(8), 99, 2**127, 2**200]
+        keys = [trial_seed(b, t, role) for b in bases for t in range(64) for role in (0, 1)]
+        assert len(set(keys)) == len(keys)
+        assert all(0 <= k < 1 << 128 for k in keys)
 
 
 class TestSupport:

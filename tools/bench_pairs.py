@@ -33,12 +33,13 @@ two threads: one ``hpdiv.cli.main(["estimate", ...])`` call's wall ms, minor
 page faults (``ru_minflt``), the process's ``ru_maxrss`` and the digest of
 its exit code and stdout, then a repeat for the tracemalloc peak of
 ``neighbor_ranks``. ``--emst`` runs each cloud of EMST_CLOUDS at one thread:
-one timed ``build_emst``, a repeat for its tracemalloc peak, the construction
-and an edge digest, then one timed ``neighbor_ranks(idx, [1, 5])`` and a
-rank digest. ``--truth`` runs each case of TRUTH_CASES at one thread: one
-timed ``true_divergence`` call and the repr of its value, or the type of the
-error it raised. ``--pairs 0`` runs the probes alone. ``--attach`` copies a JSON
-file in under KEY.
+the first ``build_emst`` call's ms (``cold_ms``), the median ms of 5 further
+calls (``wall_ms``), a repeat for its tracemalloc peak, the construction and
+an edge digest, then a ``neighbor_ranks(idx, [1, 5])`` call for a rank digest
+and the median ms of 5 further calls (``ranks_ms``). ``--truth`` runs each
+case of TRUTH_CASES at one thread: one timed ``true_divergence`` call and the
+repr of its value, or the type of the error it raised. ``--pairs 0`` runs the
+probes alone. ``--attach`` copies a JSON file in under KEY.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ EMST_CLOUDS = {
 }
 
 _EMST_CALL = """
-import hashlib, json, sys, time, tracemalloc
+import hashlib, json, statistics, sys, time, tracemalloc
 import numpy as np
 from hpdiv import JointSet, PointCloud, build_emst
 from hpdiv.neighbors import build_index, neighbor_ranks
@@ -232,20 +233,23 @@ elif kind == "lattice":
 elif kind == "flat":
     free = rng.normal(size=(n, d - 1))
     pts = np.column_stack([free, 2.0 * free[:, 0]])
+def ms(call):
+    t0 = time.perf_counter()
+    call()
+    return (time.perf_counter() - t0) * 1e3
 cloud = PointCloud(pts)
-t0 = time.perf_counter()
-tree = build_emst(cloud)
-wall_ms = (time.perf_counter() - t0) * 1e3
+cold_ms = ms(lambda: build_emst(cloud))
+wall_ms = statistics.median(ms(lambda: build_emst(cloud)) for _ in range(5))
 tracemalloc.start()
-build_emst(cloud)
+tree = build_emst(cloud)
 peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
 tracemalloc.stop()
 idx = build_index(JointSet(cloud, len(pts)))
-t0 = time.perf_counter()
 ranks = neighbor_ranks(idx, [1, 5])
-ranks_ms = (time.perf_counter() - t0) * 1e3
+ranks_ms = statistics.median(ms(lambda: neighbor_ranks(idx, [1, 5])) for _ in range(5))
 print(json.dumps({
-    "wall_ms": wall_ms, "peak_mb": peak_mb, "points": len(pts), "algorithm": tree.algorithm,
+    "cold_ms": cold_ms, "wall_ms": wall_ms, "peak_mb": peak_mb, "points": len(pts),
+    "algorithm": tree.algorithm,
     "edges_sha256": hashlib.sha256(tree.edges.tobytes()).hexdigest(),
     "ranks_ms": ranks_ms, "ranks_sha256": hashlib.sha256(ranks.tobytes()).hexdigest(),
 }))
