@@ -5,8 +5,8 @@ A sampling state is the plain pair (spec, numpy Generator) that
 (Philox), so identical (spec, seed) pairs reproduce bit-identical samples,
 two ``sample`` calls on one state continue one stream, and parallel trials
 key their own streams from ``trial_seed(base_seed, trial_index, role)``
-without coordination: SeedSequence hashes each triple to its own Philox
-key, so two base seeds, or the X and Y draws of one trial, share no stream.
+without coordination: ``SeedSequence(base, spawn_key=(trial, role))`` gives
+each triple its own key, so no two base seeds or roles share a stream.
 
 Truncated normals are drawn by rejection from the untruncated Gaussian:
 the benchmark boxes sit at several standard deviations, so acceptance is
@@ -47,9 +47,9 @@ def make_state(spec: DistributionSpec, seed: int) -> tuple[DistributionSpec, np.
 
 
 def trial_seed(base_seed: int, trial_index: int, role: int = 0) -> int:
-    """128-bit Philox key of one trial's stream (role 0 for X, 1 for Y): SeedSequence
-    hashes the nonnegative triple, so distinct triples key independent streams."""
-    w = np.random.SeedSequence((base_seed, trial_index, role)).generate_state(2, np.uint64)
+    """128-bit Philox key of one trial's stream (role 0 for X, 1 for Y). The seed's words
+    are zero-padded before the spawn key, so no two triples (t, role < 2**32) share entropy."""
+    w = np.random.SeedSequence(base_seed, spawn_key=(trial_index, role)).generate_state(2, np.uint64)
     return int(w[0]) | int(w[1]) << 64
 
 

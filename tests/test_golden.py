@@ -53,11 +53,11 @@ BENCH_ABORTS = [
     "cell knn:300 @ n=64 aborted: ranks must lie in [1, 127], got 300..300",
     "cell knn:300 @ n=128 aborted: ranks must lie in [1, 255], got 300..300",
 ]
-BENCH_CSV = "9a9d8ce5cb48e104ce5af9c653c2a313c9a294cbc865613573dfdedcbaad8c08"
+BENCH_CSV = "8ca25f403887981624751f811722711b1a526348b2a6b77b5a25db75a96398b2"
 # the csv scenario on the gen files at p = 1/2, where floor(n q / p) = n
-BENCH_CSV_FILES = "5c1cb902e524573e9d27be2661a22203295a1a4756c1810aa5dc6878ea46c489"
+BENCH_CSV_FILES = "e332fe09fd76c9cfe251f31046877800cb3ad5ebd1aa7c0977e38bef4ea9b8eb"
 # the csv scenario on the 1-D gen files: resampled rows repeat values
-BENCH_CSV_FILES_1D = "eeddc9cfaca3ae5ac96092eae95b9638086cedf36c6686f38f0e7fcf68c7f680"
+BENCH_CSV_FILES_1D = "7e2b04407e101096896a6d0ed7b4f4a78621bd6c300d68565239077cdf2e76d7"
 ESTIMATE = {
     "knn": "9b616ec38e15ee3f88e7855457eeeab610a7806ac2cdeb7b5d2a31e09147cc03",
     "wnn": "69bc826d06cd593fe73e33ce23f63265c0d908b1224486d69ecb034ad6c794e3",

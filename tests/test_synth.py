@@ -32,11 +32,14 @@ class TestDeterminism:
     def test_trial_seed_split(self):
         # the key hashes (base, trial, role), so x/y streams never collide
         # across trials, and no two bases share a trial stream, however close
-        # or large they are
-        bases = [*range(8), 99, 2**127, 2**200]
+        # or large they are; bases past 2**32 take a second seed word, which
+        # must not read as a trial or role of a one-word base
+        bases = [*range(8), 99, *(2**32 + b for b in range(8)), 2**64, 2**127, 2**128, 2**200]
         keys = [trial_seed(b, t, role) for b in bases for t in range(64) for role in (0, 1)]
         assert len(set(keys)) == len(keys)
         assert all(0 <= k < 1 << 128 for k in keys)
+        assert trial_seed(2**32, 0, 0) != trial_seed(0, 1, 0)
+        assert trial_seed(2**32, 1, 0) != trial_seed(0, 1, 1)
 
 
 class TestSupport:
